@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence, Union
 
-from .extensors import DimensionMismatch, perm_sign_of_merge
 from .linalg import ScalarMatrix
 from .poly import Polynomial
 from .polymatrix import PolyMatrix, determinant
@@ -29,6 +28,23 @@ Label = Union[int, str]
 
 BracketKey = tuple[Label, ...]
 BracketMonomial = tuple[BracketKey, ...]
+
+
+class DimensionMismatch(ValueError):
+    pass
+
+
+def perm_sign_of_merge(seq: Sequence) -> int:
+    """Sign of the permutation sorting seq; 0 when entries repeat."""
+    sign = 1
+    items = list(seq)
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if items[i] == items[j]:
+                return 0
+            if items[i] > items[j]:
+                sign = -sign
+    return sign
 
 
 def _label_key(label: Label):
@@ -310,6 +326,8 @@ class LabeledExtensor:
 
     @staticmethod
     def points(labels: Sequence[Label], dim: int) -> "LabeledExtensor":
+        if len(labels) > dim:
+            raise DimensionMismatch(f"{len(labels)} points exceed dimension {dim}")
         sign, key = normalize_labels(labels)
         if sign == 0:
             return LabeledExtensor(dim, len(labels), {})

@@ -2,7 +2,7 @@
 
 Subcommands: validate, generate, sample, verify, gc, liftcheck.  All I/O is
 UTF-8 JSON or plain text on files or stdio, and output is byte-identical
-for identical inputs, seeds, budgets and any worker count.
+for identical inputs, seeds and budgets.
 
 Exit codes: 0 success, 1 usage/parse error, 2 validation failure,
 3 verification failure.
@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from pathlib import Path
 
 from .brackets import LabeledExtensor, labeled_join, labeled_meet, to_bracket_polynomial
-from .concurrency import ordered_map
 from .generators import (
     ExtraVector,
     GraphData,
@@ -47,17 +46,13 @@ EXIT_VERIFY = 3
 class CommandConfig:
     """Budgets and modes shared by the generating subcommands."""
 
-    seed: int = 0
     budget_minor: int = 4
-    max_p_size: int = 6
-    cycle_budget: int = 12
     expand_budget: int = 5000
     q_mode: str = "symbolic"  # symbolic | canonical | concrete
     q_vector: tuple | None = None
-    workers: int = 1
 
     def __post_init__(self):
-        if self.budget_minor <= 0 or self.cycle_budget <= 0 or self.max_p_size <= 0:
+        if self.budget_minor <= 0:
             raise ValueError("budgets must be positive")
 
 
@@ -119,20 +114,11 @@ def _generate_circuits(matroid) -> list[LabeledPolynomial]:
 
 def _generate_lifting(matroid, config: CommandConfig) -> list[LabeledPolynomial]:
     extras = _extra_vectors_for(config, matroid.rank)
-    submatroids = [
-        sub
-        for sub in matroid.full_rank_submatroids()
-        if 0 < sub.size - matroid.rank + 1 <= config.budget_minor
-    ]
-
-    def run(job):
-        sub, q = job
-        return lifting_polynomials(sub, q)
-
-    jobs = [(sub, q) for sub in submatroids for q in extras]
     out: list[LabeledPolynomial] = []
-    for chunk in ordered_map(run, jobs, config.workers):
-        out.extend(chunk)
+    for sub in matroid.full_rank_submatroids():
+        if 0 < sub.size - matroid.rank + 1 <= config.budget_minor:
+            for q in extras:
+                out.extend(lifting_polynomials(sub, q))
     return out
 
 
@@ -173,12 +159,10 @@ def cmd_generate(args) -> int:
     try:
         q_mode, q_vector = _parse_q(args.q, matroid.rank)
         config = CommandConfig(
-            seed=args.seed,
             budget_minor=args.budget_minor,
             expand_budget=args.expand_budget,
             q_mode=q_mode,
             q_vector=q_vector,
-            workers=args.workers,
         )
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -239,7 +223,6 @@ def cmd_verify(args) -> int:
             extra_assignments=extra_assignments,
             sweep=sweep,
             expect=args.expect,
-            workers=args.workers,
         )
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -324,11 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matroid", required=True)
     p.add_argument("--which", choices=("circuits", "lifting", "graph", "all"), default="all")
     p.add_argument("--q", default="symbolic", help="symbolic | canonical | comma-separated rationals")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-minor", type=int, default=4)
     p.add_argument("--expand-budget", type=int, default=5000)
     p.add_argument("--graph-data", help="GraphData JSON path (defaults to the builtin instance)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
 
@@ -343,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realization", required=True)
     p.add_argument("--q", help="canonical (basis sweep) or comma-separated rationals")
     p.add_argument("--expect", choices=("zero", "nonzero"), default="zero")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

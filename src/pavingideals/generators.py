@@ -20,19 +20,16 @@ with hand-written displays is up to one overall sign.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-import networkx as nx
+from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import ScalarMatrix
 from .matroids import NotFullRank, PavingMatroid, Submatroid
 from .poly import Polynomial
 from .polymatrix import MinorEngine, PolyMatrix
 from .scalars import Scalar, as_scalar
-from .variables import Variable, entry_var, extra_var
+from .variables import entry_var, extra_var
 
 
 class HypothesisViolation(ValueError):
@@ -329,14 +326,25 @@ class DependencyDigraph:
         return self.weights[edge]
 
     def simple_cycles(self) -> list[tuple[int, ...]]:
-        """All simple directed cycles, rotated to start at their least vertex."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges)
-        cycles = []
-        for nodes in nx.simple_cycles(g):
-            pivot = nodes.index(min(nodes))
-            cycles.append(tuple(nodes[pivot:] + nodes[:pivot]))
+        """All simple directed cycles, each starting at its least vertex.
+
+        Depth-first search from each start vertex s in ascending order,
+        through vertices greater than s only, so every cycle is found once.
+        """
+        succ: dict[int, set[int]] = {}
+        for a, b in self.edges:
+            succ.setdefault(a, set()).add(b)
+        cycles: list[tuple[int, ...]] = []
+
+        def extend(path: list[int]):
+            for nxt in succ.get(path[-1], ()):
+                if nxt == path[0]:
+                    cycles.append(tuple(path))
+                elif nxt > path[0] and nxt not in path:
+                    extend(path + [nxt])
+
+        for start in sorted(succ):
+            extend([start])
         cycles.sort()
         return cycles
 

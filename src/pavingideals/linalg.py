@@ -46,9 +46,6 @@ class ScalarMatrix:
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(tuple(zip(*self.rows))) if self.rows else self
-
     def determinant(self) -> Scalar:
         if self.n_rows != self.n_cols:
             raise NonSquare(f"{self.n_rows}x{self.n_cols} matrix has no determinant")
@@ -156,23 +153,3 @@ def same_row_space(a: Iterable[Sequence[Scalar]], b: Iterable[Sequence[Scalar]])
     ra = matrix_rank(a)
     rb = matrix_rank(b)
     return ra == rb and matrix_rank(a + b) == ra
-
-
-def gaussian_pivot_product(m: list[list[Scalar]]) -> Scalar:
-    """Determinant as a signed product of Gaussian pivots (independent oracle)."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    n = len(rows)
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        det *= rows[k][k]
-        for i in range(k + 1, n):
-            factor = rows[i][k] / rows[k][k]
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
-    return normalize_scalar(sign * det)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class MatroidError(ValueError):
@@ -58,7 +58,7 @@ class NotFullRank(MatroidError):
 
 @dataclass(frozen=True)
 class PavingMatroid:
-    """Validated paving matroid; immutable, safe to share across threads."""
+    """Validated paving matroid; immutable."""
 
     rank: int
     points: tuple[int, ...]
@@ -202,29 +202,14 @@ class PavingMatroid:
             points |= h
         return Submatroid.of(self, frozenset(points))
 
-    def full_rank_submatroids(
-        self, mode: str = "hyperplane_unions", max_hyperplanes: int | None = None
-    ) -> Iterator["Submatroid"]:
+    def full_rank_submatroids(self) -> Iterator["Submatroid"]:
         """Full-rank submatroids, deduplicated by point set.
 
-        Default mode enumerates unions of >= 2 hyperplanes plus the whole
-        matroid, which is where liftability minors live.  Mode "all" walks
-        every subset and is gated to ground sets of at most 12 points.
+        Enumerates unions of >= 2 hyperplanes plus the whole matroid, which
+        is where liftability minors live.
         """
-        if mode == "all":
-            if len(self.points) > 12:
-                raise MatroidError("'all' submatroid enumeration is limited to 12 points")
-            for size in range(self.rank, len(self.points) + 1):
-                for combo in combinations(self.points, size):
-                    sub = self.restrict(combo)
-                    if sub.rank_in_parent == self.rank:
-                        yield sub
-            return
-        if mode != "hyperplane_unions":
-            raise ValueError(f"unknown submatroid enumeration mode: {mode}")
         seen: set[frozenset[int]] = set()
-        hp_cap = len(self.hyperplanes) if max_hyperplanes is None else max_hyperplanes
-        for count in range(2, hp_cap + 1):
+        for count in range(2, len(self.hyperplanes) + 1):
             for chosen in combinations(self.hyperplanes, count):
                 points = frozenset().union(*chosen)
                 if points in seen:

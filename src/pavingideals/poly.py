@@ -17,7 +17,7 @@ sorted by monomial order and joined with `` + `` / `` - ``::
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
 from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
 from .variables import Variable, parse_variable
@@ -270,15 +270,6 @@ class Polynomial:
             else:
                 terms[key] = new
         return _from_clean(terms)
-
-    def rename_variables(self, mapping: Callable[[Variable], Variable]) -> "Polynomial":
-        terms: dict[Monomial, Scalar] = {}
-        for mono, coeff in self._terms.items():
-            new_mono = tuple(sorted(((mapping(v), e) for v, e in mono)))
-            if len({v for v, _ in new_mono}) != len(new_mono):
-                raise ValueError("variable renaming collided inside a monomial")
-            terms[new_mono] = terms.get(new_mono, 0) + coeff
-        return Polynomial(terms)
 
     # -- canonical form helpers ------------------------------------------
 

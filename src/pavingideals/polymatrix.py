@@ -6,9 +6,8 @@ of one matrix share work; sizes up to ``memo_limit`` (default 8) land in the
 cache.  1x1 and 2x2 blocks are expanded directly, and a submatrix whose
 entries are all constant drops down to fraction-free scalar elimination.
 
-A MinorEngine is per-matrix state; either use one engine per thread or rely
-on the module-level helpers, which build a fresh engine per call, to keep
-pure-function semantics.
+A MinorEngine is per-matrix state; the module-level helpers build a fresh
+engine per call, to keep pure-function semantics.
 """
 
 from __future__ import annotations
@@ -68,11 +67,6 @@ class PolyMatrix:
 
     def is_constant(self) -> bool:
         return all(p.is_constant() for row in self.entries for p in row)
-
-    def to_scalar_matrix(self) -> ScalarMatrix:
-        return ScalarMatrix.from_rows(
-            [[p.constant_value() for p in row] for row in self.entries]
-        )
 
     def evaluate(self, assignment) -> ScalarMatrix:
         return ScalarMatrix.from_rows(

@@ -52,9 +52,6 @@ class Realization:
                 out[entry_var(r, p)] = value
         return out
 
-    def rank_of_points(self, points: Sequence[int]) -> int:
-        return matrix_rank([self.vectors[p] for p in points])
-
     # -- JSON ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:

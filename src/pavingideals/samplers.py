@@ -11,14 +11,13 @@ realization.
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Callable, Sequence
 
 from .linalg import kernel_basis, matrix_rank
-from .matroids import PavingMatroid, builtin_matroid, grid_matroid, grid_point
+from .matroids import MatroidError, PavingMatroid, builtin_matroid, grid_point
 from .realizations import Realization, in_realization_space
 from .scalars import Scalar
 
@@ -161,48 +160,40 @@ def _try_uniform(rng: random.Random, m: PavingMatroid, n: int, d: int):
     return {p: _nonzero_vector(rng, n) for p in range(1, d + 1)}
 
 
-_FAMILIES: dict[str, tuple[Callable, Callable]] = {
-    "qs": (lambda: builtin_matroid("qs"), _try_quadrilateral),
-    "quadrilateral": (lambda: builtin_matroid("qs"), _try_quadrilateral),
-    "concurrent3": (lambda: builtin_matroid("concurrent3"), _try_concurrent),
-    "concurrent_lines": (lambda: builtin_matroid("concurrent3"), _try_concurrent),
-    "pascal": (lambda: builtin_matroid("pascal"), _try_pascal),
-    "fig2c": (lambda: builtin_matroid("fig2c"), _try_fig2c),
-    "fig2_center": (lambda: builtin_matroid("fig2c"), _try_fig2c),
-    "fig2r": (lambda: builtin_matroid("fig2r"), _try_fig2r),
-    "fig2_right": (lambda: builtin_matroid("fig2r"), _try_fig2r),
+_FAMILIES: dict[str, Callable] = {
+    "qs": _try_quadrilateral,
+    "concurrent3": _try_concurrent,
+    "pascal": _try_pascal,
+    "fig2c": _try_fig2c,
+    "fig2r": _try_fig2r,
 }
 
 
 def sample_family(family: str, seed: int = 0) -> Realization:
     """Deterministic exact realization of a named family.
 
-    Families: qs/quadrilateral, concurrent3, pascal, fig2c, fig2r,
-    grid{n}x{k}, uniform(n,d).  General position is certified exactly;
-    pathological seeds resample, and a persistent failure raises
-    ResamplingExhausted.
+    Families are the builtin matroid names with a construction: qs,
+    concurrent3, pascal, fig2c, fig2r (and their aliases), grid{n}x{k},
+    uniform(n,d).  General position is certified exactly; pathological
+    seeds resample, and a persistent failure raises ResamplingExhausted.
     """
-    key = family.strip().lower()
-    if key in _FAMILIES:
-        matroid_factory, builder = _FAMILIES[key]
-        matroid = matroid_factory()
-        make = lambda rng: builder(rng, matroid)
-    else:
-        grid = re.fullmatch(r"grid(\d+)x(\d+)", key)
-        uni = re.fullmatch(r"uniform\((\d+),(\d+)\)", key)
-        if grid:
-            n, k = int(grid.group(1)), int(grid.group(2))
-            matroid = grid_matroid(n, k)
-            if n == 3:
-                make = lambda rng: _try_grid3(rng, matroid, k)
-            else:
-                make = lambda rng: _try_grid_general(rng, matroid, n, k)
-        elif uni:
-            n, d = int(uni.group(1)), int(uni.group(2))
-            matroid = PavingMatroid.uniform(n, d)
-            make = lambda rng: _try_uniform(rng, matroid, n, d)
+    try:
+        matroid = builtin_matroid(family)
+    except MatroidError as exc:
+        raise UnknownFamily(f"unknown realization family: {family!r} ({exc})") from exc
+    name, n = matroid.name, matroid.rank
+    if name in _FAMILIES:
+        make = lambda rng: _FAMILIES[name](rng, matroid)
+    elif name.startswith("grid"):
+        k = matroid.size // n
+        if n == 3:
+            make = lambda rng: _try_grid3(rng, matroid, k)
         else:
-            raise UnknownFamily(f"unknown realization family: {family!r}")
+            make = lambda rng: _try_grid_general(rng, matroid, n, k)
+    elif name.startswith("uniform"):
+        make = lambda rng: _try_uniform(rng, matroid, n, matroid.size)
+    else:
+        raise UnknownFamily(f"unknown realization family: {family!r}")
     for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(seed * 100_003 + attempt)
         vectors = make(rng)
@@ -288,7 +279,3 @@ def search_realization(
         if in_realization_space(placed, matroid):
             return Realization(matroid, placed, seed)
     return None
-
-
-def family_names() -> tuple[str, ...]:
-    return ("qs", "concurrent3", "pascal", "fig2c", "fig2r", "grid3x4", "uniform(n,d)", "grid{n}x{k}")

@@ -14,12 +14,11 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .brackets import BracketPolynomial
-from .concurrency import ordered_map
 from .generators import LabeledPolynomial
-from .poly import Polynomial, UnboundVariable
+from .poly import UnboundVariable
 from .realizations import Realization
 from .scalars import Scalar, format_rational
-from .variables import KIND_EXTRA, Variable, extra_var
+from .variables import KIND_EXTRA, extra_var
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ def verify_vanishing(
     extra_assignments: Sequence[Mapping[str, Sequence[Scalar]]] | None = None,
     sweep: bool = False,
     expect: str = "zero",
-    workers: int = 1,
 ) -> VanishingReport:
     """Evaluate each polynomial exactly on the realization.
 
@@ -111,7 +109,7 @@ def verify_vanishing(
     if expect not in ("zero", "nonzero"):
         raise ValueError("expect must be 'zero' or 'nonzero'")
     dim = realization.dim
-    jobs: list[tuple[str, object, Mapping[str, Sequence[Scalar]], tuple]] = []
+    checks: list[VanishingCheck] = []
     for labeled in polynomials:
         poly = labeled.polynomial
         names = extra_names(poly)
@@ -123,13 +121,7 @@ def verify_vanishing(
             assigns = [{}]
         for extra in assigns:
             key = tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names))
-            jobs.append((labeled.label, poly, extra, key))
-
-    def run(job) -> VanishingCheck:
-        label, poly, extra, key = job
-        value = evaluate_poly(poly, realization, extra)
-        passed = (value == 0) if expect == "zero" else (value != 0)
-        return VanishingCheck(label, key, value, passed)
-
-    checks = ordered_map(run, jobs, workers)
+            value = evaluate_poly(poly, realization, extra)
+            passed = (value == 0) if expect == "zero" else (value != 0)
+            checks.append(VanishingCheck(labeled.label, key, value, passed))
     return VanishingReport(tuple(checks), expect)

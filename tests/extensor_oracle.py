@@ -1,4 +1,4 @@
-"""Exterior algebra with join and meet.
+"""Coordinate exterior algebra with join and meet: a test oracle.
 
 An extensor of grade k in ambient dimension d is stored as a map from sorted
 k-tuples of basis indices (1-based) to coefficients; the coefficient carries
@@ -17,28 +17,12 @@ the spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .poly import Polynomial
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
-def perm_sign_of_merge(seq: Sequence) -> int:
-    """Sign of the permutation sorting seq; 0 when entries repeat."""
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] == items[j]:
-                return 0
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+from pavingideals.brackets import DimensionMismatch, perm_sign_of_merge
+from pavingideals.poly import Polynomial
+from pavingideals.variables import entry_var
 
 
 def _is_zero_coeff(c) -> bool:
@@ -196,7 +180,5 @@ def top_coefficient(v: Extensor):
 
 def point_extensor(point: int, dim: int) -> Extensor:
     """Rank-1 extensor with symbolic coordinates x[r,point]."""
-    from .variables import entry_var
-
     coords = [Polynomial.variable(entry_var(r, point)) for r in range(1, dim + 1)]
     return Extensor.from_vector(coords, dim)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pavingideals.generators import DependencyDigraph
 from pavingideals.lifting import Hyperplane
 from pavingideals.linalg import ScalarMatrix, solve_particular
+from pavingideals.scalars import Scalar, normalize_scalar
 
 
 def random_weighted_digraph(rng: random.Random, max_vertices: int = 7) -> DependencyDigraph:
@@ -103,3 +104,23 @@ def perm_parity(seq) -> int:
             if items[i] > items[j]:
                 sign = -sign
     return sign
+
+
+def gaussian_pivot_product(m: list[list[Scalar]]) -> Scalar:
+    """Determinant as a signed product of Gaussian pivots (independent oracle)."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    sign = 1
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return normalize_scalar(sign * det)

@@ -476,7 +476,7 @@ def test_criterion_9_sufficient_liftability_counts():
 # -- criterion 10 ------------------------------------------------------------------
 
 
-def determinism_bundle(workers: int) -> bytes:
+def determinism_bundle() -> bytes:
     """A slice through criteria 1-9 rendered to canonical text."""
     from pavingideals.polyfiles import render_polynomials
     from pavingideals.scalars import format_rational
@@ -503,9 +503,7 @@ def determinism_bundle(workers: int) -> bytes:
     for family in ("qs", "fig2c"):
         r = realization(family, 0)
         chunks.append(r.to_json())
-        rep = verify_vanishing(
-            list(circuit_polynomials(r.matroid)), r, sweep=True, workers=workers
-        )
+        rep = verify_vanishing(list(circuit_polynomials(r.matroid)), r, sweep=True)
         chunks.append(rep.to_json_lines())
     vectors = collinear_pascal_witness()
     poly = graph_polynomial_brackets(builtin_graph_data("pascal"))
@@ -527,13 +525,11 @@ def determinism_bundle(workers: int) -> bytes:
     return "\n===\n".join(chunks).encode()
 
 
-def test_criterion_10_determinism_across_runs_and_workers():
-    first = determinism_bundle(workers=1)
-    second = determinism_bundle(workers=1)
-    parallel = determinism_bundle(workers=4)
+def test_criterion_10_determinism_across_runs():
+    first = determinism_bundle()
+    second = determinism_bundle()
     assert first == second
-    assert first == parallel
-    report(10, "byte-identical artifacts across repeated runs and 1 vs 4 workers")
+    report(10, "byte-identical artifacts across repeated runs")
 
 
 def test_zz_acceptance_summary(capsys):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gaussian_pivot_product
 from pavingideals.linalg import (
     NonSquare,
     ScalarMatrix,
-    gaussian_pivot_product,
     kernel_basis,
     matrix_rank,
 )

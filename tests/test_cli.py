@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pavingideals
 from pavingideals.cli import main
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.generators import LabeledPolynomial, bracket, builtin_graph_data
@@ -17,6 +21,22 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run python with argv in a fresh interpreter that imports this package."""
+    src = str(Path(pavingideals.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_cli_import_pulls_in_no_networkx():
+    proc = run_fresh("-c", "import sys, pavingideals.cli; print('networkx' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -- validate ----------------------------------------------------------------
@@ -107,13 +127,12 @@ def test_generate_graph_data_file(tmp_path, capsys):
     assert len(parse_polynomials(out.read_text())) == 1
 
 
-def test_generate_is_deterministic_across_workers(tmp_path, capsys):
+def test_generate_is_deterministic_across_runs(tmp_path, capsys):
     outs = []
-    for workers in ("1", "4"):
-        path = tmp_path / f"out{workers}.txt"
+    for run in ("1", "2"):
+        path = tmp_path / f"out{run}.txt"
         code, _, _ = run_cli(
-            capsys, "generate", "--matroid", "pascal", "--which", "all",
-            "--workers", workers, "--out", str(path),
+            capsys, "generate", "--matroid", "pascal", "--which", "all", "--out", str(path),
         )
         assert code == 0
         outs.append(path.read_bytes())
@@ -199,6 +218,14 @@ def test_unknown_family_exit(capsys):
     assert "unknown" in err.lower()
 
 
+@pytest.mark.parametrize("family", ["grid2x2", "grid3x2", "uniform(1,3)"])
+def test_sample_invalid_family_parameters_exit_cleanly(family):
+    proc = run_fresh("-m", "pavingideals.cli", "sample", "--family", family)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 # -- gc and liftcheck ------------------------------------------------------------
 
 
@@ -223,6 +250,17 @@ def test_gc_join_repeated_point_is_zero(capsys):
     code, out, _ = run_cli(capsys, "gc", "join", "1", "1", "--dim", "3")
     assert code == 0
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("join", "1,2", "--dim", "0"),
+    ("meet", "1,2,3,4", "1,2", "--dim", "3"),
+])
+def test_gc_rejects_operands_above_dim(capsys, argv):
+    code, out, err = run_cli(capsys, "gc", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_liftcheck_grid_and_qs(capsys):

@@ -122,7 +122,7 @@ def test_cli_verify_quartic_expected_nonzero_fails_on_collinear_witness(tmp_path
 def test_pascal_intersection_points_join_to_zero():
     # The three opposite-side meets of the sampled hexagon are collinear, so
     # their wedge vanishes.
-    from pavingideals.extensors import extensor_from_vectors
+    from extensor_oracle import extensor_from_vectors
 
     r = sample_family("pascal", seed=1)
     wedge = extensor_from_vectors([r.vectors[7], r.vectors[8], r.vectors[9]])

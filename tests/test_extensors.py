@@ -7,22 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from pavingideals.brackets import (
-    BracketPolynomial,
-    LabeledExtensor,
-    labeled_join,
-    labeled_meet,
-    meet_then_join,
-    to_bracket_polynomial,
-)
-from pavingideals.extensors import (
-    DimensionMismatch,
+from extensor_oracle import (
     Extensor,
     extensor_from_vectors,
     join,
     meet,
     point_extensor,
     top_coefficient,
+)
+from pavingideals.brackets import (
+    BracketPolynomial,
+    DimensionMismatch,
+    LabeledExtensor,
+    labeled_join,
+    labeled_meet,
+    meet_then_join,
+    to_bracket_polynomial,
 )
 from pavingideals.linalg import ScalarMatrix, matrix_rank
 from pavingideals.poly import Polynomial
