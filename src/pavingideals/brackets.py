@@ -14,14 +14,15 @@ brackets as coefficients.  No rewriting (straightening) is performed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence, Union
 
 from .linalg import ScalarMatrix
-from .poly import Polynomial
+from .poly import Polynomial, _split_terms
 from .polymatrix import PolyMatrix, determinant
-from .scalars import Scalar, format_rational
+from .scalars import Scalar, format_rational, parse_rational
 from .variables import entry_var, extra_var
 
 Label = Union[int, str]
@@ -157,64 +158,44 @@ class BracketPolynomial:
 
     # -- output -----------------------------------------------------------
 
-    def pretty(self) -> str:
+    def _render(self, left: str, right: str, unit_coefficients: bool) -> str:
         if not self.terms:
             return "0"
-        def mono_text(mono: BracketMonomial) -> str:
-            return "".join("⟨" + " ".join(str(l) for l in key) + "⟩" for key in mono)
-
         chunks = []
-        for idx, (mono, coeff) in enumerate(sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))):
-            body = mono_text(mono) if mono else ""
-            mag = abs(coeff)
-            if mag != 1 or not mono:
-                body = format_rational(mag) + body
-            sign = "-" if coeff < 0 else "+"
+        ordered = sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        for idx, (mono, coeff) in enumerate(ordered):
+            body = "".join(left + " ".join(str(l) for l in key) + right for key in mono)
+            if unit_coefficients or abs(coeff) != 1 or not mono:
+                body = format_rational(abs(coeff)) + body
             if idx == 0:
-                chunks.append(body if sign == "+" else f"-{body}")
+                chunks.append(body if coeff > 0 else f"-{body}")
             else:
-                chunks.append(f" {sign} {body}")
+                chunks.append(f" {'-' if coeff < 0 else '+'} {body}")
         return "".join(chunks)
+
+    def pretty(self) -> str:
+        return self._render("⟨", "⟩", unit_coefficients=False)
 
     def __repr__(self):
         return f"BracketPolynomial({self.pretty()})"
 
     def to_text(self) -> str:
         """ASCII file form: coefficient then <a b c> factors per term."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        ordered = sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-        for idx, (mono, coeff) in enumerate(ordered):
-            mag = format_rational(-coeff if coeff < 0 else coeff)
-            body = mag + "".join(
-                "<" + " ".join(str(l) for l in key) + ">" for key in mono
-            )
-            sign = "-" if coeff < 0 else "+"
-            if idx == 0:
-                chunks.append(body if sign == "+" else f"-{body}")
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        return self._render("<", ">", unit_coefficients=True)
 
     @staticmethod
     def from_text(text: str) -> "BracketPolynomial":
-        import re as _re
-
         text = text.strip()
         if text == "0":
             return BracketPolynomial()
-        from .poly import _split_terms
-        from .scalars import parse_rational
-
         terms: dict[BracketMonomial, Scalar] = {}
         for sign, body in _split_terms(text):
-            m = _re.match(r"^([0-9]+(?:/[0-9]+)?)?\s*((?:<[^>]*>)*)$", body)
+            m = re.match(r"^([0-9]+(?:/[0-9]+)?)?\s*((?:<[^>]*>)*)$", body)
             if not m:
                 raise ValueError(f"bad bracket term: {body!r}")
             coeff = sign * (parse_rational(m.group(1)) if m.group(1) else 1)
             keys = []
-            for group in _re.findall(r"<([^>]*)>", m.group(2)):
+            for group in re.findall(r"<([^>]*)>", m.group(2)):
                 labels = tuple(
                     int(tok) if tok.isdigit() else tok for tok in group.split()
                 )
@@ -261,50 +242,70 @@ class BracketPolynomial:
         The default column map sends integer labels to matrix-entry columns
         and string labels to extra-vector columns.
         """
-        column = column or (lambda label: symbolic_column(label, dim))
-        cache: dict[BracketKey, Polynomial] = {}
+        return expander(dim, column)(self)
 
-        def bracket_poly(key: BracketKey) -> Polynomial:
-            got = cache.get(key)
-            if got is None:
-                if len(key) != dim:
-                    raise DimensionMismatch(
-                        f"bracket {key} has {len(key)} columns in dimension {dim}"
-                    )
-                cols = [column(label) for label in key]
-                rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-                got = determinant(PolyMatrix.from_rows(rows))
-                cache[key] = got
-            return got
+    def evaluate(self, vectors: Mapping[Label, Sequence[Scalar]]) -> Scalar:
+        """Exact value with every label bound to a concrete vector."""
+        return evaluator(vectors)(self)
 
+
+def expander(
+    dim: int, column: Callable[[Label], Sequence[Polynomial]] | None = None
+) -> Callable[[BracketPolynomial], Polynomial]:
+    """Coordinate expansion sharing one bracket->polynomial cache across calls."""
+    column = column or (lambda label: symbolic_column(label, dim))
+    cache: dict[BracketKey, Polynomial] = {}
+
+    def bracket_poly(key: BracketKey) -> Polynomial:
+        got = cache.get(key)
+        if got is None:
+            if len(key) != dim:
+                raise DimensionMismatch(
+                    f"bracket {key} has {len(key)} columns in dimension {dim}"
+                )
+            cols = [column(label) for label in key]
+            rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+            got = determinant(PolyMatrix.from_rows(rows))
+            cache[key] = got
+        return got
+
+    def expand(poly: BracketPolynomial) -> Polynomial:
         total = Polynomial.zero()
-        for mono, coeff in sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0])):
-            term = Polynomial.constant(coeff)
-            for key in mono:
+        for mono, coeff in sorted(poly.terms.items(), key=lambda kv: _mono_sort_key(kv[0])):
+            term = bracket_poly(mono[0]).scale(coeff) if mono else Polynomial.constant(coeff)
+            for key in mono[1:]:
                 term = term * bracket_poly(key)
             total = total + term
         return total
 
-    def evaluate(self, vectors: Mapping[Label, Sequence[Scalar]]) -> Scalar:
-        """Exact value with every label bound to a concrete vector."""
-        cache: dict[BracketKey, Scalar] = {}
+    return expand
 
-        def bracket_value(key: BracketKey) -> Scalar:
-            got = cache.get(key)
-            if got is None:
-                cols = [vectors[label] for label in key]
-                rows = [[cols[j][i] for j in range(len(key))] for i in range(len(key))]
-                got = ScalarMatrix.from_rows(rows).determinant()
-                cache[key] = got
-            return got
 
+def evaluator(vectors: Mapping[Label, Sequence[Scalar]]) -> Callable[[BracketPolynomial], Scalar]:
+    """Exact evaluation sharing one bracket-value cache across calls."""
+    cache: dict[BracketKey, Scalar] = {}
+
+    def bracket_value(key: BracketKey) -> Scalar:
+        got = cache.get(key)
+        if got is None:
+            cols = [vectors[label] for label in key]
+            lengths = set(map(len, cols))
+            if lengths != {len(key)}:
+                raise DimensionMismatch(f"bracket {key} on vectors of length {sorted(lengths)}")
+            got = ScalarMatrix.from_rows(zip(*cols)).determinant()
+            cache[key] = got
+        return got
+
+    def evaluate(poly: BracketPolynomial) -> Scalar:
         total: Scalar = 0
-        for mono, coeff in self.terms.items():
+        for mono, coeff in poly.terms.items():
             val: Scalar = coeff
             for key in mono:
                 val = val * bracket_value(key)
             total = total + val
         return total
+
+    return evaluate
 
 
 def symbolic_column(label: Label, dim: int) -> list[Polynomial]:

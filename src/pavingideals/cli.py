@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from math import factorial
 from pathlib import Path
 
 from .brackets import LabeledExtensor, labeled_join, labeled_meet, to_bracket_polynomial
@@ -25,35 +23,28 @@ from .generators import (
     builtin_graph_data,
     builtin_graph_data_names,
     circuit_polynomials,
-    graph_polynomial,
-    graph_polynomial_brackets,
+    emitted_graph_polynomial,
     lifting_polynomials,
 )
-from .matroids import MatroidError, PavingMatroid, builtin_matroid, builtin_matroid_names
+from .matroids import (
+    MatroidError,
+    MatroidSchemaError,
+    PavingMatroid,
+    builtin_matroid,
+    builtin_matroid_names,
+)
 from .polyfiles import parse_polynomials, render_polynomials
 from .realizations import Realization
 from .samplers import ResamplingExhausted, UnknownFamily, sample_family
 from .scalars import parse_rational
-from .verify import verify_vanishing
+from .verify import extra_names, verify_vanishing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Budgets and modes shared by the generating subcommands."""
-
-    budget_minor: int = 4
-    expand_budget: int = 5000
-    q_mode: str = "symbolic"  # symbolic | canonical | concrete
-    q_vector: tuple | None = None
-
-    def __post_init__(self):
-        if self.budget_minor <= 0:
-            raise ValueError("budgets must be positive")
+MATROID_PARSE_ERRORS = (json.JSONDecodeError, OSError, MatroidSchemaError)
 
 
 def _load_matroid(spec: str) -> PavingMatroid:
@@ -70,23 +61,19 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_q(q: str, dim: int) -> tuple[str, tuple | None]:
-    if q == "symbolic":
-        return "symbolic", None
-    if q == "canonical":
-        return "canonical", None
-    coords = tuple(parse_rational(c) for c in q.split(","))
+def _parse_coords(text: str, dim: int) -> tuple:
+    coords = tuple(parse_rational(c) for c in text.split(","))
     if len(coords) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(coords)}")
-    return "concrete", coords
+    return coords
 
 
-def _extra_vectors_for(config: CommandConfig, dim: int) -> list[ExtraVector]:
-    if config.q_mode == "symbolic":
+def _parse_q(q: str, dim: int) -> list[ExtraVector]:
+    if q == "symbolic":
         return [ExtraVector.symbolic("q")]
-    if config.q_mode == "canonical":
+    if q == "canonical":
         return [ExtraVector.basis(i, dim) for i in range(1, dim + 1)]
-    return [ExtraVector.concrete(config.q_vector)]
+    return [ExtraVector.concrete(_parse_coords(q, dim))]
 
 
 # -- subcommands ------------------------------------------------------------
@@ -95,7 +82,7 @@ def _extra_vectors_for(config: CommandConfig, dim: int) -> list[ExtraVector]:
 def cmd_validate(args) -> int:
     try:
         matroid = _load_matroid(args.matroid)
-    except (json.JSONDecodeError, OSError) as exc:
+    except MATROID_PARSE_ERRORS as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MatroidError as exc:
@@ -108,18 +95,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _generate_circuits(matroid) -> list[LabeledPolynomial]:
-    return circuit_polynomials(matroid)
-
-
-def _generate_lifting(matroid, config: CommandConfig) -> list[LabeledPolynomial]:
-    extras = _extra_vectors_for(config, matroid.rank)
-    out: list[LabeledPolynomial] = []
-    for sub in matroid.full_rank_submatroids():
-        if 0 < sub.size - matroid.rank + 1 <= config.budget_minor:
-            for q in extras:
-                out.extend(lifting_polynomials(sub, q))
-    return out
+def _generate_lifting(matroid, extras: list[ExtraVector], budget: int) -> list[LabeledPolynomial]:
+    rank = matroid.rank
+    subs = [s for s in matroid.full_rank_submatroids() if 0 < s.size - rank + 1 <= budget]
+    return [p for sub in subs for q in extras for p in lifting_polynomials(sub, q)]
 
 
 def _graph_data_for(matroid, args) -> GraphData:
@@ -134,47 +113,39 @@ def _graph_data_for(matroid, args) -> GraphData:
     )
 
 
-def _generate_graph(matroid, config: CommandConfig, args) -> list[LabeledPolynomial]:
+def _generate_graph(matroid, args) -> list[LabeledPolynomial]:
     data = _graph_data_for(matroid, args)
     label = (
         f"graph J={sorted(data.anchor)} P={list(data.points)} "
         f"C={[list(c) for c in data.circuits]} q={[e.label() for e in data.extras]}"
     )
-    symbolic = all(e.is_symbolic for e in data.extras)
-    estimate = factorial(matroid.rank) ** data.k
-    if symbolic and estimate > config.expand_budget:
-        return [LabeledPolynomial(label, graph_polynomial_brackets(data))]
-    return [LabeledPolynomial(label, graph_polynomial(data))]
+    return [LabeledPolynomial(label, emitted_graph_polynomial(data))]
 
 
 def cmd_generate(args) -> int:
     try:
         matroid = _load_matroid(args.matroid)
-    except (json.JSONDecodeError, OSError) as exc:
+    except MATROID_PARSE_ERRORS as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MatroidError as exc:
         print(f"invalid matroid: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        q_mode, q_vector = _parse_q(args.q, matroid.rank)
-        config = CommandConfig(
-            budget_minor=args.budget_minor,
-            expand_budget=args.expand_budget,
-            q_mode=q_mode,
-            q_vector=q_vector,
-        )
+        extras = _parse_q(args.q, matroid.rank)
+        if args.budget_minor <= 0:
+            raise ValueError("budgets must be positive")
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         items: list[LabeledPolynomial] = []
         if args.which in ("circuits", "all"):
-            items.extend(_generate_circuits(matroid))
+            items.extend(circuit_polynomials(matroid))
         if args.which in ("lifting", "all"):
-            items.extend(_generate_lifting(matroid, config))
+            items.extend(_generate_lifting(matroid, extras, args.budget_minor))
         if args.which in ("graph", "all"):
-            items.extend(_generate_graph(matroid, config, args))
+            items.extend(_generate_graph(matroid, args))
     except MatroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -206,15 +177,11 @@ def cmd_verify(args) -> int:
     extra_assignments = None
     if args.q and args.q != "canonical":
         try:
-            coords = tuple(parse_rational(c) for c in args.q.split(","))
+            coords = _parse_coords(args.q, realization.dim)
         except ValueError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        names: set[str] = set()
-        from .verify import extra_names
-
-        for labeled in polys:
-            names.update(extra_names(labeled.polynomial))
+        names = {name for labeled in polys for name in extra_names(labeled.polynomial)}
         extra_assignments = [{name: coords for name in sorted(names)}]
     try:
         report = verify_vanishing(
@@ -224,7 +191,7 @@ def cmd_verify(args) -> int:
             sweep=sweep,
             expect=args.expect,
         )
-    except Exception as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _write_out(report.to_json_lines() + "\n", args.out)
@@ -272,7 +239,7 @@ def cmd_gc(args) -> int:
 def cmd_liftcheck(args) -> int:
     try:
         matroid = _load_matroid(args.matroid)
-    except (json.JSONDecodeError, OSError) as exc:
+    except MATROID_PARSE_ERRORS as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MatroidError as exc:
@@ -308,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("circuits", "lifting", "graph", "all"), default="all")
     p.add_argument("--q", default="symbolic", help="symbolic | canonical | comma-separated rationals")
     p.add_argument("--budget-minor", type=int, default=4)
-    p.add_argument("--expand-budget", type=int, default=5000)
     p.add_argument("--graph-data", help="GraphData JSON path (defaults to the builtin instance)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)

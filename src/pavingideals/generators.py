@@ -1,10 +1,15 @@
 """Generators of matroid ideals: circuit, lifting and graph polynomials.
 
+All three families come from one signed-bracket matrix (``bracket_matrix``):
+one row per circuit paired with an auxiliary vector q, one column per point,
+and at the circuit's i-th point the bracket of the other circuit points
+followed by q, with sign (-1)^i.  Coordinate, numeric and bracket-level
+forms are all read off that matrix.
+
 Circuit polynomials are the maximal minors of the generic coordinate matrix
-on the columns of a size-n circuit.  Lifting polynomials are the
-(|N|-n+1)-minors of the liftability matrix of a full-rank submatroid N: one
-row per size-n circuit, whose nonzero entries are signed brackets of the
-circuit with one point swapped out for an auxiliary vector q.  Graph
+on the columns of a size-n circuit, i.e. single brackets.  Lifting
+polynomials are the (|N|-n+1)-minors of the liftability matrix of a
+full-rank submatroid N: the bracket matrix on its size-n circuits.  Graph
 polynomials come from collections of circuits threaded through a set of
 points outside the closure of an anchor set J: the signed sum over disjoint
 cycle collections of a dependency digraph, which equals the determinant of
@@ -21,15 +26,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, NamedTuple, Sequence
+from math import factorial
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .brackets import BracketPolynomial, Label, evaluator, expander, meet_then_join, symbolic_column
 from .linalg import ScalarMatrix
-from .matroids import NotFullRank, PavingMatroid, Submatroid
+from .matroids import NotFullRank, PavingMatroid, Submatroid, builtin_matroid, grid_point
 from .poly import Polynomial
 from .polymatrix import MinorEngine, PolyMatrix
-from .scalars import Scalar, as_scalar
-from .variables import entry_var, extra_var
+from .scalars import Scalar, as_scalar, format_rational, normalize_scalar
+
+# Graph polynomials are written in coordinates while the expansion estimate
+# factorial(rank)**k stays at or below this bound, in bracket form above it.
+EXPAND_LIMIT = 5000
 
 
 class HypothesisViolation(ValueError):
@@ -75,7 +86,7 @@ class ExtraVector:
             if len(self.coords) != dim:
                 raise ValueError(f"extra vector of length {len(self.coords)} in dimension {dim}")
             return [Polynomial.constant(c) for c in self.coords]
-        return [Polynomial.variable(extra_var(r, self.name)) for r in range(1, dim + 1)]
+        return symbolic_column(self.name, dim)
 
     def label(self) -> str:
         if self.name is not None:
@@ -85,8 +96,6 @@ class ExtraVector:
     def to_json_dict(self) -> dict:
         if self.name is not None:
             return {"symbolic": self.name}
-        from .scalars import format_rational
-
         return {"concrete": [format_rational(c) for c in self.coords]}
 
     @staticmethod
@@ -96,28 +105,53 @@ class ExtraVector:
         return ExtraVector.concrete([as_scalar(c) for c in data["concrete"]])
 
 
-ColumnSpec = object  # int point id | str extra name | ExtraVector | sequence of scalars
-
-
-def _column(spec: ColumnSpec, dim: int) -> list[Polynomial]:
-    if isinstance(spec, int):
-        return [Polynomial.variable(entry_var(r, spec)) for r in range(1, dim + 1)]
-    if isinstance(spec, str):
-        return ExtraVector.symbolic(spec).column(dim)
-    if isinstance(spec, ExtraVector):
-        return spec.column(dim)
-    return [Polynomial.constant(as_scalar(c)) for c in spec]
-
-
-def bracket(columns: Sequence[ColumnSpec], dim: int) -> Polynomial:
+def bracket(labels: Sequence[Label], dim: int) -> Polynomial:
     """Determinant of the named columns, in the order given."""
-    cols = [_column(spec, dim) for spec in columns]
-    if len(cols) != dim:
-        raise ValueError(f"bracket needs {dim} columns, got {len(cols)}")
-    rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    from .polymatrix import determinant
+    return BracketPolynomial.bracket(labels).expand(dim)
 
-    return determinant(PolyMatrix.from_rows(rows))
+
+# -- the signed-bracket matrix ------------------------------------------------
+
+
+def bracket_matrix(
+    rows: Iterable[tuple[Sequence[int], Label]], columns: Sequence[int], row_labels: Sequence
+) -> PolyMatrix:
+    """One row per (circuit, extra-vector label), one column per point.
+
+    The circuit is listed ascending; the entry at its i-th point (from 0) is
+    (-1)^i times the bracket of the other points followed by the label, and
+    points outside the circuit get 0.  Point ids are ints and labels are
+    strings, so each bracket is already in sorted normal form.
+    """
+    zero = BracketPolynomial.zero()
+    entries = []
+    for circuit, label in rows:
+        circuit = tuple(sorted(circuit))
+        signed = {
+            p: BracketPolynomial({(circuit[:i] + circuit[i + 1 :] + (label,),): (-1) ** i})
+            for i, p in enumerate(circuit)
+        }
+        entries.append(tuple(signed.get(p, zero) for p in columns))
+    return PolyMatrix(tuple(row_labels), tuple(columns), tuple(entries))
+
+
+def _in_coordinates(matrix: PolyMatrix, extras: Iterable[ExtraVector], dim: int) -> PolyMatrix:
+    """Expand every entry: a point p to x[r,p], an extra label to its column."""
+    by_label = {e.label(): e for e in extras}
+
+    def column(label: Label) -> Sequence[Polynomial]:
+        extra = by_label.get(label)
+        return symbolic_column(label, dim) if extra is None else extra.column(dim)
+
+    expand = expander(dim, column)
+    rows = tuple(tuple(expand(e) for e in row) for row in matrix.entries)
+    return PolyMatrix(matrix.row_labels, matrix.col_labels, rows)
+
+
+def _at(matrix: PolyMatrix, vectors: Mapping[Label, Sequence[Scalar]]) -> ScalarMatrix:
+    """Evaluate every entry at concrete vectors."""
+    value = evaluator(vectors)
+    return ScalarMatrix.from_rows([[value(e) for e in row] for row in matrix.entries])
 
 
 # -- circuit polynomials ----------------------------------------------------
@@ -132,7 +166,7 @@ def circuit_polynomials(matroid: PavingMatroid) -> list[LabeledPolynomial]:
     """One generic-matrix minor per size-n circuit, columns ascending."""
     out = []
     for circuit in matroid.circuits_n():
-        poly = bracket(list(circuit), matroid.rank)
+        poly = BracketPolynomial.bracket(circuit).expand(matroid.rank)
         out.append(LabeledPolynomial(f"circuit B={list(circuit)}", poly))
     return out
 
@@ -140,22 +174,9 @@ def circuit_polynomials(matroid: PavingMatroid) -> list[LabeledPolynomial]:
 # -- liftability matrices ----------------------------------------------------
 
 
-def liftability_row(
-    circuit: Sequence[int], q: ExtraVector, columns: Sequence[int], dim: int
-) -> list[Polynomial]:
-    """Row of the liftability matrix for one circuit, over the given columns.
-
-    The circuit is listed ascending; the entry at its i-th element is
-    (-1)^(i-1) times the bracket of the other elements followed by q.
-    """
-    circuit = tuple(sorted(circuit))
-    entries = {}
-    for i, point in enumerate(circuit):
-        others = circuit[:i] + circuit[i + 1 :]
-        poly = bracket(list(others) + [q], dim)
-        entries[point] = poly if i % 2 == 0 else -poly
-    zero = Polynomial.zero()
-    return [entries.get(p, zero) for p in columns]
+def _liftability_brackets(matroid, label: Label, dim: int) -> PolyMatrix:
+    circuits = matroid.circuits_of_size(dim)
+    return bracket_matrix(((c, label) for c in circuits), matroid.points, circuits)
 
 
 def liftability_matrix(
@@ -170,10 +191,7 @@ def liftability_matrix(
     dim = ambient if ambient is not None else matroid.rank
     if q.coords is not None and len(q.coords) != dim:
         raise ValueError("extra vector dimension disagrees with the ambient dimension")
-    circuits = matroid.circuits_of_size(dim)
-    columns = tuple(matroid.points)
-    rows = [liftability_row(c, q, columns, dim) for c in circuits]
-    return PolyMatrix(tuple(circuits), columns, tuple(tuple(r) for r in rows))
+    return _in_coordinates(_liftability_brackets(matroid, q.label(), dim), [q], dim)
 
 
 def liftability_matrix_at(
@@ -184,47 +202,30 @@ def liftability_matrix_at(
 ) -> ScalarMatrix:
     """Liftability matrix evaluated at concrete vectors (numeric brackets)."""
     dim = ambient if ambient is not None else len(q)
-    circuits = matroid.circuits_of_size(dim)
-    columns = tuple(matroid.points)
-    rows = []
-    for circuit in circuits:
-        circuit = tuple(sorted(circuit))
-        entries = {}
-        for i, point in enumerate(circuit):
-            others = circuit[:i] + circuit[i + 1 :]
-            cols = [vectors[p] for p in others] + [q]
-            det = ScalarMatrix.from_rows(
-                [[cols[jj][ii] for jj in range(dim)] for ii in range(dim)]
-            ).determinant()
-            entries[point] = det if i % 2 == 0 else -det
-        rows.append([entries.get(p, 0) for p in columns])
-    return ScalarMatrix.from_rows(rows)
+    extra = ExtraVector.concrete(q)
+    matrix = _liftability_brackets(matroid, extra.label(), dim)
+    return _at(matrix, {**vectors, extra.label(): extra.coords})
 
 
 def lifting_polynomials(
     submatroid: Submatroid | PavingMatroid,
     q: ExtraVector,
     minor_size: int | None = None,
-    memo_limit: int = 8,
 ) -> list[LabeledPolynomial]:
     """All (|N|-n+1)-minors of the liftability matrix of a full-rank N.
 
     Columns are restricted to N's points.  A nonpositive minor size, or one
     exceeding either matrix dimension, yields no polynomials.
     """
-    if isinstance(submatroid, Submatroid):
-        if not submatroid.is_full_rank():
-            raise NotFullRank(f"submatroid on {submatroid.points} is not full rank")
-        n = submatroid.parent.rank
-        tag = f"N={list(submatroid.points)}"
-    else:
-        n = submatroid.rank
-        tag = f"N={list(submatroid.points)}"
+    if isinstance(submatroid, Submatroid) and not submatroid.is_full_rank():
+        raise NotFullRank(f"submatroid on {submatroid.points} is not full rank")
+    n = submatroid.rank
+    tag = f"N={list(submatroid.points)}"
     size = len(submatroid.points) - n + 1 if minor_size is None else minor_size
     matrix = liftability_matrix(submatroid, q, ambient=n)
     if size <= 0 or size > matrix.n_rows or size > matrix.n_cols:
         return []
-    engine = MinorEngine(matrix, memo_limit=memo_limit)
+    engine = MinorEngine(matrix)
     out = []
     for row_idx in combinations(range(matrix.n_rows), size):
         for col_idx in combinations(range(matrix.n_cols), size):
@@ -395,43 +396,33 @@ def build_graph(
             for other in sorted(set(c) & point_set - {p}):
                 edges.append((p, other))
         return DependencyDigraph(tuple(data.points), tuple(sorted(set(edges))), None)
-    dim = data.matroid.rank
+    values: dict[Label, Sequence[Scalar]] = dict(vectors)
+    for extra in data.extras:
+        if extra.coords is not None:
+            values[extra.label()] = extra.coords
+        elif extra_values and extra.name in extra_values:
+            values[extra.name] = tuple(extra_values[extra.name])
+        else:
+            raise HypothesisViolation(
+                f"numeric mode needs a value for extra vector {extra.name!r}"
+            )
+    numeric = _at(_graph_brackets(data), values).rows
+    column = {p: j for j, p in enumerate(data.points)}
     weights: dict[tuple[int, int], Scalar] = {}
     edges = []
-    for p, c, extra in zip(data.points, data.circuits, data.extras):
-        if extra.coords is not None:
-            q = extra.coords
-        else:
-            if not extra_values or extra.name not in extra_values:
-                raise HypothesisViolation(
-                    f"numeric mode needs a value for extra vector {extra.name!r}"
-                )
-            q = tuple(extra_values[extra.name])
-        diag = _numeric_bracket([vectors[x] for x in _drop(c, p)] + [q], dim)
+    for i, (p, c) in enumerate(zip(data.points, data.circuits)):
+        diag = numeric[i][i]
         if diag == 0:
             raise HypothesisViolation(
-                f"degenerate dependency: bracket of {list(_drop(c, p))} with q vanishes"
+                f"degenerate dependency: bracket of {[x for x in c if x != p]} with q vanishes"
             )
         for other in sorted(set(c) & point_set - {p}):
-            num = _numeric_bracket([vectors[x] for x in _drop(c, other)] + [q], dim)
-            sign_p = (-1) ** c.index(p)
-            sign_other = (-1) ** c.index(other)
             # alpha_{p,other} = -N[p-row][other] / N[p-row][p].
-            value = -(sign_other * num) / (sign_p * diag)
+            value = normalize_scalar(Fraction(-numeric[i][column[other]], diag))
             if value != 0:
                 edges.append((p, other))
                 weights[(p, other)] = value
     return DependencyDigraph(tuple(data.points), tuple(sorted(edges)), weights)
-
-
-def _drop(circuit: tuple[int, ...], point: int) -> tuple[int, ...]:
-    return tuple(x for x in circuit if x != point)
-
-
-def _numeric_bracket(cols: list[Sequence[Scalar]], dim: int) -> Scalar:
-    return ScalarMatrix.from_rows(
-        [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    ).determinant()
 
 
 def cycle_identity_value(graph: DependencyDigraph) -> Scalar:
@@ -453,24 +444,35 @@ def cycle_identity_value(graph: DependencyDigraph) -> Scalar:
 # -- graph polynomials ----------------------------------------------------------
 
 
-def graph_matrix(data: GraphData) -> PolyMatrix:
+def _graph_brackets(data: GraphData) -> PolyMatrix:
     """k-by-k bracket matrix: row i from circuit c_i with its extra vector,
     columns the threaded points."""
     data.validate()
-    dim = data.matroid.rank
-    rows = []
-    for c, extra in zip(data.circuits, data.extras):
-        rows.append(liftability_row(c, extra, data.points, dim))
-    row_labels = tuple(
-        (c, e.label(), i) for i, (c, e) in enumerate(zip(data.circuits, data.extras))
-    )
-    return PolyMatrix(row_labels, tuple(data.points), tuple(tuple(r) for r in rows))
+    labels = [e.label() for e in data.extras]
+    row_labels = tuple((c, l, i) for i, (c, l) in enumerate(zip(data.circuits, labels)))
+    return bracket_matrix(zip(data.circuits, labels), data.points, row_labels)
 
 
-def graph_polynomial(data: GraphData, memo_limit: int = 8) -> Polynomial:
+def graph_matrix(data: GraphData) -> PolyMatrix:
+    """The circuit/point matrix expanded into coordinates."""
+    return _in_coordinates(_graph_brackets(data), data.extras, data.matroid.rank)
+
+
+def graph_polynomial(data: GraphData) -> Polynomial:
     """Determinant route: det of the circuit/point bracket matrix."""
-    matrix = graph_matrix(data)
-    return MinorEngine(matrix, memo_limit=memo_limit).determinant()
+    return MinorEngine(graph_matrix(data)).determinant()
+
+
+def emitted_graph_polynomial(data: GraphData) -> Polynomial | BracketPolynomial:
+    """The graph polynomial in its output form.
+
+    Bracket form when every extra vector is symbolic and the expansion
+    estimate factorial(rank)**k exceeds EXPAND_LIMIT, coordinates otherwise.
+    """
+    symbolic = all(e.is_symbolic for e in data.extras)
+    if symbolic and factorial(data.matroid.rank) ** data.k > EXPAND_LIMIT:
+        return graph_polynomial_brackets(data)
+    return graph_polynomial(data)
 
 
 def graph_polynomial_via_cycles(data: GraphData, max_points: int = 8) -> Polynomial:
@@ -503,42 +505,18 @@ def graph_polynomial_via_cycles(data: GraphData, max_points: int = 8) -> Polynom
 # -- bracket-level graph polynomials ----------------------------------------------
 
 
-def _require_symbolic_extras(data: GraphData) -> list[str]:
-    names = []
-    for extra in data.extras:
-        if not extra.is_symbolic:
-            raise HypothesisViolation(
-                "bracket-level graph polynomials need symbolic extra vectors"
-            )
-        names.append(extra.name)
-    return names
-
-
 def graph_matrix_brackets(data: GraphData) -> PolyMatrix:
     """The circuit/point matrix with formal brackets as entries.
 
     Exact and tiny regardless of how large the coordinate expansion would
     be; ``expand`` on the resulting determinant recovers the coordinate
-    polynomial when that is feasible.
+    polynomial when that is feasible.  Bracket-form files name symbolic
+    vectors only, so concrete extras are rejected.
     """
-    from .brackets import BracketPolynomial
-
-    data.validate()
-    names = _require_symbolic_extras(data)
-    rows = []
-    for c, name in zip(data.circuits, names):
-        entries = {}
-        for i, point in enumerate(c):
-            others = c[:i] + c[i + 1 :]
-            entry = BracketPolynomial.bracket(others + (name,))
-            entries[point] = entry if i % 2 == 0 else -entry
-        rows.append(
-            tuple(entries.get(p, BracketPolynomial.zero()) for p in data.points)
-        )
-    row_labels = tuple(
-        (c, e.label(), i) for i, (c, e) in enumerate(zip(data.circuits, data.extras))
-    )
-    return PolyMatrix(row_labels, tuple(data.points), tuple(rows))
+    matrix = _graph_brackets(data)
+    if not all(e.is_symbolic for e in data.extras):
+        raise HypothesisViolation("bracket-level graph polynomials need symbolic extra vectors")
+    return matrix
 
 
 def graph_polynomial_brackets(data: GraphData):
@@ -556,8 +534,6 @@ def graph_polynomial_via_cycles_brackets(
     polynomial form when parallel rows share a dependency denominator; a
     collection that would consume a shared denominator twice is rejected.
     """
-    from .brackets import BracketPolynomial
-
     data.validate()
     if data.k > max_points:
         raise TooLarge(f"cycle expansion budget is {max_points} points, got {data.k}")
@@ -707,8 +683,6 @@ class BadIndexSet(ValueError):
 
 def pascal_gc_quartic_brackets():
     """Join of the three opposite-side meets of the hexagon, as brackets."""
-    from .brackets import meet_then_join
-
     return meet_then_join(3, [((1, 2), (4, 5)), ((2, 3), (5, 6)), ((3, 4), (6, 1))])
 
 
@@ -724,8 +698,6 @@ def rnc_polynomial_brackets(curve_degree: int, hexagon: Sequence[int]):
     three formal columns x1, x2, x3 stand for the meets of opposite sides.
     Returns a bracket polynomial over ambient dimension d+1.
     """
-    from .brackets import BracketPolynomial
-
     d = curve_degree
     if d < 2:
         raise BadIndexSet("curve degree must be at least 2")
@@ -771,8 +743,6 @@ def rnc_polynomial(curve_degree: int, hexagon: Sequence[int]) -> Polynomial:
 
 def builtin_graph_data(name: str) -> GraphData:
     """The worked-example instances, keyed by matroid name."""
-    from .matroids import builtin_matroid, grid_point
-
     key = name.strip().lower()
     if key in ("qs", "quadrilateral"):
         m = builtin_matroid("qs")

@@ -43,9 +43,6 @@ class ScalarMatrix:
     def n_cols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def determinant(self) -> Scalar:
         if self.n_rows != self.n_cols:
             raise NonSquare(f"{self.n_rows}x{self.n_cols} matrix has no determinant")

@@ -25,6 +25,10 @@ class MatroidError(ValueError):
     pass
 
 
+class MatroidSchemaError(ValueError):
+    """A matroid JSON document does not have the expected shape."""
+
+
 class IntersectionTooLarge(MatroidError):
     def __init__(self, l1: frozenset, l2: frozenset, bound: int):
         self.pair = (tuple(sorted(l1)), tuple(sorted(l2)))
@@ -54,6 +58,10 @@ class TooFewHyperplanes(MatroidError):
 
 class NotFullRank(MatroidError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -243,6 +251,21 @@ class PavingMatroid:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PavingMatroid":
+        if not isinstance(data, dict):
+            raise MatroidSchemaError("a matroid must be a JSON object")
+        missing = [key for key in ("rank", "ground_set", "hyperplanes") if key not in data]
+        if missing:
+            raise MatroidSchemaError(f"matroid JSON lacks {', '.join(missing)}")
+        for key in ("rank", "ground_set"):
+            if not _is_int(data[key]):
+                raise MatroidSchemaError(f"{key} must be an integer, got {data[key]!r}")
+        hps = data["hyperplanes"]
+        if not isinstance(hps, list) or not all(
+            isinstance(h, list) and all(map(_is_int, h)) for h in hps
+        ):
+            raise MatroidSchemaError("hyperplanes must be lists of integer point ids")
+        if not isinstance(data.get("name"), (str, type(None))):
+            raise MatroidSchemaError("name must be a string")
         return PavingMatroid.validate(
             data["hyperplanes"],
             data["rank"],

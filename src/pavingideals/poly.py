@@ -204,19 +204,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def scale(self, value: Scalar) -> "Polynomial":
         value = normalize_scalar(value)
         if value == 0:

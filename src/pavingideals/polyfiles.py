@@ -5,8 +5,9 @@ One polynomial per line, preceded by a provenance comment::
     # source: circuit B=[1, 2, 3]
     1 * x[1,1] * x[2,2] * x[3,3] - ...
 
-Expanded lines use the coordinate text form; when a polynomial's expansion
-would be impractically large it is written in the exact bracket text form
+Every generator is a minor of one signed-bracket matrix, so each line is
+either its coordinate expansion (the coordinate text form) or, when that
+expansion would be impractically large, the exact bracket text form
 (factors like ``<1 2 q1>``) under an extra ``# form: bracket`` comment.
 Both forms parse back losslessly.
 """

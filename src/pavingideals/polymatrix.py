@@ -2,7 +2,7 @@
 
 Symbolic determinants expand by minors along the sparsest line, with
 memoization keyed on (row set, column set) so the many overlapping minors
-of one matrix share work; sizes up to ``memo_limit`` (default 8) land in the
+of one matrix share work; minors of size up to ``MEMO_LIMIT`` land in the
 cache.  1x1 and 2x2 blocks are expanded directly, and a submatrix whose
 entries are all constant drops down to fraction-free scalar elimination.
 
@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 from .linalg import NonSquare, ScalarMatrix
 from .poly import Polynomial
+
+MEMO_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
 
-    def is_constant(self) -> bool:
-        return all(p.is_constant() for row in self.entries for p in row)
-
     def evaluate(self, assignment) -> ScalarMatrix:
         return ScalarMatrix.from_rows(
             [[p.evaluate(assignment) for p in row] for row in self.entries]
@@ -77,9 +76,8 @@ class PolyMatrix:
 class MinorEngine:
     """Memoized minor expansion for one PolyMatrix."""
 
-    def __init__(self, matrix: PolyMatrix, memo_limit: int = 8):
+    def __init__(self, matrix: PolyMatrix):
         self.matrix = matrix
-        self.memo_limit = memo_limit
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
         self._zero = [
             [entry.is_zero() for entry in row] for row in matrix.entries
@@ -113,7 +111,7 @@ class MinorEngine:
         ent = self.matrix.entries
         if k == 1:
             return ent[rows[0]][cols[0]]
-        cached = self._cache.get((rows, cols)) if k <= self.memo_limit else None
+        cached = self._cache.get((rows, cols)) if k <= MEMO_LIMIT else None
         if cached is not None:
             return cached
         if k == 2:
@@ -122,7 +120,7 @@ class MinorEngine:
             result = a * d - b * c
         else:
             result = self._expand(rows, cols)
-        if k <= self.memo_limit:
+        if k <= MEMO_LIMIT:
             self._cache[(rows, cols)] = result
         return result
 
@@ -172,6 +170,6 @@ class MinorEngine:
         return all(ent[r][c].is_constant() for r in rows for c in cols)
 
 
-def determinant(matrix: PolyMatrix, memo_limit: int = 8) -> Polynomial:
+def determinant(matrix: PolyMatrix) -> Polynomial:
     """Exact symbolic determinant of a square PolyMatrix."""
-    return MinorEngine(matrix, memo_limit).determinant()
+    return MinorEngine(matrix).determinant()

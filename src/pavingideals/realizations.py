@@ -21,7 +21,7 @@ from .variables import Variable, entry_var
 
 
 class IndexMismatch(ValueError):
-    pass
+    """Vectors that do not match the matroid's points or rank."""
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class Realization:
     def dim(self) -> int:
         first = next(iter(self.vectors.values()))
         return len(first)
-
-    def vector(self, point: int) -> tuple[Scalar, ...]:
-        return self.vectors[point]
 
     def assignment(self) -> dict[Variable, Scalar]:
         """Matrix-entry variable values of this realization."""
@@ -89,6 +86,11 @@ class Realization:
         vectors = {
             int(p): tuple(as_scalar(c) for c in vec) for p, vec in data["points"].items()
         }
+        for p, vec in sorted(vectors.items()):
+            if len(vec) != matroid.rank:
+                raise IndexMismatch(
+                    f"point {p} has {len(vec)} coordinates, the matroid has rank {matroid.rank}"
+                )
         return Realization(matroid, vectors, data.get("seed"))
 
     @staticmethod

@@ -19,7 +19,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
 import pytest
 
@@ -46,6 +45,7 @@ from pavingideals.generators import (
     builtin_graph_data,
     circuit_polynomials,
     cycle_identity_value,
+    emitted_graph_polynomial,
     graph_polynomial,
     graph_polynomial_brackets,
     graph_polynomial_via_cycles,
@@ -82,13 +82,8 @@ def realization(family: str, seed: int) -> Realization:
 
 @lru_cache(maxsize=None)
 def emitted_graph_items(name: str) -> tuple[LabeledPolynomial, ...]:
-    """Mirror of the CLI emission rule: expand small data, bracket the rest."""
-    data = builtin_graph_data(name)
-    estimate = factorial(data.matroid.rank) ** data.k
-    if estimate > 5000:
-        poly = graph_polynomial_brackets(data)
-    else:
-        poly = graph_polynomial(data)
+    """The graph polynomial in the form the CLI writes it."""
+    poly = emitted_graph_polynomial(builtin_graph_data(name))
     return (LabeledPolynomial(f"graph {name}", poly),)
 
 

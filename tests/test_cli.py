@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,14 @@ import pytest
 import pavingideals
 from pavingideals.cli import main
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
-from pavingideals.generators import LabeledPolynomial, bracket, builtin_graph_data
+from pavingideals.generators import (
+    ExtraVector,
+    LabeledPolynomial,
+    bracket,
+    builtin_graph_data,
+    lifting_polynomials,
+)
+from pavingideals.matroids import builtin_matroid
 from pavingideals.brackets import BracketPolynomial
 
 
@@ -56,12 +64,37 @@ def test_validate_rejects_overlap(tmp_path, capsys):
     assert "[1, 2, 3]" in err.replace("(", "[").replace(")", "]")
 
 
+MALFORMED_MATROIDS = (
+    "{not json",
+    json.dumps({"rank": 3, "ground_set": 6, "hyperplanes": [[1, 2, "x"]]}),
+    json.dumps({"rank": 3, "hyperplanes": [[1, 2, 3]]}),
+)
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "validate", "--matroid", str(bad))
+    for text in MALFORMED_MATROIDS:
+        bad.write_text(text)
+        for command in ("validate", "generate", "liftcheck"):
+            code, out, err = run_cli(capsys, command, "--matroid", str(bad))
+            assert code == 1, (text, command)
+            assert out == ""
+            assert err.startswith("parse error: ")
+            assert "Traceback" not in err
+
+
+def test_verify_realization_with_malformed_matroid_is_usage_error(tmp_path, capsys):
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps({
+        "matroid": {"rank": 3, "ground_set": 6, "hyperplanes": [[1, 2, "x"]]},
+        "points": {str(p): ["1", "2", str(p)] for p in range(1, 7)},
+    }))
+    polys = tmp_path / "polys.txt"
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    code, _, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
     assert code == 1
-    assert "parse error" in err
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
 
 
 # -- generate ----------------------------------------------------------------
@@ -127,6 +160,35 @@ def test_generate_graph_data_file(tmp_path, capsys):
     assert len(parse_polynomials(out.read_text())) == 1
 
 
+# sha256 of `generate` output for the worked examples, so that any change in
+# the written bytes shows up here, not only run-to-run differences.
+GOLDEN_DIGESTS = [
+    (("qs", "all", "symbolic"), "33816c2919139db72a1117a4213e804ea58ff5732b282efde86c0c1d7e2fd480"),
+    (("qs", "all", "canonical"), "f0430be60fb5a415567c25d75f77be118264191c7034c49012eddd6e7da38d2f"),
+    (("concurrent3", "all", "symbolic"), "8240ef5882c400dd8d84c5502ee9a2d2955cd1535d8108c33f5abfb571cd8dd4"),
+    (("concurrent3", "all", "canonical"), "8240ef5882c400dd8d84c5502ee9a2d2955cd1535d8108c33f5abfb571cd8dd4"),
+    (("fig2r", "all", "symbolic"), "aeba5778aacb56a6cd65152593b9cba33fe29cd82cd35fa7de35acb90279ce2a"),
+    (("fig2r", "all", "canonical"), "aeba5778aacb56a6cd65152593b9cba33fe29cd82cd35fa7de35acb90279ce2a"),
+    (("fig2c", "all", "symbolic"), "1df780921e04e3d3e3b13c997c94e7b8a72c355fd6b84b87e7b746acd7a2842e"),
+    (("fig2c", "all", "canonical"), "1df780921e04e3d3e3b13c997c94e7b8a72c355fd6b84b87e7b746acd7a2842e"),
+    (("pascal", "graph", "symbolic"), "32c65f766ec6759251286fec5d587430bd35eb003f56546ad2fda70c5379a1fe"),
+    (("grid3x4", "graph", "symbolic"), "32bdef853b4896f7f5a2f7e01bd907079284ffdfdfe8a4c333a640cf9a6a0ec9"),
+]
+
+
+@pytest.mark.parametrize(
+    "run, digest", GOLDEN_DIGESTS, ids=["-".join(run) for run, _ in GOLDEN_DIGESTS]
+)
+def test_generate_matches_recorded_digest(tmp_path, capsys, run, digest):
+    matroid, which, q = run
+    out = tmp_path / "polys.txt"
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", matroid, "--which", which, "--q", q, "--out", str(out)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_generate_is_deterministic_across_runs(tmp_path, capsys):
     outs = []
     for run in ("1", "2"):
@@ -185,6 +247,70 @@ def test_verify_missing_binding_is_usage_error(tmp_path, capsys):
     )
     assert code == 1
     assert "unbound" in err.lower()
+
+
+def sample_qs(tmp_path, capsys) -> Path:
+    real = tmp_path / "real.json"
+    code, _, _ = run_cli(capsys, "sample", "--family", "qs", "--seed", "0", "--out", str(real))
+    assert code == 0
+    return real
+
+
+def test_verify_rejects_vectors_longer_than_the_rank(tmp_path, capsys):
+    real = sample_qs(tmp_path, capsys)
+    payload = json.loads(real.read_text())
+    for vec in payload["points"].values():
+        vec.append("5")
+    real.write_text(json.dumps(payload))
+    polys = tmp_path / "polys.txt"
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
+def test_verify_rejects_brackets_of_the_wrong_size(tmp_path, capsys):
+    # A 2-bracket would otherwise evaluate a 2x2 minor of rank-3 vectors,
+    # and a 4-bracket would index past their last coordinate.
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    for text in ("<1 2>", "<1 2 3 4>"):
+        polys.write_text(f"# form: bracket\n{text}\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--polys", str(polys), "--realization", str(real)
+        )
+        assert code == 1, text
+        assert out == ""
+        assert err.startswith("error: bracket "), err
+
+
+def verify_q_files(tmp_path, capsys) -> dict[str, tuple[Path, Path]]:
+    """An expanded qs lifting minor and the bracket-form pascal graph polynomial."""
+    qs_polys = tmp_path / "qs_lifting.txt"
+    minors = lifting_polynomials(builtin_matroid("qs"), ExtraVector.symbolic("q"), minor_size=2)
+    qs_polys.write_text(render_polynomials(minors[:1]))
+    pascal_polys = tmp_path / "pascal_graph.txt"
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", "pascal", "--which", "graph", "--out", str(pascal_polys)
+    )
+    assert code == 0
+    assert "# form: bracket" in pascal_polys.read_text()
+    pascal_real = tmp_path / "pascal.json"
+    code, _, _ = run_cli(capsys, "sample", "--family", "pascal", "--out", str(pascal_real))
+    assert code == 0
+    return {"expanded": (qs_polys, sample_qs(tmp_path, capsys)), "bracket": (pascal_polys, pascal_real)}
+
+
+@pytest.mark.parametrize("q", ["0,0,1,5", "0,1"])
+def test_verify_rejects_q_of_the_wrong_length(tmp_path, capsys, q):
+    for form, (polys, real) in verify_q_files(tmp_path, capsys).items():
+        code, out, err = run_cli(
+            capsys, "verify", "--polys", str(polys), "--realization", str(real), "--q", q
+        )
+        assert code == 1, form
+        assert out == ""
+        assert err.startswith("parse error: expected 3 coordinates"), (form, err)
 
 
 def test_verify_expect_nonzero(tmp_path, capsys):

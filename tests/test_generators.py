@@ -32,6 +32,8 @@ from pavingideals.generators import (
     circuit_polynomials,
     cycle_identity_value,
     finite_generating_family,
+    graph_matrix,
+    graph_matrix_brackets,
     graph_polynomial,
     graph_polynomial_brackets,
     graph_polynomial_via_cycles,
@@ -45,7 +47,7 @@ from pavingideals.generators import (
     rnc_polynomial_brackets,
 )
 from pavingideals.linalg import ScalarMatrix, solve_particular
-from pavingideals.matroids import PavingMatroid, builtin_matroid
+from pavingideals.matroids import PavingMatroid, builtin_matroid, builtin_matroid_names
 from pavingideals.poly import Polynomial
 from pavingideals.variables import Variable, entry_var, extra_var
 
@@ -103,16 +105,48 @@ def test_uniform_rank_deficient_matrix_uses_larger_circuits():
 
 
 def test_symbolic_and_numeric_matrices_commute():
+    # Every builtin matroid in its own rank, plus the rank-(n-1) uniform
+    # matroid on the same points in ambient n, as lifting uses it.
     rng = random.Random(1)
-    vectors = {p: tuple(rng.randint(-5, 5) for _ in range(3)) for p in QS.points}
-    q = (1, 2, 3)
-    symbolic = liftability_matrix(QS, ExtraVector.concrete(q))
-    assignment = {
-        entry_var(r, p): vectors[p][r - 1] for p in QS.points for r in (1, 2, 3)
-    }
-    evaluated = symbolic.evaluate(assignment)
-    direct = liftability_matrix_at(QS, vectors, q)
-    assert evaluated.rows == direct.rows
+    for name in builtin_matroid_names():
+        matroid = builtin_matroid(name)
+        n = matroid.rank
+        for mat in (matroid, PavingMatroid.uniform(n - 1, matroid.size)):
+            vectors = {p: tuple(rng.randint(-5, 5) for _ in range(n)) for p in mat.points}
+            assignment = {
+                entry_var(r, p): vectors[p][r - 1] for p in mat.points for r in range(1, n + 1)
+            }
+            drawn = tuple(rng.randint(-5, 5) for _ in range(n))
+            extras = [(ExtraVector.symbolic("q"), drawn)]
+            extras += [(e, e.coords) for e in (ExtraVector.basis(i, n) for i in range(1, n + 1))]
+            concrete = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+            extras.append((ExtraVector.concrete(concrete), concrete))
+            for extra, q in extras:
+                point = dict(assignment)
+                point.update({extra_var(r, "q"): q[r - 1] for r in range(1, n + 1)})
+                symbolic = liftability_matrix(mat, extra, ambient=n)
+                direct = liftability_matrix_at(mat, vectors, q, ambient=n)
+                assert symbolic.evaluate(point).rows == direct.rows, (name, mat.rank, extra)
+
+
+def test_graph_matrix_is_the_expanded_bracket_matrix():
+    rng = random.Random(2)
+    for name in builtin_graph_data_names():
+        data = builtin_graph_data(name)
+        n = data.matroid.rank
+        labels = list(data.matroid.points) + [e.name for e in data.extras]
+        values = {l: tuple(rng.randint(-5, 5) for _ in range(n)) for l in labels}
+        assignment = {
+            (entry_var(r, l) if isinstance(l, int) else extra_var(r, l)): vec[r - 1]
+            for l, vec in values.items()
+            for r in range(1, n + 1)
+        }
+        brackets = graph_matrix_brackets(data)
+        expanded = graph_matrix(data)
+        assert expanded.row_labels == brackets.row_labels
+        assert expanded.col_labels == brackets.col_labels
+        numeric = [[e.evaluate(values) for e in row] for row in brackets.entries]
+        assert expanded.evaluate(assignment) == ScalarMatrix.from_rows(numeric), name
 
 
 # -- lifting polynomials -----------------------------------------------------------
@@ -199,6 +233,7 @@ def test_numeric_weights_from_actual_dependencies():
     basis = {f"q{i}": tuple(1 if j == i else 0 for j in (1, 2, 3)) for i in (1, 2, 3)}
     g = build_graph(data, vectors=realization.vectors, extra_values=basis)
     assert set(g.edges) <= {(2, 3), (3, 4), (4, 2)}
+    assert all(isinstance(w, (int, Fraction)) for w in g.weights.values())
     assert cycle_identity_value(g) == 0
 
 
