@@ -17,7 +17,7 @@ import sys
 
 from pavingideals.generators import liftability_matrix_at
 from pavingideals.lifting import Hyperplane, lift, project
-from pavingideals.linalg import matrix_rank
+from pavingideals.linalg import kernel_basis, matrix_rank
 from pavingideals.matroids import builtin_matroid
 from pavingideals.realizations import in_circuit_variety
 from pavingideals.samplers import sample_collinear_points, sample_family
@@ -44,11 +44,11 @@ def main() -> int:
     hyperplane, center = random_setup(rng, n)
     flat = project(realization, hyperplane, center)
     evaluated = liftability_matrix_at(matroid, flat.vectors, center)
-    kernel_dim = len(evaluated.kernel_basis())
+    kernel_dim = len(kernel_basis(evaluated, matroid.size))
     print(f"family {args.family}: projected from center {center} "
           f"onto normal {hyperplane.normal}")
     print(f"  flattened rank: {matrix_rank(list(flat.vectors.values()))}")
-    print(f"  evaluated liftability matrix: {evaluated.n_rows}x{evaluated.n_cols}, "
+    print(f"  evaluated liftability matrix: {len(evaluated)}x{matroid.size}, "
           f"kernel dimension {kernel_dim} (need >= {n})")
     lifted = lift(flat, center)
     assert lifted is not None
@@ -60,7 +60,7 @@ def main() -> int:
         hyperplane, center = random_setup(rng, 3)
         evaluated = liftability_matrix_at(matroid, vectors, center)
         print(f"generic collinear six points: kernel dimension "
-              f"{len(evaluated.kernel_basis())} (degenerate lifts only)")
+              f"{len(kernel_basis(evaluated, matroid.size))} (degenerate lifts only)")
     return 0
 
 

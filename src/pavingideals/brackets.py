@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence, Union
 
-from .linalg import ScalarMatrix
+from .linalg import bareiss_determinant
 from .poly import Polynomial, _split_terms
 from .polymatrix import PolyMatrix, determinant
 from .scalars import Scalar, format_rational, parse_rational
@@ -292,7 +292,7 @@ def evaluator(vectors: Mapping[Label, Sequence[Scalar]]) -> Callable[[BracketPol
             lengths = set(map(len, cols))
             if lengths != {len(key)}:
                 raise DimensionMismatch(f"bracket {key} on vectors of length {sorted(lengths)}")
-            got = ScalarMatrix.from_rows(zip(*cols)).determinant()
+            got = bareiss_determinant(zip(*cols))
             cache[key] = got
         return got
 

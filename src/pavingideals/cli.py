@@ -19,6 +19,7 @@ from .brackets import LabeledExtensor, labeled_join, labeled_meet, to_bracket_po
 from .generators import (
     ExtraVector,
     GraphData,
+    HypothesisViolation,
     LabeledPolynomial,
     builtin_graph_data,
     builtin_graph_data_names,
@@ -101,10 +102,7 @@ def _generate_lifting(matroid, extras: list[ExtraVector], budget: int) -> list[L
     return [p for sub in subs for q in extras for p in lifting_polynomials(sub, q)]
 
 
-def _graph_data_for(matroid, args) -> GraphData:
-    if args.graph_data:
-        payload = json.loads(Path(args.graph_data).read_text())
-        return GraphData.from_json_dict(matroid, payload)
+def _builtin_graph_data(matroid) -> GraphData:
     name = matroid.name or ""
     if name in builtin_graph_data_names():
         return builtin_graph_data(name)
@@ -113,8 +111,7 @@ def _graph_data_for(matroid, args) -> GraphData:
     )
 
 
-def _generate_graph(matroid, args) -> list[LabeledPolynomial]:
-    data = _graph_data_for(matroid, args)
+def _generate_graph(data: GraphData) -> list[LabeledPolynomial]:
     label = (
         f"graph J={sorted(data.anchor)} P={list(data.points)} "
         f"C={[list(c) for c in data.circuits]} q={[e.label() for e in data.extras]}"
@@ -131,21 +128,32 @@ def cmd_generate(args) -> int:
     except MatroidError as exc:
         print(f"invalid matroid: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    graph = args.which in ("graph", "all")
+    data = None
     try:
         extras = _parse_q(args.q, matroid.rank)
         if args.budget_minor <= 0:
             raise ValueError("budgets must be positive")
-    except ValueError as exc:
+        if graph and args.graph_data:
+            payload = json.loads(Path(args.graph_data).read_text())
+            data = GraphData.from_json_dict(matroid, payload)
+    except (OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if data is not None:
+        try:
+            data.validate()
+        except HypothesisViolation as exc:
+            print(f"invalid graph data: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         items: list[LabeledPolynomial] = []
         if args.which in ("circuits", "all"):
             items.extend(circuit_polynomials(matroid))
         if args.which in ("lifting", "all"):
             items.extend(_generate_lifting(matroid, extras, args.budget_minor))
-        if args.which in ("graph", "all"):
-            items.extend(_generate_graph(matroid, args))
+        if graph:
+            items.extend(_generate_graph(data or _builtin_graph_data(matroid)))
     except MatroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

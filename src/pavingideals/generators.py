@@ -32,8 +32,7 @@ from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .brackets import BracketPolynomial, Label, evaluator, expander, meet_then_join, symbolic_column
-from .linalg import ScalarMatrix
-from .matroids import NotFullRank, PavingMatroid, Submatroid, builtin_matroid, grid_point
+from .matroids import NotFullRank, PavingMatroid, Submatroid, builtin_matroid, grid_point, is_point_list
 from .poly import Polynomial
 from .polymatrix import MinorEngine, PolyMatrix
 from .scalars import Scalar, as_scalar, format_rational, normalize_scalar
@@ -49,6 +48,10 @@ class HypothesisViolation(ValueError):
 
 class TooLarge(ValueError):
     """An enumeration exceeded its configured budget."""
+
+
+class GraphDataSchemaError(ValueError):
+    """A graph-data JSON document does not have the expected shape."""
 
 
 # -- auxiliary vectors -------------------------------------------------------
@@ -100,9 +103,13 @@ class ExtraVector:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExtraVector":
-        if "symbolic" in data:
-            return ExtraVector.symbolic(data["symbolic"])
-        return ExtraVector.concrete([as_scalar(c) for c in data["concrete"]])
+        """``{"symbolic": name}`` or ``{"concrete": [rationals]}``."""
+        if isinstance(data, dict) and len(data) == 1:
+            if isinstance(data.get("symbolic"), str) and data["symbolic"].isidentifier():
+                return ExtraVector.symbolic(data["symbolic"])
+            if isinstance(data.get("concrete"), list):
+                return ExtraVector.concrete(data["concrete"])
+        raise GraphDataSchemaError(f"malformed extra vector {data!r}")
 
 
 def bracket(labels: Sequence[Label], dim: int) -> Polynomial:
@@ -148,10 +155,10 @@ def _in_coordinates(matrix: PolyMatrix, extras: Iterable[ExtraVector], dim: int)
     return PolyMatrix(matrix.row_labels, matrix.col_labels, rows)
 
 
-def _at(matrix: PolyMatrix, vectors: Mapping[Label, Sequence[Scalar]]) -> ScalarMatrix:
+def _at(matrix: PolyMatrix, vectors: Mapping[Label, Sequence[Scalar]]) -> list[list[Scalar]]:
     """Evaluate every entry at concrete vectors."""
     value = evaluator(vectors)
-    return ScalarMatrix.from_rows([[value(e) for e in row] for row in matrix.entries])
+    return [[value(e) for e in row] for row in matrix.entries]
 
 
 # -- circuit polynomials ----------------------------------------------------
@@ -199,7 +206,7 @@ def liftability_matrix_at(
     vectors: Mapping[int, Sequence[Scalar]],
     q: Sequence[Scalar],
     ambient: int | None = None,
-) -> ScalarMatrix:
+) -> list[list[Scalar]]:
     """Liftability matrix evaluated at concrete vectors (numeric brackets)."""
     dim = ambient if ambient is not None else len(q)
     extra = ExtraVector.concrete(q)
@@ -280,6 +287,9 @@ class GraphData:
             raise HypothesisViolation(
                 f"points {sorted(overlap)} lie in the closure of the anchor set"
             )
+        for extra in self.extras:
+            if extra.coords is not None and len(extra.coords) != m.rank:
+                raise HypothesisViolation(f"extra vector {extra.label()} is not of length {m.rank}")
         allowed = self.anchor | set(self.points)
         n_circuits = set(m.circuits_n())
         for p, c in zip(self.points, self.circuits):
@@ -304,6 +314,18 @@ class GraphData:
 
     @staticmethod
     def from_json_dict(matroid: PavingMatroid, data: dict) -> "GraphData":
+        """Read ``{"J", "P", "C", "extra"}``; the shape is checked, not the hypotheses."""
+        if not isinstance(data, dict):
+            raise GraphDataSchemaError("graph data must be a JSON object")
+        missing = [key for key in ("J", "P", "C", "extra") if key not in data]
+        if missing:
+            raise GraphDataSchemaError(f"graph data lacks {', '.join(missing)}")
+        if not (is_point_list(data["J"]) and is_point_list(data["P"])):
+            raise GraphDataSchemaError("J and P must be lists of integer point ids")
+        if not (isinstance(data["C"], list) and all(map(is_point_list, data["C"]))):
+            raise GraphDataSchemaError("C must be a list of lists of integer point ids")
+        if not isinstance(data["extra"], list):
+            raise GraphDataSchemaError("extra must be a list of extra vectors")
         return GraphData(
             matroid,
             frozenset(data["J"]),
@@ -406,7 +428,7 @@ def build_graph(
             raise HypothesisViolation(
                 f"numeric mode needs a value for extra vector {extra.name!r}"
             )
-    numeric = _at(_graph_brackets(data), values).rows
+    numeric = _at(_graph_brackets(data), values)
     column = {p: j for j, p in enumerate(data.points)}
     weights: dict[tuple[int, int], Scalar] = {}
     edges = []

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .generators import liftability_matrix_at
-from .linalg import matrix_rank, same_row_space, solve_particular
+from .linalg import kernel_basis, matrix_rank, same_row_space, solve_particular
 from .matroids import PavingMatroid
 from .realizations import IndexMismatch, Realization
 from .scalars import Scalar, normalize_scalar
@@ -129,7 +129,7 @@ def lift(
         raise CenterOnHyperplane("center lies in the span of the configuration")
 
     evaluated = liftability_matrix_at(matroid, vectors, tuple(center), ambient=dim)
-    kernel = evaluated.kernel_basis()
+    kernel = kernel_basis(evaluated, len(points))
     degenerate = degenerate_lift_subspace(vectors, points, dim)
     if len(kernel) <= len(degenerate):
         return None

@@ -64,6 +64,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_point_list(value) -> bool:
+    """A JSON list of integer point ids."""
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
 @dataclass(frozen=True)
 class PavingMatroid:
     """Validated paving matroid; immutable."""
@@ -260,9 +265,7 @@ class PavingMatroid:
             if not _is_int(data[key]):
                 raise MatroidSchemaError(f"{key} must be an integer, got {data[key]!r}")
         hps = data["hyperplanes"]
-        if not isinstance(hps, list) or not all(
-            isinstance(h, list) and all(map(_is_int, h)) for h in hps
-        ):
+        if not isinstance(hps, list) or not all(map(is_point_list, hps)):
             raise MatroidSchemaError("hyperplanes must be lists of integer point ids")
         if not isinstance(data.get("name"), (str, type(None))):
             raise MatroidSchemaError("name must be a string")

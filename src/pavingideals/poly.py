@@ -219,9 +219,6 @@ class Polynomial:
 
         Raises UnboundVariable listing every missing variable.
         """
-        missing = sorted(v for v in self.support() if v not in assignment)
-        if missing:
-            raise UnboundVariable(missing)
         powers: dict[tuple[Variable, int], Scalar] = {}
         total: Scalar = 0
         for mono, coeff in self._terms.items():
@@ -230,6 +227,8 @@ class Polynomial:
                 key = (var, exp)
                 p = powers.get(key)
                 if p is None:
+                    if var not in assignment:
+                        raise UnboundVariable(sorted(v for v in self.support() if v not in assignment))
                     base = normalize_scalar(assignment[var])
                     p = base if exp == 1 else base**exp
                     powers[key] = p

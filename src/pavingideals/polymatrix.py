@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import NonSquare, ScalarMatrix
+from .linalg import NonSquare, bareiss_determinant
 from .poly import Polynomial
 
 MEMO_LIMIT = 8
@@ -66,11 +66,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
-
-    def evaluate(self, assignment) -> ScalarMatrix:
-        return ScalarMatrix.from_rows(
-            [[p.evaluate(assignment) for p in row] for row in self.entries]
-        )
 
 
 class MinorEngine:
@@ -139,9 +134,9 @@ class MinorEngine:
         if best_count == 0:
             return self._ring.zero()
         if self._all_constant(rows, cols):
-            value = ScalarMatrix.from_rows(
+            value = bareiss_determinant(
                 [[self.matrix.entries[r][c].constant_value() for c in cols] for r in rows]
-            ).determinant()
+            )
             return self._ring.constant(value)
         ent = self.matrix.entries
         total = self._ring.zero()

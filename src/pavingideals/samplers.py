@@ -61,7 +61,7 @@ def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[Scalar]]) -> tupl
 
 
 def _integer_kernel_point(rng: random.Random, rows: list[list[int]], dim: int) -> tuple[int, ...] | None:
-    basis = kernel_basis([list(r) for r in rows], dim)
+    basis = kernel_basis(rows, dim)
     if not basis:
         return None
     integral = []

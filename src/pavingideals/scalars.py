@@ -16,13 +16,17 @@ from typing import Union
 Scalar = Union[int, Fraction]
 
 
+class NotRational(ValueError):
+    """A value that is not an exact rational (a float, a bool, a list...)."""
+
+
 def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions and 'p/q' strings to an exact scalar."""
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return normalize_scalar(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    raise NotRational(f"not an exact rational: {value!r}")
 
 
 def normalize_scalar(value: Scalar) -> Scalar:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from pavingideals.generators import DependencyDigraph
 from pavingideals.lifting import Hyperplane
-from pavingideals.linalg import ScalarMatrix, solve_particular
+from pavingideals.linalg import solve_particular
 from pavingideals.scalars import Scalar, normalize_scalar
 
 
@@ -26,14 +26,14 @@ def random_weighted_digraph(rng: random.Random, max_vertices: int = 7) -> Depend
     return DependencyDigraph(vertices, tuple(sorted(edges)), weights)
 
 
-def identity_minus_weights(g: DependencyDigraph) -> ScalarMatrix:
+def identity_minus_weights(g: DependencyDigraph) -> list[list[Scalar]]:
     """The matrix with unit diagonal and negated edge weights off it."""
     index = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for (a, b), w in g.weights.items():
         rows[index[a]][index[b]] = -w
-    return ScalarMatrix.from_rows(rows)
+    return rows
 
 
 def dependency_digraph_from_vectors(rng: random.Random) -> DependencyDigraph | None:
@@ -124,3 +124,62 @@ def gaussian_pivot_product(m: list[list[Scalar]]) -> Scalar:
             factor = rows[i][k] / rows[k][k]
             rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
     return normalize_scalar(sign * det)
+
+
+def rref(m: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fractions; returns (matrix, pivot columns).
+
+    A second, independent elimination (divide each pivot row, clear the whole
+    column) that the fraction-free routines in ``pavingideals.linalg`` are
+    checked against.
+    """
+    rows = [[Fraction(x) for x in row] for row in m]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def rref_rank(m: list[list[Scalar]]) -> int:
+    return len(rref(m)[1])
+
+
+def rref_kernel_basis(m: list[list[Scalar]], n_cols: int) -> list[tuple[Scalar, ...]]:
+    """Kernel basis with free entry 1 and every other free entry 0."""
+    reduced, pivots = rref(m)
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        vec: list[Scalar] = [0] * n_cols
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = normalize_scalar(-reduced[r][f])
+        basis.append(tuple(vec))
+    return basis
+
+
+def rref_solve(m: list[list[Scalar]], b) -> list[Scalar] | None:
+    """The solution of m x = b with every free entry 0, or None."""
+    n_cols = len(m[0]) if m else 0
+    reduced, pivots = rref([list(row) + [bi] for row, bi in zip(m, b)])
+    if n_cols in pivots:
+        return None
+    x: list[Scalar] = [0] * n_cols
+    for r, c in enumerate(pivots):
+        x[c] = normalize_scalar(reduced[r][n_cols])
+    return x

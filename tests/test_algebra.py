@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gaussian_pivot_product
+from oracles import gaussian_pivot_product, rref_kernel_basis, rref_rank, rref_solve
 from pavingideals.linalg import (
     NonSquare,
-    ScalarMatrix,
+    bareiss_determinant,
+    echelon,
     kernel_basis,
     matrix_rank,
+    solve_particular,
 )
 from pavingideals.poly import Polynomial, UnboundVariable
 from pavingideals.polymatrix import MinorEngine, PolyMatrix, determinant
@@ -101,6 +103,10 @@ def test_evaluate_missing_variable():
     with pytest.raises(UnboundVariable) as exc:
         p.evaluate({entry_var(1, 1): 3})
     assert entry_var(2, 2) in exc.value.variables
+    p = x(3, 1) * x(1, 1) + x(2, 2) + Polynomial.variable(extra_var(1, "q"))
+    with pytest.raises(UnboundVariable) as exc:
+        p.evaluate({entry_var(1, 1): 3, extra_var(1, "q"): 1})
+    assert exc.value.variables == sorted([entry_var(2, 2), entry_var(3, 1)])
 
 
 def test_evaluate_partial_then_full():
@@ -127,15 +133,15 @@ def test_text_form_is_sorted_and_stable():
 
 
 def test_zero_matrix_rank_and_kernel():
-    m = ScalarMatrix.from_rows([[0] * 4 for _ in range(3)])
-    assert m.rank() == 0
-    assert len(m.kernel_basis()) == 4
+    m = [[0] * 4 for _ in range(3)]
+    assert matrix_rank(m) == 0
+    assert len(kernel_basis(m, 4)) == 4
 
 
 def test_identity_rank_and_kernel():
-    m = ScalarMatrix.from_rows([[1 if i == j else 0 for j in range(3)] for i in range(3)])
-    assert m.rank() == 3
-    assert m.kernel_basis() == []
+    m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    assert matrix_rank(m) == 3
+    assert kernel_basis(m, 3) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,9 +151,8 @@ def test_rank_nullity(seed):
     n_rows = rng.randint(1, 5)
     n_cols = rng.randint(1, 5)
     rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
-    m = ScalarMatrix.from_rows(rows)
-    assert m.rank() + len(m.kernel_basis()) == n_cols
-    for vec in m.kernel_basis():
+    assert matrix_rank(rows) + len(kernel_basis(rows, n_cols)) == n_cols
+    for vec in kernel_basis(rows, n_cols):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -157,14 +162,82 @@ def test_bareiss_matches_gaussian_pivots():
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        det = ScalarMatrix.from_rows(rows).determinant()
+        det = bareiss_determinant(rows)
         assert det == gaussian_pivot_product(rows)
 
 
 def test_fraction_matrix_determinant():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]]
-    det = ScalarMatrix.from_rows(rows).determinant()
+    det = bareiss_determinant(rows)
     assert det == Fraction(1, 2) * Fraction(2, 7) - Fraction(1, 3) * Fraction(1, 5)
+
+
+def test_scalar_determinant_needs_a_square_matrix():
+    with pytest.raises(NonSquare):
+        bareiss_determinant([[1, 2, 3], [4, 5, 6]])
+    assert bareiss_determinant([]) == 1
+
+
+def test_echelon_keeps_integers_and_its_input():
+    rows = [[0, 2, 4], [3, 1, 1], [6, 2, 2]]
+    reduced, pivots, sign = echelon(rows)
+    assert rows == [[0, 2, 4], [3, 1, 1], [6, 2, 2]]
+    assert pivots == [0, 1] and sign == -1
+    assert all(type(v) is int for row in reduced for v in row)
+    assert reduced[2] == [0, 0, 0]
+
+
+def _random_matrix(rng: random.Random):
+    """Integer or Fraction entries, any shape up to 6x6, often rank-deficient."""
+    n_rows, n_cols = rng.randint(0, 6), rng.randint(1, 6)
+    fractions = rng.random() < 0.5
+
+    def entry():
+        if fractions and rng.random() < 0.7:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-9, 9)
+
+    rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 2 and rng.random() < 0.5:
+        # Force a rank deficiency: one row a combination of two others.
+        a, b, target = (rng.randrange(n_rows) for _ in range(3))
+        s, t = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[target] = [s * u + t * v for u, v in zip(rows[a], rows[b])]
+    if rng.random() < 0.3:
+        zero_col = rng.randrange(n_cols)
+        for row in rows:
+            row[zero_col] = 0
+    return rows, n_cols
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def test_linear_algebra_matches_the_fraction_rref_oracle():
+    """Rank, kernel, solve and determinant agree with the rref oracle in value and type."""
+    rng = random.Random(20260)
+    shapes = set()
+    for _ in range(1000):
+        rows, n_cols = _random_matrix(rng)
+        shapes.add((len(rows) > n_cols) - (len(rows) < n_cols))
+        assert matrix_rank(rows) == rref_rank(rows), rows
+        got = kernel_basis(rows, n_cols)
+        want = rref_kernel_basis(rows, n_cols)
+        assert [_typed(v) for v in got] == [_typed(v) for v in want], rows
+        b = [rng.randint(-5, 5) for _ in rows]
+        if rng.random() < 0.5:
+            # A consistent right-hand side: the image of a random vector.
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n_cols)]
+            b = [sum(c * v for c, v in zip(row, x)) for row in rows]
+        got_x, want_x = solve_particular(rows, b), rref_solve(rows, b)
+        assert (got_x is None) == (want_x is None), (rows, b)
+        if want_x is not None:
+            assert _typed(got_x) == _typed(want_x), (rows, b)
+        if len(rows) == n_cols:
+            det = bareiss_determinant(rows)
+            assert _typed([det]) == _typed([gaussian_pivot_product(rows)]), rows
+    assert shapes == {-1, 0, 1}
 
 
 # -- symbolic determinants -------------------------------------------------
@@ -228,8 +301,8 @@ def test_determinant_commutes_with_evaluation():
             for i in range(n)
             for j in range(n)
         }
-        evaluated = m.evaluate(assignment)
-        assert det.evaluate(assignment) == evaluated.determinant()
+        evaluated = [[p.evaluate(assignment) for p in row] for row in m.entries]
+        assert det.evaluate(assignment) == bareiss_determinant(evaluated)
 
 
 def test_minor_engine_shares_cache():

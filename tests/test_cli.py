@@ -160,6 +160,39 @@ def test_generate_graph_data_file(tmp_path, capsys):
     assert len(parse_polynomials(out.read_text())) == 1
 
 
+def _qs_graph_data(**changes) -> str:
+    payload = builtin_graph_data("qs").to_json_dict()
+    payload.update(changes)
+    return json.dumps({k: v for k, v in payload.items() if v is not None})
+
+
+BAD_GRAPH_DATA = [
+    ("missing-file", None, 1, "parse error: "),
+    ("invalid-json", '{"J": [1, 5', 1, "parse error: "),
+    ("not-an-object", "[1, 2]", 1, "parse error: "),
+    ("no-P", _qs_graph_data(P=None), 1, "parse error: "),
+    ("string-point", _qs_graph_data(P=[4, "3", 2]), 1, "parse error: "),
+    ("float-extra", _qs_graph_data(extra=[{"concrete": [1.5, 0, 1]}] * 3), 1, "parse error: "),
+    ("unknown-extra", _qs_graph_data(extra=[{"vector": "q"}] * 3), 1, "parse error: "),
+    ("point-off-its-circuit", _qs_graph_data(C=[[2, 4, 6], [2, 4, 6], [1, 2, 3]]), 2, "invalid graph data: "),
+    ("short-extra", _qs_graph_data(extra=[{"concrete": ["1", "0"]}] * 3), 2, "invalid graph data: "),
+]
+
+
+@pytest.mark.parametrize(
+    "text, code, prefix", [case[1:] for case in BAD_GRAPH_DATA], ids=[case[0] for case in BAD_GRAPH_DATA]
+)
+def test_generate_rejects_bad_graph_data(tmp_path, capsys, text, code, prefix):
+    gd = tmp_path / "data.json"
+    if text is not None:
+        gd.write_text(text)
+    got, out, err = run_cli(capsys, "generate", "--matroid", "qs", "--which", "graph", "--graph-data", str(gd))
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+
+
 # sha256 of `generate` output for the worked examples, so that any change in
 # the written bytes shows up here, not only run-to-run differences.
 GOLDEN_DIGESTS = [
@@ -261,6 +294,20 @@ def test_verify_rejects_vectors_longer_than_the_rank(tmp_path, capsys):
     payload = json.loads(real.read_text())
     for vec in payload["points"].values():
         vec.append("5")
+    real.write_text(json.dumps(payload))
+    polys = tmp_path / "polys.txt"
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("coordinate", [1.5, True], ids=["float", "bool"])
+def test_verify_rejects_coordinates_that_are_not_rationals(tmp_path, capsys, coordinate):
+    real = sample_qs(tmp_path, capsys)
+    payload = json.loads(real.read_text())
+    payload["points"]["1"][0] = coordinate
     real.write_text(json.dumps(payload))
     polys = tmp_path / "polys.txt"
     polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))

@@ -17,7 +17,7 @@ from pavingideals.generators import (
     pascal_gc_quartic,
 )
 from pavingideals.lifting import project
-from pavingideals.linalg import ScalarMatrix, matrix_rank
+from pavingideals.linalg import matrix_rank
 from pavingideals.matroids import builtin_matroid
 from pavingideals.polyfiles import render_polynomials
 from pavingideals.realizations import Realization, in_realization_space
@@ -64,7 +64,7 @@ def test_regular_flattened_configurations_satisfy_graph_subideal():
         h, center = random_hyperplane_and_center(rng)
         flat = project(r, h, center)
         evaluated = liftability_matrix_at(qs, flat.vectors, center)
-        assert evaluated.rank() <= qs.size - qs.rank
+        assert matrix_rank(evaluated) <= qs.size - qs.rank
         extra = ExtraVector.concrete(center)
         for count in (2, 3, 4):
             for lines in combinations(qs.hyperplanes, count):

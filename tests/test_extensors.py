@@ -24,7 +24,7 @@ from pavingideals.brackets import (
     meet_then_join,
     to_bracket_polynomial,
 )
-from pavingideals.linalg import ScalarMatrix, matrix_rank
+from pavingideals.linalg import matrix_rank
 from pavingideals.poly import Polynomial
 from pavingideals.polymatrix import PolyMatrix, determinant
 from pavingideals.variables import entry_var

@@ -18,7 +18,7 @@ from pavingideals.lifting import (
     project,
     regular_hyperplanes,
 )
-from pavingideals.linalg import matrix_rank
+from pavingideals.linalg import kernel_basis, matrix_rank
 from pavingideals.matroids import PavingMatroid, builtin_matroid
 from pavingideals.realizations import (
     IndexMismatch,
@@ -162,7 +162,7 @@ def test_projection_then_lift_round_trip():
         h, center = random_hyperplane_and_center(rng)
         flat = project(r, h, center)
         evaluated = liftability_matrix_at(QS, flat.vectors, center)
-        assert len(evaluated.kernel_basis()) >= 3
+        assert len(kernel_basis(evaluated, QS.size)) >= 3
         lifted = lift(flat, center)
         assert lifted is not None
         assert matrix_rank(list(lifted.vectors.values())) == 3
@@ -196,7 +196,7 @@ def test_generic_collinear_points_do_not_lift():
         if matrix_rank(stacked) != 3:
             continue
         evaluated = liftability_matrix_at(QS, vectors, center)
-        minors_vanish = len(evaluated.kernel_basis()) >= 3
+        minors_vanish = len(kernel_basis(evaluated, QS.size)) >= 3
         if minors_vanish:
             continue  # not generic enough; certify and skip
         found += 1
@@ -245,7 +245,7 @@ def test_uniform_matroid_kernel_law_and_no_lift():
                     if matrix_rank(list(vectors.values()) + [list(center)]) == n:
                         break
                 evaluated = liftability_matrix_at(matroid, vectors, center, ambient=n)
-                assert len(evaluated.kernel_basis()) == n - 1
+                assert len(kernel_basis(evaluated, matroid.size)) == n - 1
             for _ in range(2):
                 # Flat vectors with an off-span center: lift must refuse.
                 vectors = flat_uniform_vectors(rng, n, d)
@@ -254,7 +254,7 @@ def test_uniform_matroid_kernel_law_and_no_lift():
                     if matrix_rank(list(vectors.values()) + [list(center)]) == n:
                         break
                 evaluated = liftability_matrix_at(matroid, vectors, center, ambient=n)
-                assert len(evaluated.kernel_basis()) == n - 1
+                assert len(kernel_basis(evaluated, matroid.size)) == n - 1
                 flat = Realization(matroid, vectors)
                 assert lift(flat, center, matroid) is None
 
@@ -304,4 +304,4 @@ def test_circuit_variety_sample_dichotomy():
             continue
         h, center = random_hyperplane_and_center(rng)
         evaluated = liftability_matrix_at(QS, vectors, center)
-        assert len(evaluated.kernel_basis()) >= 3
+        assert len(kernel_basis(evaluated, QS.size)) >= 3
