@@ -2,10 +2,13 @@
 
 A bracket ⟨a b c ...⟩ stands for the determinant of the matrix whose columns
 are the named vectors.  Labels are either integer point ids or strings for
-formal columns (auxiliary vectors, symbolic intersection points).  Working
-at the label level keeps meet/join output readable — the printer emits
-⟨i j k⟩ notation — while ``expand`` turns everything into an honest
-coordinate polynomial and ``evaluate`` plugs in exact vectors directly.
+formal columns (auxiliary vectors, symbolic intersection points).  A bracket
+polynomial is a polynomial whose variables are brackets, so
+``BracketPolynomial`` is a ``Polynomial`` with its own monomials (sorted
+tuples of bracket keys) and term order.  Working at the label level keeps
+meet/join output readable — the printer emits ⟨i j k⟩ notation — while
+``expand`` turns everything into an honest coordinate polynomial and
+``evaluate`` plugs in exact vectors directly.
 
 The labeled wedge here is the algebra of formal points: joins concatenate
 labels with the sorting sign, meets follow the shuffle sum with formal
@@ -68,23 +71,18 @@ def normalize_labels(labels: Sequence[Label]) -> tuple[int, tuple[Label, ...]]:
     return sign, tuple(sorted(labels, key=_label_key))
 
 
-class BracketPolynomial:
-    """Polynomial whose variables are formal brackets of column labels."""
+def _bracket_monomial_mul(a: BracketMonomial, b: BracketMonomial) -> BracketMonomial:
+    return tuple(sorted(a + b, key=_bracket_sort_key))
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[BracketMonomial, Scalar] | None = None):
-        self.terms: dict[BracketMonomial, Scalar] = {
-            m: c for m, c in (terms or {}).items() if c != 0
-        }
+class BracketPolynomial(Polynomial):
+    """Polynomial whose variables are formal brackets of column labels.
 
-    @staticmethod
-    def zero() -> "BracketPolynomial":
-        return BracketPolynomial()
+    A monomial is the sorted tuple of its bracket keys, repeated by
+    multiplicity; the ring operations are ``Polynomial``'s.
+    """
 
-    @staticmethod
-    def constant(value: Scalar) -> "BracketPolynomial":
-        return BracketPolynomial({(): value})
+    __slots__ = ()
 
     @staticmethod
     def bracket(labels: Sequence[Label]) -> "BracketPolynomial":
@@ -93,68 +91,10 @@ class BracketPolynomial:
             return BracketPolynomial()
         return BracketPolynomial({(key,): sign})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _monomial_product(self):
+        return _bracket_monomial_mul
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError("not a constant bracket polynomial")
-        return self.terms.get((), 0)
-
-    @staticmethod
-    def one() -> "BracketPolynomial":
-        return BracketPolynomial({(): 1})
-
-    def __add__(self, other: "BracketPolynomial") -> "BracketPolynomial":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + coeff
-            if new == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = new
-        return BracketPolynomial(terms)
-
-    def __neg__(self) -> "BracketPolynomial":
-        return BracketPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "BracketPolynomial") -> "BracketPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "BracketPolynomial") -> "BracketPolynomial":
-        terms: dict[BracketMonomial, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(sorted(ma + mb, key=_bracket_sort_key))
-                new = terms.get(mono, 0) + ca * cb
-                if new == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = new
-        return BracketPolynomial(terms)
-
-    def scale(self, value: Scalar) -> "BracketPolynomial":
-        if value == 0:
-            return BracketPolynomial()
-        return BracketPolynomial({m: c * value for m, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BracketPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def normalized_sign(self) -> tuple["BracketPolynomial", int]:
-        """(p, +1) or (-p, -1) with the leading coefficient positive."""
-        if not self.terms:
-            return self, 1
-        lead = self.terms[min(self.terms, key=_mono_sort_key)]
-        if lead < 0:
-            return -self, -1
-        return self, 1
+    _term_key = staticmethod(_mono_sort_key)
 
     # -- output -----------------------------------------------------------
 
@@ -162,8 +102,7 @@ class BracketPolynomial:
         if not self.terms:
             return "0"
         chunks = []
-        ordered = sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-        for idx, (mono, coeff) in enumerate(ordered):
+        for idx, (mono, coeff) in enumerate(self.sorted_terms()):
             body = "".join(left + " ".join(str(l) for l in key) + right for key in mono)
             if unit_coefficients or abs(coeff) != 1 or not mono:
                 body = format_rational(abs(coeff)) + body
@@ -216,23 +155,13 @@ class BracketPolynomial:
         return out
 
     def rename_labels(self, mapping: Mapping[Label, Label]) -> "BracketPolynomial":
-        terms: dict[BracketMonomial, Scalar] = {}
+        total = BracketPolynomial.zero()
         for mono, coeff in self.terms.items():
-            sign = 1
-            keys = []
+            term = BracketPolynomial.constant(coeff)
             for key in mono:
-                s, norm = normalize_labels(tuple(mapping.get(l, l) for l in key))
-                sign *= s
-                keys.append(norm)
-            if sign == 0:
-                continue
-            new_mono = tuple(sorted(keys, key=_bracket_sort_key))
-            new = terms.get(new_mono, 0) + sign * coeff
-            if new == 0:
-                terms.pop(new_mono, None)
-            else:
-                terms[new_mono] = new
-        return BracketPolynomial(terms)
+                term = term * BracketPolynomial.bracket([mapping.get(l, l) for l in key])
+            total = total + term
+        return total
 
     # -- expansion and evaluation ---------------------------------------------
 
@@ -271,7 +200,7 @@ def expander(
 
     def expand(poly: BracketPolynomial) -> Polynomial:
         total = Polynomial.zero()
-        for mono, coeff in sorted(poly.terms.items(), key=lambda kv: _mono_sort_key(kv[0])):
+        for mono, coeff in poly.sorted_terms():
             term = bracket_poly(mono[0]).scale(coeff) if mono else Polynomial.constant(coeff)
             for key in mono[1:]:
                 term = term * bracket_poly(key)

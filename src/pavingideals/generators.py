@@ -14,8 +14,9 @@ polynomials come from collections of circuits threaded through a set of
 points outside the closure of an anchor set J: the signed sum over disjoint
 cycle collections of a dependency digraph, which equals the determinant of
 the circuit/point bracket matrix after clearing denominators.  Both routes
-are implemented; the determinant is the production path and the cycle
-expansion is kept as an independent oracle.
+work on the bracket matrix; the determinant is the production path, the
+cycle expansion is kept as an independent oracle, and the coordinate forms
+of both are expansions of their bracket results.
 
 Sign conventions: circuit elements are always listed ascending by point id
 when forming brackets, so every emitted polynomial is canonical; agreement
@@ -142,15 +143,20 @@ def bracket_matrix(
     return PolyMatrix(tuple(row_labels), tuple(columns), tuple(entries))
 
 
-def _in_coordinates(matrix: PolyMatrix, extras: Iterable[ExtraVector], dim: int) -> PolyMatrix:
-    """Expand every entry: a point p to x[r,p], an extra label to its column."""
+def _coordinates(extras: Iterable[ExtraVector], dim: int):
+    """Bracket expansion sending a point p to x[r,p], an extra label to its column."""
     by_label = {e.label(): e for e in extras}
 
     def column(label: Label) -> Sequence[Polynomial]:
         extra = by_label.get(label)
         return symbolic_column(label, dim) if extra is None else extra.column(dim)
 
-    expand = expander(dim, column)
+    return expander(dim, column)
+
+
+def _in_coordinates(matrix: PolyMatrix, extras: Iterable[ExtraVector], dim: int) -> PolyMatrix:
+    """Expand every entry of a bracket matrix into coordinates."""
+    expand = _coordinates(extras, dim)
     rows = tuple(tuple(expand(e) for e in row) for row in matrix.entries)
     return PolyMatrix(matrix.row_labels, matrix.col_labels, rows)
 
@@ -205,12 +211,13 @@ def liftability_matrix_at(
     matroid: PavingMatroid | Submatroid,
     vectors: Mapping[int, Sequence[Scalar]],
     q: Sequence[Scalar],
-    ambient: int | None = None,
 ) -> list[list[Scalar]]:
-    """Liftability matrix evaluated at concrete vectors (numeric brackets)."""
-    dim = ambient if ambient is not None else len(q)
+    """Liftability matrix evaluated at concrete vectors (numeric brackets).
+
+    The ambient dimension is the length of q.
+    """
     extra = ExtraVector.concrete(q)
-    matrix = _liftability_brackets(matroid, extra.label(), dim)
+    matrix = _liftability_brackets(matroid, extra.label(), len(q))
     return _at(matrix, {**vectors, extra.label(): extra.coords})
 
 
@@ -464,6 +471,9 @@ def cycle_identity_value(graph: DependencyDigraph) -> Scalar:
 
 
 # -- graph polynomials ----------------------------------------------------------
+#
+# Both routes work at the bracket level; the coordinate forms are their
+# expansions, with a concrete extra vector expanded to its constant column.
 
 
 def _graph_brackets(data: GraphData) -> PolyMatrix:
@@ -475,14 +485,13 @@ def _graph_brackets(data: GraphData) -> PolyMatrix:
     return bracket_matrix(zip(data.circuits, labels), data.points, row_labels)
 
 
-def graph_matrix(data: GraphData) -> PolyMatrix:
-    """The circuit/point matrix expanded into coordinates."""
-    return _in_coordinates(_graph_brackets(data), data.extras, data.matroid.rank)
+def _in_graph_coordinates(data: GraphData, poly: BracketPolynomial) -> Polynomial:
+    return _coordinates(data.extras, data.matroid.rank)(poly)
 
 
 def graph_polynomial(data: GraphData) -> Polynomial:
-    """Determinant route: det of the circuit/point bracket matrix."""
-    return MinorEngine(graph_matrix(data)).determinant()
+    """Determinant route, expanded into coordinates."""
+    return _in_graph_coordinates(data, MinorEngine(_graph_brackets(data)).determinant())
 
 
 def emitted_graph_polynomial(data: GraphData) -> Polynomial | BracketPolynomial:
@@ -498,33 +507,8 @@ def emitted_graph_polynomial(data: GraphData) -> Polynomial | BracketPolynomial:
 
 
 def graph_polynomial_via_cycles(data: GraphData, max_points: int = 8) -> Polynomial:
-    """Cycle route: expand the cycle identity in bracket quotients and clear
-    denominators with the diagonal brackets.  Oracle for graph_polynomial."""
-    data.validate()
-    if data.k > max_points:
-        raise TooLarge(f"cycle expansion budget is {max_points} points, got {data.k}")
-    matrix = graph_matrix(data)
-    index = {p: i for i, p in enumerate(data.points)}
-    diag = [matrix.entry(i, i) for i in range(data.k)]
-    digraph = build_graph(data)
-    total = Polynomial.one()
-    for d in diag:
-        total = total * d
-    for collection in digraph.cycle_collections():
-        used = set()
-        term = Polynomial.one() if len(collection) % 2 == 0 else -Polynomial.one()
-        for cyc in collection:
-            used.update(cyc)
-            for a, b in cycle_edges(cyc):
-                term = term * (-matrix.entry(index[a], index[b]))
-        for p in data.points:
-            if p not in used:
-                term = term * diag[index[p]]
-        total = total + term
-    return total
-
-
-# -- bracket-level graph polynomials ----------------------------------------------
+    """Cycle route, expanded into coordinates.  Oracle for graph_polynomial."""
+    return _in_graph_coordinates(data, _cycle_route(data, _graph_brackets(data), False, max_points))
 
 
 def graph_matrix_brackets(data: GraphData) -> PolyMatrix:
@@ -541,14 +525,14 @@ def graph_matrix_brackets(data: GraphData) -> PolyMatrix:
     return matrix
 
 
-def graph_polynomial_brackets(data: GraphData):
+def graph_polynomial_brackets(data: GraphData) -> BracketPolynomial:
     """Determinant route at the bracket level."""
     return MinorEngine(graph_matrix_brackets(data)).determinant()
 
 
 def graph_polynomial_via_cycles_brackets(
     data: GraphData, dedupe_denominators: bool = False, max_points: int = 12
-):
+) -> BracketPolynomial:
     """Cycle route at the bracket level.
 
     With ``dedupe_denominators`` the identity is cleared by each distinct
@@ -556,10 +540,16 @@ def graph_polynomial_via_cycles_brackets(
     polynomial form when parallel rows share a dependency denominator; a
     collection that would consume a shared denominator twice is rejected.
     """
-    data.validate()
+    return _cycle_route(data, graph_matrix_brackets(data), dedupe_denominators, max_points)
+
+
+def _cycle_route(
+    data: GraphData, matrix: PolyMatrix, dedupe_denominators: bool, max_points: int
+) -> BracketPolynomial:
+    """Expand the cycle identity in the bracket quotients of the graph
+    matrix and clear denominators with its diagonal brackets."""
     if data.k > max_points:
         raise TooLarge(f"cycle expansion budget is {max_points} points, got {data.k}")
-    matrix = graph_matrix_brackets(data)
     index = {p: i for i, p in enumerate(data.points)}
     diag = [matrix.entry(i, i) for i in range(data.k)]
     # Group rows whose diagonal brackets agree up to sign; each class is
@@ -605,15 +595,14 @@ def graph_polynomial_via_cycles_brackets(
 # -- finite generating family ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyBudget:
-    """Enumeration caps for the finite generating family."""
-
-    max_anchor_size: int = 3
-    max_p_size: int = 4
-    max_circuit_tuples: int = 4
-    max_basis_assignments: int = 9
-    max_polynomials: int = 200
+# Enumeration caps for the finite generating family: anchor-set size,
+# threaded-set size, circuit tuples per anchor set, canonical-basis
+# assignments per tuple, and emitted polynomials.
+FAMILY_MAX_ANCHOR = 3
+FAMILY_MAX_POINTS = 4
+FAMILY_MAX_CIRCUIT_TUPLES = 4
+FAMILY_MAX_BASIS_ASSIGNMENTS = 9
+FAMILY_MAX_POLYNOMIALS = 200
 
 
 @dataclass(frozen=True)
@@ -622,15 +611,13 @@ class GeneratingFamily:
     truncated: bool
 
 
-def finite_generating_family(
-    matroid: PavingMatroid, budget: FamilyBudget = FamilyBudget()
-) -> GeneratingFamily:
+def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
     """Circuit polynomials plus canonical-basis graph polynomials.
 
     Anchor sets run over closed sets, the threaded set is the whole
     complement, circuits are threaded with distinct representatives, and
     extra vectors sweep the canonical basis one circuit at a time.  The
-    enumeration respects the budget and reports truncation; polynomials are
+    enumeration respects the FAMILY_MAX_* caps and reports truncation; polynomials are
     deduplicated up to sign.
     """
     if matroid.max_degree() > 2:
@@ -650,9 +637,9 @@ def finite_generating_family(
 
     n = matroid.rank
     circuits = matroid.circuits_n()
-    for anchor in matroid.closed_sets(max_size=budget.max_anchor_size):
+    for anchor in matroid.closed_sets(max_size=FAMILY_MAX_ANCHOR):
         points = tuple(p for p in matroid.points if p not in anchor)
-        if not points or len(points) > budget.max_p_size:
+        if not points or len(points) > FAMILY_MAX_POINTS:
             if points:
                 truncated = True
             continue
@@ -668,13 +655,13 @@ def finite_generating_family(
             if len(set(combo)) != len(combo):
                 continue
             tuple_count += 1
-            if tuple_count > budget.max_circuit_tuples:
+            if tuple_count > FAMILY_MAX_CIRCUIT_TUPLES:
                 truncated = True
                 break
             assignments = 0
             for basis_pick in product(range(1, n + 1), repeat=len(points)):
                 assignments += 1
-                if assignments > budget.max_basis_assignments:
+                if assignments > FAMILY_MAX_BASIS_ASSIGNMENTS:
                     truncated = True
                     break
                 extras = tuple(ExtraVector.basis(b, n) for b in basis_pick)
@@ -691,7 +678,7 @@ def finite_generating_family(
                     f"C={[list(c) for c in combo]} q={[f'e{b}' for b in basis_pick]}"
                 )
                 emitted.append(LabeledPolynomial(label, normal))
-                if len(emitted) >= budget.max_polynomials:
+                if len(emitted) >= FAMILY_MAX_POLYNOMIALS:
                     return GeneratingFamily(tuple(emitted), True)
     return GeneratingFamily(tuple(emitted), truncated)
 

@@ -128,7 +128,7 @@ def lift(
     if matrix_rank(stacked) != dim:
         raise CenterOnHyperplane("center lies in the span of the configuration")
 
-    evaluated = liftability_matrix_at(matroid, vectors, tuple(center), ambient=dim)
+    evaluated = liftability_matrix_at(matroid, vectors, tuple(center))
     kernel = kernel_basis(evaluated, len(points))
     degenerate = degenerate_lift_subspace(vectors, points, dim)
     if len(kernel) <= len(degenerate):

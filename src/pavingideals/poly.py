@@ -85,17 +85,17 @@ class Polynomial:
 
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def zero() -> "Polynomial":
-        return _ZERO
+    @classmethod
+    def zero(cls) -> "Polynomial":
+        return cls._from_clean({})
 
-    @staticmethod
-    def one() -> "Polynomial":
-        return _ONE
+    @classmethod
+    def one(cls) -> "Polynomial":
+        return cls._from_clean({CONST_MONO: 1})
 
-    @staticmethod
-    def constant(value: Scalar) -> "Polynomial":
-        return Polynomial({CONST_MONO: value})
+    @classmethod
+    def constant(cls, value: Scalar) -> "Polynomial":
+        return cls({CONST_MONO: value})
 
     @staticmethod
     def variable(var: Variable) -> "Polynomial":
@@ -115,7 +115,7 @@ class Polynomial:
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
-            raise ValueError("not a constant polynomial")
+            raise ValueError(f"not a constant {type(self).__name__}")
         return self._terms.get(CONST_MONO, 0)
 
     def degree(self) -> int:
@@ -150,9 +150,34 @@ class Polynomial:
         return self._hash
 
     # -- ring operations ------------------------------------------------
+    #
+    # Every result has the class of its operands, so a subclass with its own
+    # variables only supplies the monomial product and the term order.
+
+    @classmethod
+    def _from_clean(cls, terms: dict[Monomial, Scalar]) -> "Polynomial":
+        """Wrap a dict whose coefficients are already normalized and nonzero."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        poly._hash = None
+        return poly
+
+    def _coerce(self, value):
+        if type(value) is type(self):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.constant(value)
+        return NotImplemented
+
+    def _monomial_product(self):
+        # The module-level function, looked up per product so that a
+        # rebinding of ``monomial_mul`` is seen.
+        return monomial_mul
+
+    _term_key = staticmethod(_lex_key)
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not other._terms:
@@ -166,51 +191,55 @@ class Polynomial:
                 terms.pop(mono, None)
             else:
                 terms[mono] = new
-        return _from_clean(terms)
+        return self._from_clean(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _from_clean({m: -c for m, c in self._terms.items()})
+        return self._from_clean({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self._terms or not other._terms:
-            return _ZERO
+            return self.zero()
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
+        mul = self._monomial_product()
         terms: dict[Monomial, Scalar] = {}
         for mb, cb in b.items():
             for ma, ca in a.items():
-                mono = monomial_mul(ma, mb)
+                mono = mul(ma, mb)
                 new = terms.get(mono, 0) + ca * cb
                 if new == 0:
                     terms.pop(mono, None)
                 else:
                     terms[mono] = new
-        return _from_clean(terms)
+        return self._from_clean(terms)
 
     __rmul__ = __mul__
 
     def scale(self, value: Scalar) -> "Polynomial":
         value = normalize_scalar(value)
         if value == 0:
-            return _ZERO
+            return self.zero()
         if value == 1:
             return self
-        return _from_clean({m: c * value for m, c in self._terms.items()})
+        return self._from_clean({m: c * value for m, c in self._terms.items()})
 
     # -- evaluation -------------------------------------------------------
 
@@ -255,17 +284,18 @@ class Polynomial:
                 terms.pop(key, None)
             else:
                 terms[key] = new
-        return _from_clean(terms)
+        return self._from_clean(terms)
 
     # -- canonical form helpers ------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: _lex_key(kv[0]))
+        key = self._term_key
+        return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
 
     def leading_coefficient(self) -> Scalar:
         if not self._terms:
             return 0
-        return self.sorted_terms()[0][1]
+        return self._terms[min(self._terms, key=self._term_key)]
 
     def normalized_sign(self) -> tuple["Polynomial", int]:
         """(p, +1) or (-p, -1) so the leading coefficient is positive."""
@@ -297,7 +327,7 @@ class Polynomial:
     def from_text(text: str) -> "Polynomial":
         text = text.strip()
         if text == "0":
-            return _ZERO
+            return Polynomial()
         terms: dict[Monomial, Scalar] = {}
         for sign, body in _split_terms(text):
             factors = [f.strip() for f in body.split("*")]
@@ -349,22 +379,3 @@ def _split_terms(text: str):
         yield sign, text[pos:cut].strip()
         sign = 1 if cut == plus else -1
         pos = cut + 3
-
-
-def _coerce(value) -> "Polynomial":
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return NotImplemented
-
-
-def _from_clean(terms: dict[Monomial, Scalar]) -> Polynomial:
-    poly = Polynomial.__new__(Polynomial)
-    poly._terms = terms
-    poly._hash = None
-    return poly
-
-
-_ZERO = Polynomial()
-_ONE = Polynomial({CONST_MONO: 1})

@@ -3,8 +3,7 @@
 Symbolic determinants expand by minors along the sparsest line, with
 memoization keyed on (row set, column set) so the many overlapping minors
 of one matrix share work; minors of size up to ``MEMO_LIMIT`` land in the
-cache.  1x1 and 2x2 blocks are expanded directly, and a submatrix whose
-entries are all constant drops down to fraction-free scalar elimination.
+cache.  1x1 and 2x2 blocks are expanded directly.
 
 A MinorEngine is per-matrix state; the module-level helpers build a fresh
 engine per call, to keep pure-function semantics.
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import NonSquare, bareiss_determinant
+from .linalg import NonSquare
 from .poly import Polynomial
 
 MEMO_LIMIT = 8
@@ -25,9 +24,8 @@ MEMO_LIMIT = 8
 class PolyMatrix:
     """Dense rectangular matrix with labelled axes.
 
-    Entries are Polynomials in the main pipeline; any ring type with the
-    same small interface (zero/one/is_zero/is_constant/arithmetic) works,
-    which is how label-level bracket matrices reuse the minor expansion.
+    Entries are Polynomials: coordinate ones, or BracketPolynomials for
+    label-level bracket matrices, whose minors then stay in bracket form.
     """
 
     row_labels: tuple
@@ -133,11 +131,6 @@ class MinorEngine:
                 best_axis, best_idx, best_count = 1, j, count
         if best_count == 0:
             return self._ring.zero()
-        if self._all_constant(rows, cols):
-            value = bareiss_determinant(
-                [[self.matrix.entries[r][c].constant_value() for c in cols] for r in rows]
-            )
-            return self._ring.constant(value)
         ent = self.matrix.entries
         total = self._ring.zero()
         if best_axis == 0:
@@ -159,10 +152,6 @@ class MinorEngine:
                 term = ent[r][c] * sub
                 total = total + (term if (i + best_idx) % 2 == 0 else -term)
         return total
-
-    def _all_constant(self, rows, cols) -> bool:
-        ent = self.matrix.entries
-        return all(ent[r][c].is_constant() for r in rows for c in cols)
 
 
 def determinant(matrix: PolyMatrix) -> Polynomial:

@@ -15,13 +15,17 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .linalg import matrix_rank
-from .matroids import PavingMatroid, builtin_matroid
+from .matroids import MatroidError, PavingMatroid, builtin_matroid
 from .scalars import Scalar, as_scalar, format_rational
 from .variables import Variable, entry_var
 
 
 class IndexMismatch(ValueError):
     """Vectors that do not match the matroid's points or rank."""
+
+
+class RealizationSchemaError(ValueError):
+    """A realization JSON document does not have the expected shape."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class Realization:
             try:
                 builtin_matroid(name)
                 matroid_field = name
-            except Exception:
+            except MatroidError:
                 matroid_field = self.matroid.to_json_dict()
         else:
             matroid_field = self.matroid.to_json_dict()
@@ -78,6 +82,17 @@ class Realization:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Realization":
+        """Read ``{"matroid", "points": {id: [rationals]}, "seed"?}``."""
+        if not isinstance(data, dict):
+            raise RealizationSchemaError("a realization must be a JSON object")
+        missing = [key for key in ("matroid", "points") if key not in data]
+        if missing:
+            raise RealizationSchemaError(f"realization JSON lacks {', '.join(missing)}")
+        if not isinstance(data["points"], dict):
+            raise RealizationSchemaError("points must map point ids to coordinate lists")
+        for p, vec in data["points"].items():
+            if not isinstance(vec, list):
+                raise RealizationSchemaError(f"point {p} must be a list of coordinates, got {vec!r}")
         matroid_field = data["matroid"]
         if isinstance(matroid_field, str):
             matroid = builtin_matroid(matroid_field)

@@ -382,7 +382,7 @@ def test_criterion_7_uniform_kernel_law():
                         continue
                     if matrix_rank(list(vectors.values()) + [list(center)]) == n:
                         break
-                evaluated = liftability_matrix_at(matroid, vectors, center, ambient=n)
+                evaluated = liftability_matrix_at(matroid, vectors, center)
                 assert len(kernel_basis(evaluated, matroid.size)) == n - 1, (n, d, seed)
     report(7, "uniform rank-(n-1) kernels have dimension exactly n-1 (n in {3,4}, 20 seeds each)")
 
@@ -508,7 +508,7 @@ def determinism_bundle() -> bytes:
     matroid = PavingMatroid.uniform(2, 5)
     rng = random.Random(557)
     vecs = {p: tuple(rng.randint(-9, 9) for _ in range(3)) for p in matroid.points}
-    evaluated = liftability_matrix_at(matroid, vecs, (1, 2, 3), ambient=3)
+    evaluated = liftability_matrix_at(matroid, vecs, (1, 2, 3))
     chunks.append(str(len(kernel_basis(evaluated, matroid.size))))
     chunks.append(str(grid_matroid(3, 3).liftable_sufficient()))
     chunks.append(str(qs.liftable_sufficient()))

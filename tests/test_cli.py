@@ -317,6 +317,33 @@ def test_verify_rejects_coordinates_that_are_not_rationals(tmp_path, capsys, coo
     assert err.startswith("parse error: ")
 
 
+def _vector_not_a_list(payload):
+    payload["points"]["1"] = 5
+    return payload
+
+
+def _points_as_a_list(payload):
+    payload["points"] = list(payload["points"].values())
+    return payload
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [_vector_not_a_list, _points_as_a_list, lambda payload: [payload]],
+    ids=["vector-not-a-list", "points-list", "top-level-list"],
+)
+def test_verify_rejects_realizations_of_the_wrong_shape(tmp_path, capsys, reshape):
+    real = sample_qs(tmp_path, capsys)
+    real.write_text(json.dumps(reshape(json.loads(real.read_text()))))
+    polys = tmp_path / "polys.txt"
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_brackets_of_the_wrong_size(tmp_path, capsys):
     # A 2-bracket would otherwise evaluate a 2x2 minor of rank-3 vectors,
     # and a 4-bracket would index past their last coordinate.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -32,7 +34,6 @@ from pavingideals.generators import (
     circuit_polynomials,
     cycle_identity_value,
     finite_generating_family,
-    graph_matrix,
     graph_matrix_brackets,
     graph_polynomial,
     graph_polynomial_brackets,
@@ -130,11 +131,17 @@ def test_symbolic_and_numeric_matrices_commute():
                 point = dict(assignment)
                 point.update({extra_var(r, "q"): q[r - 1] for r in range(1, n + 1)})
                 symbolic = liftability_matrix(mat, extra, ambient=n)
-                direct = liftability_matrix_at(mat, vectors, q, ambient=n)
+                direct = liftability_matrix_at(mat, vectors, q)
                 assert evaluated(symbolic, point) == direct, (name, mat.rank, extra)
 
 
-def test_graph_matrix_is_the_expanded_bracket_matrix():
+def test_graph_polynomial_is_the_determinant_of_the_numeric_bracket_matrix():
+    # At random integer vectors, the determinant of the evaluated bracket
+    # matrix is the value of the bracket-level determinant on every data
+    # set, and the value of the coordinate graph polynomial (with symbolic
+    # extras, and with the same extras made concrete) wherever its expansion
+    # is feasible (the expansion estimate rank!^k is at most fig2c's 6^5;
+    # pascal, grid3x4 and paving4_9 expand to 10^5 to 10^7 terms).
     rng = random.Random(2)
     for name in builtin_graph_data_names():
         data = builtin_graph_data(name)
@@ -146,12 +153,20 @@ def test_graph_matrix_is_the_expanded_bracket_matrix():
             for l, vec in values.items()
             for r in range(1, n + 1)
         }
-        brackets = graph_matrix_brackets(data)
-        expanded = graph_matrix(data)
-        assert expanded.row_labels == brackets.row_labels
-        assert expanded.col_labels == brackets.col_labels
-        numeric = [[e.evaluate(values) for e in row] for row in brackets.entries]
-        assert evaluated(expanded, assignment) == numeric, name
+        numeric = [[e.evaluate(values) for e in row] for row in graph_matrix_brackets(data).entries]
+        det = bareiss_determinant(numeric)
+        assert graph_polynomial_brackets(data).evaluate(values) == det, name
+        if factorial(n) ** data.k > 6**5:
+            continue
+        assert graph_polynomial(data).evaluate(assignment) == det, name
+        concrete = GraphData(
+            data.matroid,
+            data.anchor,
+            data.points,
+            data.circuits,
+            tuple(ExtraVector.concrete(values[e.name]) for e in data.extras),
+        )
+        assert graph_polynomial(concrete).evaluate(assignment) == det, name
 
 
 # -- lifting polynomials -----------------------------------------------------------
@@ -393,6 +408,22 @@ def test_qs_family_contains_circuits_and_graph_polys():
     # Deduplication up to sign leaves no repeated polynomial.
     normals = [p.polynomial.normalized_sign()[0] for p in family.polynomials]
     assert len(set(normals)) == len(normals)
+
+
+# sha256 over "label\ntext\n" of every family member, so that a change in
+# any member's bytes shows up here; the CLI digests do not cover the family.
+FAMILY_DIGESTS = {
+    "qs": (106, "b719cf2ea5460b1d64a9c7ca7a13082a550699ee337b48c393f00201cc1ae291"),
+    "fig2r": (84, "70dc30e4fa7b82a7665e82a16af60234b3d59689f46fb1aba84865739bee3a56"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
+def test_family_matches_recorded_digest(name):
+    family = finite_generating_family(builtin_matroid(name))
+    text = "".join(f"{p.label}\n{p.polynomial.to_text()}\n" for p in family.polynomials)
+    assert (len(family.polynomials), hashlib.sha256(text.encode()).hexdigest()) == FAMILY_DIGESTS[name]
 
 
 def test_family_warns_on_high_degree():

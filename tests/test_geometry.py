@@ -244,7 +244,7 @@ def test_uniform_matroid_kernel_law_and_no_lift():
                     center = tuple(rng.randint(-6, 6) for _ in range(n))
                     if matrix_rank(list(vectors.values()) + [list(center)]) == n:
                         break
-                evaluated = liftability_matrix_at(matroid, vectors, center, ambient=n)
+                evaluated = liftability_matrix_at(matroid, vectors, center)
                 assert len(kernel_basis(evaluated, matroid.size)) == n - 1
             for _ in range(2):
                 # Flat vectors with an off-span center: lift must refuse.
@@ -253,7 +253,7 @@ def test_uniform_matroid_kernel_law_and_no_lift():
                     center = tuple(rng.randint(-6, 6) for _ in range(n))
                     if matrix_rank(list(vectors.values()) + [list(center)]) == n:
                         break
-                evaluated = liftability_matrix_at(matroid, vectors, center, ambient=n)
+                evaluated = liftability_matrix_at(matroid, vectors, center)
                 assert len(kernel_basis(evaluated, matroid.size)) == n - 1
                 flat = Realization(matroid, vectors)
                 assert lift(flat, center, matroid) is None
