@@ -11,11 +11,12 @@ sorted by monomial order and joined with `` + `` / `` - ``::
 
     2 * x[1,3]^2 * x[2,q1] - 1/3 * x[1,4]
 
-``from_text`` parses exactly this shape back.
+``from_text`` parses exactly this shape back; exponents are integers >= 1.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
@@ -25,6 +26,8 @@ from .variables import Variable, parse_variable
 Monomial = Tuple[Tuple[Variable, int], ...]
 
 CONST_MONO: Monomial = ()
+
+_TERM_SEPARATOR_RE = re.compile(r" ([+-]) ")
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -125,11 +128,8 @@ class Polynomial:
         return max(monomial_degree(m) for m in self._terms)
 
     def support(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for mono in self._terms:
-            for var, _ in mono:
-                out.add(var)
-        return out
+        # The distinct (variable, exponent) pairs are few; collect them in C.
+        return {var for var, _ in set().union(*self._terms)}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -267,15 +267,20 @@ class Polynomial:
 
     def evaluate_partial(self, assignment: Mapping[Variable, Scalar]) -> "Polynomial":
         """Substitute a subset of the variables; a ring homomorphism."""
+        powers: dict[tuple[Variable, int], Scalar] = {}
         terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
             val: Scalar = coeff
             rest = []
-            for var, exp in mono:
+            for pair in mono:
+                var, exp = pair
                 if var in assignment:
-                    val = val * normalize_scalar(assignment[var]) ** exp
+                    p = powers.get(pair)
+                    if p is None:
+                        p = powers[pair] = normalize_scalar(assignment[var]) ** exp
+                    val = val * p
                 else:
-                    rest.append((var, exp))
+                    rest.append(pair)
             if val == 0:
                 continue
             key = tuple(rest)
@@ -283,7 +288,7 @@ class Polynomial:
             if new == 0:
                 terms.pop(key, None)
             else:
-                terms[key] = new
+                terms[key] = normalize_scalar(new)
         return self._from_clean(terms)
 
     # -- canonical form helpers ------------------------------------------
@@ -329,16 +334,19 @@ class Polynomial:
         if text == "0":
             return Polynomial()
         terms: dict[Monomial, Scalar] = {}
+        # A line names a few dozen distinct factors thousands of times, so
+        # each distinct factor text is parsed once per call.
+        parsed: dict[str, tuple[Variable, int]] = {}
         for sign, body in _split_terms(text):
-            factors = [f.strip() for f in body.split("*")]
+            factors = body.split("*")
             coeff: Scalar = sign * parse_rational(factors[0])
             mono: list[tuple[Variable, int]] = []
             for factor in factors[1:]:
-                if "^" in factor:
-                    var_text, _, exp_text = factor.partition("^")
-                    mono.append((parse_variable(var_text), int(exp_text)))
-                else:
-                    mono.append((parse_variable(factor), 1))
+                factor = factor.strip()
+                pair = parsed.get(factor)
+                if pair is None:
+                    pair = parsed[factor] = _parse_factor(factor)
+                mono.append(pair)
             key = tuple(sorted(mono))
             terms[key] = terms.get(key, 0) + coeff
         return Polynomial(terms)
@@ -362,20 +370,27 @@ class UnboundVariable(KeyError):
         super().__init__(f"unbound variables: {names}")
 
 
+def _parse_factor(factor: str) -> tuple[Variable, int]:
+    """``x[r,c]`` or ``x[r,c]^e`` as a (Variable, exponent) pair, e >= 1."""
+    var_text, caret, exp_text = factor.partition("^")
+    if not caret:
+        return parse_variable(factor), 1
+    try:
+        exp = int(exp_text)
+    except ValueError:
+        exp = 0
+    if exp < 1:
+        raise ValueError(f"exponent must be a positive integer: {factor!r}")
+    return parse_variable(var_text), exp
+
+
 def _split_terms(text: str):
     """Yield (sign, body) for terms joined by ' + ' / ' - '."""
     sign = 1
     if text.startswith("-"):
         sign = -1
         text = text[1:].strip()
-    pos = 0
-    while True:
-        plus = text.find(" + ", pos)
-        minus = text.find(" - ", pos)
-        cut = min(x for x in (plus, minus) if x >= 0) if (plus >= 0 or minus >= 0) else -1
-        if cut < 0:
-            yield sign, text[pos:].strip()
-            return
-        yield sign, text[pos:cut].strip()
-        sign = 1 if cut == plus else -1
-        pos = cut + 3
+    parts = _TERM_SEPARATOR_RE.split(text)
+    yield sign, parts[0].strip()
+    for i in range(1, len(parts), 2):
+        yield (1 if parts[i] == "+" else -1), parts[i + 1].strip()

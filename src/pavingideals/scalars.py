@@ -37,11 +37,14 @@ def normalize_scalar(value: Scalar) -> Scalar:
 
 
 def parse_rational(text: str) -> Scalar:
-    """Parse 'n' or 'p/q' into an exact scalar."""
+    """Parse 'n' or 'p/q' into an exact scalar; q = 0 raises NotRational."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        return normalize_scalar(Fraction(int(num), int(den)))
+        denominator = int(den)
+        if denominator == 0:
+            raise NotRational(f"zero denominator: {text!r}")
+        return normalize_scalar(Fraction(int(num), denominator))
     return int(text)
 
 

@@ -22,6 +22,7 @@ KIND_ENTRY = "entry"
 KIND_EXTRA = "extra"
 
 _EXTRA_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_VARIABLE_RE = re.compile(r"^x\[(\d+),([^\]]+)\]$")
 
 
 class Variable(NamedTuple):
@@ -48,7 +49,7 @@ def extra_var(row: int, name: str) -> Variable:
 
 
 def parse_variable(text: str) -> Variable:
-    m = re.match(r"^x\[(\d+),([^\]]+)\]$", text.strip())
+    m = _VARIABLE_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad variable syntax: {text!r}")
     row = int(m.group(1))

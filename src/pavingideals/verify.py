@@ -9,16 +9,17 @@ the canonical-basis sweep over every combination.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .brackets import BracketPolynomial
 from .generators import LabeledPolynomial
-from .poly import UnboundVariable
+from .poly import Polynomial, UnboundVariable
 from .realizations import Realization
 from .scalars import Scalar, format_rational
-from .variables import KIND_EXTRA, extra_var
+from .variables import KIND_EXTRA, Variable, extra_var
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class VanishingReport:
         return all(c.passed for c in self.checks)
 
     def to_json_lines(self) -> str:
-        import json
-
         return "\n".join(json.dumps(c.to_json_dict(), sort_keys=True) for c in self.checks)
 
 
@@ -85,10 +84,41 @@ def evaluate_poly(
             vectors[name] = tuple(vec)
         return poly.evaluate(vectors)
     full = dict(realization.assignment())
-    for name, vec in extra.items():
-        for r, value in enumerate(vec, start=1):
-            full[extra_var(r, name)] = value
+    full.update(_extra_assignment(extra))
     return poly.evaluate(full)
+
+
+def _extra_assignment(extra: Mapping[str, Sequence[Scalar]]) -> dict[Variable, Scalar]:
+    return {
+        extra_var(r, name): value
+        for name, vec in extra.items()
+        for r, value in enumerate(vec, start=1)
+    }
+
+
+def _point_residual(
+    poly: Polynomial, points: Mapping[Variable, Scalar]
+) -> tuple[Polynomial | None, set[Variable]]:
+    """``poly`` with the point coordinates substituted, and its extra variables.
+
+    The residual is None when the realization leaves a matrix entry of the
+    support unbound: the substitution could cancel the terms that name it,
+    and the UnboundVariable of a full evaluation must still list it.
+    """
+    support = poly.support()
+    extras = {v for v in support if v.kind == KIND_EXTRA}
+    if any(v not in points for v in support - extras):
+        return None, extras
+    return poly.evaluate_partial(points), extras
+
+
+def _evaluate(poly, residual, extras, realization: Realization, extra) -> Scalar:
+    """The residual's value when ``extra`` binds all of ``extras``, else a full evaluation."""
+    if residual is not None:
+        values = _extra_assignment(extra)
+        if extras <= values.keys():
+            return residual.evaluate(values)
+    return evaluate_poly(poly, realization, extra)
 
 
 def verify_vanishing(
@@ -109,10 +139,17 @@ def verify_vanishing(
     if expect not in ("zero", "nonzero"):
         raise ValueError("expect must be 'zero' or 'nonzero'")
     dim = realization.dim
+    points = realization.assignment()
     checks: list[VanishingCheck] = []
     for labeled in polynomials:
         poly = labeled.polynomial
-        names = extra_names(poly)
+        if isinstance(poly, BracketPolynomial):
+            names, residual, extras = extra_names(poly), None, set()
+        else:
+            # Substitute the points once; each assignment then evaluates
+            # only the residual in the extra variables.
+            residual, extras = _point_residual(poly, points)
+            names = tuple(sorted({v.column for v in extras}))
         if sweep:
             assigns: Sequence[Mapping[str, Sequence[Scalar]]] = canonical_basis_sweep(names, dim)
         elif extra_assignments is not None:
@@ -121,7 +158,7 @@ def verify_vanishing(
             assigns = [{}]
         for extra in assigns:
             key = tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names))
-            value = evaluate_poly(poly, realization, extra)
+            value = _evaluate(poly, residual, extras, realization, extra)
             passed = (value == 0) if expect == "zero" else (value != 0)
             checks.append(VanishingCheck(labeled.label, key, value, passed))
     return VanishingReport(tuple(checks), expect)

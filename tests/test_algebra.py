@@ -20,7 +20,7 @@ from pavingideals.linalg import (
 )
 from pavingideals.poly import Polynomial, UnboundVariable
 from pavingideals.polymatrix import MinorEngine, PolyMatrix, determinant
-from pavingideals.scalars import format_rational, parse_rational
+from pavingideals.scalars import NotRational, format_rational, parse_rational
 from pavingideals.variables import entry_var, extra_var
 
 
@@ -46,6 +46,12 @@ def test_rational_round_trip():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(8, 4)) == "2"
     assert parse_rational("7") == 7
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", " 2 / 0 "])
+def test_zero_denominator_is_not_rational(text):
+    with pytest.raises(NotRational, match="zero denominator"):
+        parse_rational(text)
 
 
 # -- polynomial ring ----------------------------------------------------
@@ -122,6 +128,36 @@ def test_text_round_trip():
     text = p.to_text()
     assert Polynomial.from_text(text) == p
     assert Polynomial.from_text("0").is_zero()
+
+
+def test_text_spacing_around_operators_is_free():
+    text = "-2 * x[1,2]^2 + 1 * x[1,2] * x[2,3]"
+    canonical = Polynomial.from_text(text)
+    assert canonical.to_text() == text
+    assert Polynomial.from_text("-2*x[1,2] ^ 2 + 1 * x[1,2]*x[2,3]") == canonical
+    assert Polynomial.from_text("1 * x[1,2]*x[2,3]") == Polynomial.from_text("1 * x[1,2] * x[2,3]")
+    assert Polynomial.from_text("1 * x[1,2] ^ 2") == Polynomial.from_text("1 * x[1,2]^2")
+
+
+@pytest.mark.parametrize("factor", ["x[1,1]^-1", "x[1,1]^0", "x[1,1]^x", "x[1,1]^"])
+def test_exponents_are_positive_integers(factor):
+    with pytest.raises(ValueError, match="exponent must be a positive integer"):
+        Polynomial.from_text(f"1 * {factor}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 * y[1,2] + 2 * y[1,2]",
+        "1 * x[1,2] * x[0,1] - 3 * x[0,1]",
+        "1 * x[1,1]^0 + 2 * x[1,1]^0",
+    ],
+)
+def test_malformed_factor_raises_wherever_it_repeats(text):
+    # Factors are parsed once per line; a failure must not be remembered
+    # as a value for the next occurrence.
+    with pytest.raises(ValueError):
+        Polynomial.from_text(text)
 
 
 def test_text_form_is_sorted_and_stable():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import pavingideals
+from pavingideals import cli
+from pavingideals import poly as poly_module
 from pavingideals.cli import main
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.generators import (
@@ -23,6 +26,7 @@ from pavingideals.generators import (
 )
 from pavingideals.matroids import builtin_matroid
 from pavingideals.brackets import BracketPolynomial
+from pavingideals.variables import parse_variable
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -222,6 +226,57 @@ def test_generate_matches_recorded_digest(tmp_path, capsys, run, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("run", [run for run, _ in GOLDEN_DIGESTS], ids="-".join)
+def test_generated_polynomials_parse_back_equal(tmp_path, capsys, monkeypatch, run):
+    matroid, which, q = run
+    rendered = []
+
+    def capture(items):
+        rendered.extend(items)
+        return render_polynomials(items)
+
+    monkeypatch.setattr(cli, "render_polynomials", capture)
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", matroid, "--which", which, "--q", q,
+        "--out", str(tmp_path / "polys.txt"),
+    )
+    assert code == 0
+    assert rendered
+    for labeled in rendered:
+        poly = labeled.polynomial
+        assert type(poly).from_text(poly.to_text()) == poly, labeled.label
+
+
+def test_parsing_names_each_distinct_factor_once_per_line(tmp_path, capsys, monkeypatch):
+    polys = tmp_path / "qs_lifting.txt"
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", "qs", "--which", "lifting", "--out", str(polys)
+    )
+    assert code == 0
+    text = polys.read_text()
+    distinct = occurrences = 0
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        factors = [
+            f.strip() for term in re.split(" [+-] ", line) for f in term.split("*")[1:]
+        ]
+        distinct += len(set(factors))
+        occurrences += len(factors)
+    calls = 0
+
+    def counting(factor):
+        nonlocal calls
+        calls += 1
+        return parse_variable(factor)
+
+    monkeypatch.setattr(poly_module, "parse_variable", counting)
+    parsed = parse_polynomials(text)
+    # 540 distinct factor texts against 188,280 occurrences in this file.
+    assert 0 < calls <= distinct < occurrences // 100
+    assert render_polynomials(parsed) == text
+
+
 def test_generate_is_deterministic_across_runs(tmp_path, capsys):
     outs = []
     for run in ("1", "2"):
@@ -303,7 +358,7 @@ def test_verify_rejects_vectors_longer_than_the_rank(tmp_path, capsys):
     assert err.startswith("parse error: ")
 
 
-@pytest.mark.parametrize("coordinate", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("coordinate", [1.5, True, "1/0"], ids=["float", "bool", "zero-denominator"])
 def test_verify_rejects_coordinates_that_are_not_rationals(tmp_path, capsys, coordinate):
     real = sample_qs(tmp_path, capsys)
     payload = json.loads(real.read_text())
@@ -315,6 +370,41 @@ def test_verify_rejects_coordinates_that_are_not_rationals(tmp_path, capsys, coo
     assert code == 1
     assert out == ""
     assert err.startswith("parse error: ")
+
+
+def _assert_parse_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: "), err
+    assert "Traceback" not in err
+
+
+def test_verify_zero_denominator_coefficient_is_a_parse_error(tmp_path, capsys):
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    polys.write_text("# source: bad\n1/0 * x[1,1] + 1 * x[2,2]\n")
+    _assert_parse_error(
+        *run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    )
+
+
+def test_verify_zero_denominator_q_is_a_parse_error(tmp_path, capsys):
+    for form, (polys, real) in verify_q_files(tmp_path, capsys).items():
+        code, out, err = run_cli(
+            capsys, "verify", "--polys", str(polys), "--realization", str(real), "--q", "1/0,1,1"
+        )
+        _assert_parse_error(code, out, err)
+        assert "zero denominator" in err, form
+
+
+@pytest.mark.parametrize("exponent", ["-1", "0", "x"])
+def test_verify_rejects_exponents_below_one(tmp_path, capsys, exponent):
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    polys.write_text(f"# source: bad\n1 * x[1,1]^{exponent} + 1 * x[2,2]\n")
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    _assert_parse_error(code, out, err)
+    assert "exponent must be a positive integer" in err
 
 
 def _vector_not_a_list(payload):
