@@ -51,10 +51,6 @@ def main() -> int:
         if not agree:
             failures += 1
 
-        if name == "paving4_9":
-            print("   vanishing: skipped (no sampler for this configuration)")
-            print()
-            continue
         rng = random.Random(name)
         ok = True
         for seed in range(args.seeds):

@@ -2,8 +2,8 @@
 
 Circuit polynomials, lifting polynomials (minors of liftability matrices)
 and graph polynomials (signed cycle-collection determinants), all over exact
-rational arithmetic, together with samplers for rational realizations of the
-standard example configurations and an exact vanishing verifier.
+rational arithmetic, together with a sampler for rational realizations of
+paving matroids and an exact vanishing verifier.
 """
 
 from .brackets import BracketPolynomial
@@ -27,7 +27,7 @@ from .lifting import Hyperplane, lift, lifting_number, project, regular_hyperpla
 from .matroids import PavingMatroid, Submatroid, builtin_matroid
 from .poly import Polynomial
 from .realizations import Realization, in_circuit_variety, in_realization_space
-from .samplers import sample_family, search_realization
+from .samplers import sample_family, sample_realization
 from .verify import verify_vanishing
 
 __version__ = "0.1.0"
@@ -61,6 +61,6 @@ __all__ = [
     "regular_hyperplanes",
     "rnc_polynomial_brackets",
     "sample_family",
-    "search_realization",
+    "sample_realization",
     "verify_vanishing",
 ]

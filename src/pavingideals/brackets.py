@@ -96,6 +96,10 @@ class BracketPolynomial(Polynomial):
 
     _term_key = staticmethod(_mono_sort_key)
 
+    def support(self) -> set[BracketKey]:
+        """The brackets that occur in some term."""
+        return set().union(*self._terms)
+
     # -- output -----------------------------------------------------------
 
     def _render(self, left: str, right: str, unit_coefficients: bool) -> str:

@@ -36,7 +36,7 @@ from .matroids import (
 )
 from .polyfiles import parse_polynomials, render_polynomials
 from .realizations import Realization
-from .samplers import ResamplingExhausted, UnknownFamily, sample_family
+from .samplers import ResamplingExhausted, sample_realization
 from .scalars import parse_rational
 from .verify import extra_names, verify_vanishing
 
@@ -163,10 +163,18 @@ def cmd_generate(args) -> int:
 
 def cmd_sample(args) -> int:
     try:
-        realization = sample_family(args.family, args.seed)
-    except UnknownFamily as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        matroid = _load_matroid(args.matroid)
+    except MATROID_PARSE_ERRORS as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MatroidError as exc:
+        if Path(args.matroid).exists():
+            print(f"invalid matroid: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        print(f"error: unknown realization family: {args.matroid!r} ({exc})", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        realization = sample_realization(matroid, args.seed)
     except ResamplingExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -288,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("sample", help="sample an exact rational realization")
-    p.add_argument("--family", required=True)
+    p.add_argument(
+        "--matroid", "--family", dest="matroid", required=True,
+        help=f"path or builtin name ({names}); needs a constructible order",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sample)

@@ -348,6 +348,12 @@ class Polynomial:
                     pair = parsed[factor] = _parse_factor(factor)
                 mono.append(pair)
             key = tuple(sorted(mono))
+            if len(dict(key)) != len(key):
+                # A variable repeats inside the term: add its exponents.
+                merged: dict[Variable, int] = {}
+                for var, exp in key:
+                    merged[var] = merged.get(var, 0) + exp
+                key = tuple(merged.items())
             terms[key] = terms.get(key, 0) + coeff
         return Polynomial(terms)
 

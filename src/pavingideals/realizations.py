@@ -56,16 +56,15 @@ class Realization:
     # -- JSON ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        name = self.matroid.name
-        matroid_field: object
-        if name:
+        """The matroid is written by name only when the name resolves to
+        this very matroid; any other matroid is embedded in full."""
+        matroid_field: object = self.matroid.to_json_dict()
+        if self.matroid.name:
             try:
-                builtin_matroid(name)
-                matroid_field = name
+                if builtin_matroid(self.matroid.name) == self.matroid:
+                    matroid_field = self.matroid.name
             except MatroidError:
-                matroid_field = self.matroid.to_json_dict()
-        else:
-            matroid_field = self.matroid.to_json_dict()
+                pass
         out = {
             "matroid": matroid_field,
             "points": {

@@ -1,11 +1,17 @@
-"""Seeded exact samplers for the standard example configurations.
+"""Seeded exact realizations of paving matroids in a constructible order.
 
-Every sampler builds integer vectors from small random seeds — incidences
-come out exact by construction (line intersections are cross products,
-constrained points are exact combinations) — and then certifies general
-position with the full set of exact rank checks.  Failed attempts resample
-deterministically, so a (family, seed) pair always produces the same
-realization.
+One construction serves every matroid.  Its points are placed in an order
+in which each new point lies on at most n-1 hyperplanes that already hold
+n-1 placed points, so the point is free, on the span of one such
+hyperplane, or on the intersection of several.  Incidences come out exact
+by construction; general position is certified with the full set of exact
+rank checks, and failed attempts resample deterministically, so a
+(matroid, seed) pair always produces the same realization.
+
+This is the inductive construction behind the realizability of solvable
+configurations (Liwski-Mohammadi).  Pascal's configuration has such an
+order: placing the Pascal line first and threading the hexagon through it
+puts the hexagon on a conic by Braikenridge-Maclaurin.  Pappus's has none.
 """
 
 from __future__ import annotations
@@ -13,11 +19,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Callable, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 from .linalg import kernel_basis, matrix_rank
-from .matroids import MatroidError, PavingMatroid, builtin_matroid, grid_point
+from .matroids import MatroidError, PavingMatroid, builtin_matroid
 from .realizations import Realization, in_realization_space
 from .scalars import Scalar
 
@@ -31,14 +37,6 @@ class ResamplingExhausted(RuntimeError):
 
 
 MAX_ATTEMPTS = 64
-
-
-def cross(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, Scalar, Scalar]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def _nonzero_vector(rng: random.Random, dim: int, bound: int = 9) -> tuple[int, ...]:
@@ -60,148 +58,109 @@ def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[Scalar]]) -> tupl
     return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(dim))
 
 
-def _integer_kernel_point(rng: random.Random, rows: list[list[int]], dim: int) -> tuple[int, ...] | None:
-    basis = kernel_basis(rows, dim)
-    if not basis:
-        return None
-    integral = []
-    for vec in basis:
-        denoms = [Fraction(c).denominator for c in vec]
-        scale = lcm(*denoms) if denoms else 1
-        integral.append(tuple(int(c * scale) for c in vec))
-    coeffs = [_nonzero_int(rng, 5) for _ in integral]
-    point = _combine(coeffs, integral)
-    return point if any(point) else None
+def _primitive(vec: Sequence[Scalar]) -> tuple[int, ...]:
+    """The integer multiple of a nonzero rational vector with coprime entries."""
+    scale = lcm(*(c.denominator for c in vec))
+    integral = [int(c * scale) for c in vec]
+    divisor = gcd(*integral)
+    return tuple(c // divisor for c in integral)
 
 
-# -- family constructions (one attempt each) -----------------------------------
+def constructible_order(matroid: PavingMatroid) -> tuple[int, ...] | None:
+    """Points in an order where each lies on at most n-1 hyperplanes that
+    already hold n-1 earlier points, or None when no such order exists.
+
+    Found by peeling: repeatedly remove a point that lies on at most n-1
+    hyperplanes still holding n-1 other remaining points, and place in the
+    reverse order.  Removing a point only lowers the other points' counts,
+    so peeling gets stuck exactly when no order exists, whichever removable
+    point it takes.
+    """
+    n = matroid.rank
+    remaining = set(matroid.points)
+    removed: list[int] = []
+
+    def pinning(p: int) -> int:
+        # p itself is one of the n remaining points such a hyperplane holds.
+        return sum(len(h & remaining) >= n for h in matroid.hyperplanes if p in h)
+
+    while remaining:
+        p = next((p for p in sorted(remaining) if pinning(p) <= n - 1), None)
+        if p is None:
+            return None
+        remaining.remove(p)
+        removed.append(p)
+    return tuple(reversed(removed))
 
 
-def _try_quadrilateral(rng: random.Random, m: PavingMatroid):
-    lines = {tag: _nonzero_vector(rng, 3) for tag in "ABCD"}
-    pairs = {1: "AD", 2: "AC", 3: "AB", 4: "BC", 5: "BD", 6: "CD"}
-    return {p: cross(lines[a], lines[b]) for p, (a, b) in pairs.items()}
+def _place(rng: random.Random, matroid: PavingMatroid, order: Sequence[int]):
+    """One attempt at placing every point along the order; None on a
+    degenerate draw.
 
-
-def _try_concurrent(rng: random.Random, m: PavingMatroid):
-    center = _nonzero_vector(rng, 3)
-    dirs = [_nonzero_vector(rng, 3) for _ in range(3)]
-    vectors = {7: center}
-    for line_index, (p1, p2) in enumerate([(1, 2), (3, 4), (5, 6)]):
-        for p in (p1, p2):
-            vectors[p] = _combine(
-                [_nonzero_int(rng, 5), _nonzero_int(rng, 5)], [center, dirs[line_index]]
-            )
-    return vectors
-
-
-def _try_pascal(rng: random.Random, m: PavingMatroid):
-    ts = rng.sample(range(-12, 13), 6)
-    vectors = {i + 1: (t * t, t, 1) for i, t in enumerate(ts)}
-    line = lambda a, b: cross(vectors[a], vectors[b])
-    vectors[7] = cross(line(1, 2), line(4, 5))
-    vectors[8] = cross(line(2, 3), line(5, 6))
-    vectors[9] = cross(line(3, 4), line(6, 1))
-    return vectors
-
-
-def _try_fig2c(rng: random.Random, m: PavingMatroid):
-    vectors = {p: _nonzero_vector(rng, 3) for p in (3, 2, 8, 6)}
-    combo = lambda a, b: _combine(
-        [_nonzero_int(rng, 5), _nonzero_int(rng, 5)], [vectors[a], vectors[b]]
-    )
-    vectors[7] = combo(8, 6)
-    vectors[1] = combo(3, 2)
-    line = lambda a, b: cross(vectors[a], vectors[b])
-    vectors[4] = cross(line(3, 7), line(8, 1))
-    vectors[5] = cross(line(2, 7), line(1, 6))
-    return vectors
-
-
-def _try_fig2r(rng: random.Random, m: PavingMatroid):
-    vectors = {p: _nonzero_vector(rng, 3) for p in (7, 5, 1)}
-    combo = lambda a, b: _combine(
-        [_nonzero_int(rng, 5), _nonzero_int(rng, 5)], [vectors[a], vectors[b]]
-    )
-    vectors[6] = combo(7, 5)
-    vectors[4] = combo(7, 1)
-    vectors[3] = combo(1, 6)
-    line = lambda a, b: cross(vectors[a], vectors[b])
-    vectors[2] = cross(line(1, 5), line(4, 3))
-    return vectors
-
-
-def _try_grid3(rng: random.Random, m: PavingMatroid, k: int):
-    rows = [_nonzero_vector(rng, 3) for _ in range(3)]
-    cols = [_nonzero_vector(rng, 3) for _ in range(k)]
-    return {
-        grid_point(i, j, k): cross(rows[i - 1], cols[j - 1])
-        for i in range(1, 4)
-        for j in range(1, k + 1)
-    }
-
-
-def _try_grid_general(rng: random.Random, m: PavingMatroid, n: int, k: int):
-    row_normals = [_nonzero_vector(rng, n) for _ in range(n)]
-    col_normals = [_nonzero_vector(rng, n) for _ in range(k - n + 2)]
-    merged_normal = _nonzero_vector(rng, n)
-    vectors = {}
-    for i in range(1, n + 1):
-        for j in range(1, k + 1):
-            second = col_normals[j - 1] if j <= k - n + 2 else merged_normal
-            point = _integer_kernel_point(rng, [list(row_normals[i - 1]), list(second)], n)
-            if point is None:
+    A point on no pinning hyperplane (one already holding n-1 placed
+    points) is drawn at random; on one, it is a random combination of that
+    hyperplane's placed points, all of them, because a few small
+    coefficients on n-1 of them often land in a smaller flat; on several,
+    it is a random point of the kernel of their normals.  Every vector is
+    divided by the gcd of its entries, which keeps the heights of nested
+    intersections down.
+    """
+    n = matroid.rank
+    placed: dict[int, tuple[int, ...]] = {}
+    for p in order:
+        spans = [
+            [placed[x] for x in sorted(h) if x in placed] for h in matroid.hyperplanes_through(p)
+        ]
+        spans = [span for span in spans if len(span) >= n - 1]
+        if not spans:
+            point = _nonzero_vector(rng, n)
+        elif len(spans) == 1:
+            point = _combine([_nonzero_int(rng, 5) for _ in spans[0]], spans[0])
+        else:
+            normals = [kernel_basis(span, n) for span in spans]
+            if any(len(normal) != 1 for normal in normals):
                 return None
-            vectors[grid_point(i, j, k)] = point
-    return vectors
+            basis = kernel_basis([_primitive(v) for v, in normals], n)
+            point = _combine([_nonzero_int(rng, 5) for _ in basis], [_primitive(v) for v in basis])
+        if not any(point):
+            return None
+        placed[p] = _primitive(point)
+    return placed
 
 
-def _try_uniform(rng: random.Random, m: PavingMatroid, n: int, d: int):
-    return {p: _nonzero_vector(rng, n) for p in range(1, d + 1)}
+def sample_realization(matroid: PavingMatroid, seed: int = 0) -> Realization:
+    """Deterministic exact realization of a paving matroid.
 
-
-_FAMILIES: dict[str, Callable] = {
-    "qs": _try_quadrilateral,
-    "concurrent3": _try_concurrent,
-    "pascal": _try_pascal,
-    "fig2c": _try_fig2c,
-    "fig2r": _try_fig2r,
-}
+    Points are placed in ``constructible_order`` and general position is
+    certified exactly; pathological seeds resample, and a matroid with no
+    constructible order or a persistent failure raises ResamplingExhausted.
+    """
+    label = matroid.name or f"rank-{matroid.rank} matroid on {matroid.size} points"
+    order = constructible_order(matroid)
+    if order is None:
+        raise ResamplingExhausted(
+            f"{label} has no constructible order: some set of its points each lie on more "
+            f"than {matroid.rank - 1} hyperplanes holding {matroid.rank - 1} others of the set"
+        )
+    for attempt in range(MAX_ATTEMPTS):
+        rng = random.Random(seed * 100_003 + attempt)
+        vectors = _place(rng, matroid, order)
+        if vectors is not None and in_realization_space(vectors, matroid):
+            return Realization(matroid, vectors, seed)
+    raise ResamplingExhausted(f"no valid {label} realization after {MAX_ATTEMPTS} tries (seed {seed})")
 
 
 def sample_family(family: str, seed: int = 0) -> Realization:
-    """Deterministic exact realization of a named family.
+    """Deterministic exact realization of a builtin matroid, by name.
 
-    Families are the builtin matroid names with a construction: qs,
-    concurrent3, pascal, fig2c, fig2r (and their aliases), grid{n}x{k},
-    uniform(n,d).  General position is certified exactly; pathological
-    seeds resample, and a persistent failure raises ResamplingExhausted.
+    Any builtin name or alias is accepted: qs, concurrent3, pascal, fig2c,
+    fig2r, paving4_9, grid{n}x{k}, uniform(n,d).
     """
     try:
         matroid = builtin_matroid(family)
     except MatroidError as exc:
         raise UnknownFamily(f"unknown realization family: {family!r} ({exc})") from exc
-    name, n = matroid.name, matroid.rank
-    if name in _FAMILIES:
-        make = lambda rng: _FAMILIES[name](rng, matroid)
-    elif name.startswith("grid"):
-        k = matroid.size // n
-        if n == 3:
-            make = lambda rng: _try_grid3(rng, matroid, k)
-        else:
-            make = lambda rng: _try_grid_general(rng, matroid, n, k)
-    elif name.startswith("uniform"):
-        make = lambda rng: _try_uniform(rng, matroid, n, matroid.size)
-    else:
-        raise UnknownFamily(f"unknown realization family: {family!r}")
-    for attempt in range(MAX_ATTEMPTS):
-        rng = random.Random(seed * 100_003 + attempt)
-        vectors = make(rng)
-        if vectors is None:
-            continue
-        if in_realization_space(vectors, matroid):
-            return Realization(matroid, vectors, seed)
-    raise ResamplingExhausted(f"no valid {family} realization after {MAX_ATTEMPTS} tries (seed {seed})")
+    return sample_realization(matroid, seed)
 
 
 def sample_collinear_points(
@@ -236,46 +195,3 @@ def sample_collinear_points(
             continue
         return vectors
     raise ResamplingExhausted(f"no collinear sample after {MAX_ATTEMPTS} tries (seed {seed})")
-
-
-def search_realization(
-    matroid: PavingMatroid, seed: int = 0, attempts: int = 200
-) -> Realization | None:
-    """Experimental randomized realization search; no success guarantee.
-
-    Points are placed incrementally: a point on hyperplanes that already
-    span dimension rank-1 is drawn from the intersection of those spans,
-    otherwise at random; each full placement is certified exactly and bad
-    draws retry.  Configurations with points of degree three or more
-    usually need genuinely algebraic constructions, for which this search
-    simply returns None.
-    """
-    n = matroid.rank
-    order = sorted(matroid.points, key=lambda p: (matroid.point_degree(p), p))
-    for attempt in range(attempts):
-        rng = random.Random(seed * 77_377 + attempt)
-        placed: dict[int, tuple] = {}
-        failed = False
-        for p in order:
-            # A hyperplane whose placed vectors already span dimension n-1
-            # pins p into that span; x lies in the span exactly when it is
-            # orthogonal to the kernel of the matrix with the known vectors
-            # as rows.
-            normal_rows: list[list] = []
-            for h in matroid.hyperplanes_through(p):
-                known = [list(placed[x]) for x in sorted(h) if x in placed]
-                if len(known) >= n - 1 and matrix_rank(known) == n - 1:
-                    normal_rows.extend(list(v) for v in kernel_basis(known, n))
-            if normal_rows:
-                point = _integer_kernel_point(rng, normal_rows, n)
-                if point is None:
-                    failed = True
-                    break
-                placed[p] = point
-            else:
-                placed[p] = _nonzero_vector(rng, n)
-        if failed:
-            continue
-        if in_realization_space(placed, matroid):
-            return Realization(matroid, placed, seed)
-    return None

@@ -160,6 +160,18 @@ def test_malformed_factor_raises_wherever_it_repeats(text):
         Polynomial.from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 * x[1,1] * x[1,1] - 1 * x[1,1]^2",
+        "2 * x[2,1] * x[1,1]^2 * x[2,1]^3 * x[1,1] - 2 * x[1,1]^3 * x[2,1]^4",
+        "1 * x[1,q] * x[1,1] * x[1,q] - 1 * x[1,1] * x[1,q]^2",
+    ],
+)
+def test_repeated_variable_in_a_term_merges_exponents(text):
+    assert Polynomial.from_text(text).is_zero()
+
+
 def test_text_form_is_sorted_and_stable():
     p = x(2, 2) + x(1, 1) + x(1, 2)
     assert p.to_text() == "1 * x[1,1] + 1 * x[1,2] + 1 * x[2,2]"

@@ -17,6 +17,7 @@ from pavingideals import cli
 from pavingideals import poly as poly_module
 from pavingideals.cli import main
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
+from pavingideals.realizations import Realization, in_realization_space
 from pavingideals.generators import (
     ExtraVector,
     LabeledPolynomial,
@@ -24,7 +25,7 @@ from pavingideals.generators import (
     builtin_graph_data,
     lifting_polynomials,
 )
-from pavingideals.matroids import builtin_matroid
+from pavingideals.matroids import builtin_matroid, builtin_matroid_names
 from pavingideals.brackets import BracketPolynomial
 from pavingideals.variables import parse_variable
 
@@ -79,7 +80,7 @@ def test_validate_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in MALFORMED_MATROIDS:
         bad.write_text(text)
-        for command in ("validate", "generate", "liftcheck"):
+        for command in ("validate", "generate", "liftcheck", "sample"):
             code, out, err = run_cli(capsys, command, "--matroid", str(bad))
             assert code == 1, (text, command)
             assert out == ""
@@ -513,6 +514,100 @@ def test_sample_invalid_family_parameters_exit_cleanly(family):
     proc = run_fresh("-m", "pavingideals.cli", "sample", "--family", family)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", builtin_matroid_names())
+def test_sample_family_and_matroid_spell_one_option(tmp_path, capsys, name):
+    outputs = []
+    for option in ("--family", "--matroid"):
+        real = tmp_path / f"{option[2:]}.json"
+        code, _, _ = run_cli(capsys, "sample", option, name, "--seed", "2", "--out", str(real))
+        assert code == 0
+        outputs.append(real.read_text())
+    assert outputs[0] == outputs[1]
+    r = Realization.from_json(outputs[0])
+    assert r.matroid == builtin_matroid(name)
+    assert in_realization_space(r.vectors, r.matroid)
+
+
+# Not a builtin: point 8 lies on three lines, every other point on one or two.
+CONSTRUCTIBLE_MATROID = {
+    "rank": 3, "ground_set": 9,
+    "hyperplanes": [[1, 2, 3], [1, 7, 8], [2, 6, 8], [3, 4, 5], [4, 8, 9], [5, 6, 7]],
+}
+
+
+def test_sample_matroid_file_recertifies_and_verifies(tmp_path, capsys):
+    matroid = tmp_path / "m9.json"
+    matroid.write_text(json.dumps(CONSTRUCTIBLE_MATROID))
+    real = tmp_path / "real.json"
+    code, _, _ = run_cli(capsys, "sample", "--matroid", str(matroid), "--seed", "1", "--out", str(real))
+    assert code == 0
+    data = json.loads(real.read_text())
+    assert data["matroid"] == CONSTRUCTIBLE_MATROID
+    r = Realization.from_json(real.read_text())
+    assert in_realization_space(r.vectors, r.matroid)
+    polys = tmp_path / "polys.txt"
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", str(matroid), "--which", "circuits", "--out", str(polys)
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert code == 0
+    assert out.count('"pass": true') == 6
+
+
+def test_sample_embeds_a_file_matroid_that_borrows_a_builtin_name(tmp_path, capsys):
+    # Named "qs" but not the quadrilateral: writing the name alone would
+    # make the realization file describe the wrong matroid.
+    impostor = dict(CONSTRUCTIBLE_MATROID, name="qs")
+    matroid = tmp_path / "impostor.json"
+    matroid.write_text(json.dumps(impostor))
+    real = tmp_path / "real.json"
+    code, _, _ = run_cli(capsys, "sample", "--matroid", str(matroid), "--out", str(real))
+    assert code == 0
+    r = Realization.from_json(real.read_text())
+    assert json.loads(real.read_text())["matroid"] == impostor
+    assert in_realization_space(r.vectors, r.matroid)
+
+
+PAPPUS = {
+    "rank": 3, "ground_set": 9,
+    "hyperplanes": [
+        [1, 2, 3], [4, 5, 6], [1, 5, 7], [2, 4, 7], [1, 6, 8],
+        [3, 4, 8], [2, 6, 9], [3, 5, 9], [7, 8, 9],
+    ],
+}
+
+
+def test_sample_without_constructible_order_exits_cleanly(tmp_path):
+    matroid = tmp_path / "pappus.json"
+    matroid.write_text(json.dumps(PAPPUS))
+    proc = run_fresh("-m", "pavingideals.cli", "sample", "--matroid", str(matroid))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "constructible order" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_sample_invalid_matroid_file_is_a_validation_failure(tmp_path, capsys):
+    matroid = tmp_path / "bad.json"
+    matroid.write_text(json.dumps({"rank": 3, "ground_set": 6, "hyperplanes": [[1, 2, 3], [1, 2, 4]]}))
+    code, out, err = run_cli(capsys, "sample", "--matroid", str(matroid))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid matroid: ")
+
+
+@pytest.mark.parametrize(
+    "script", [["reproduce_examples.py"], ["lifting_roundtrip.py", "--family", "grid3x4"]]
+)
+def test_scripts_run_clean(script):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script[0]
+    proc = run_fresh(str(path), *script[1:])
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
 

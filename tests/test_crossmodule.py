@@ -6,6 +6,8 @@ import json
 import random
 from itertools import combinations
 
+import pytest
+
 from oracles import find_sdr, random_hyperplane_and_center
 from pavingideals.cli import main
 from pavingideals.generators import (
@@ -18,10 +20,16 @@ from pavingideals.generators import (
 )
 from pavingideals.lifting import project
 from pavingideals.linalg import matrix_rank
-from pavingideals.matroids import builtin_matroid
+from pavingideals.matroids import PavingMatroid, builtin_matroid, builtin_matroid_names
 from pavingideals.polyfiles import render_polynomials
 from pavingideals.realizations import Realization, in_realization_space
-from pavingideals.samplers import sample_collinear_points, sample_family, search_realization
+from pavingideals.samplers import (
+    ResamplingExhausted,
+    constructible_order,
+    sample_collinear_points,
+    sample_family,
+    sample_realization,
+)
 from pavingideals.verify import evaluate_poly
 
 
@@ -37,19 +45,43 @@ def test_matroid_rank_agrees_with_sampled_vector_rank():
             assert m.rank_of(s) == matrix_rank([r.vectors[p] for p in s])
 
 
-def test_search_realization_finds_quadrilateral():
-    m = builtin_matroid("qs")
-    found = search_realization(m, seed=2)
-    assert found is not None
-    assert in_realization_space(found.vectors, m)
+SAMPLED = builtin_matroid_names() + ("grid3x5", "grid3x6", "grid4x6", "uniform(3,8)", "uniform(4,8)")
 
 
-def test_search_realization_has_no_guarantee():
-    # Degree-3 points generally need algebraic constructions; the search may
-    # return None, and whatever it returns must be exact.
-    result = search_realization(builtin_matroid("paving4_9"), seed=2, attempts=30)
-    if result is not None:
-        assert in_realization_space(result.vectors, result.matroid)
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sample_realization_certifies(name):
+    m = builtin_matroid(name)
+    assert constructible_order(m) is not None
+    for seed in (0, 1, 2):
+        found = sample_realization(m, seed)
+        assert found is not None
+        assert in_realization_space(found.vectors, m)
+
+
+# Pappus: A1 A2 A3 = 1 2 3 and B1 B2 B3 = 4 5 6 on two lines; 7, 8, 9 are
+# the cross joins A_iB_j ∩ A_jB_i, collinear by Pappus's theorem.
+PAPPUS_LINES = [
+    [1, 2, 3], [4, 5, 6], [1, 5, 7], [2, 4, 7], [1, 6, 8],
+    [3, 4, 8], [2, 6, 9], [3, 5, 9], [7, 8, 9],
+]
+
+
+def test_pappus_has_no_constructible_order():
+    # Every point lies on three lines of three points, so peeling stops at
+    # once instead of searching the 9! orders.
+    pappus = PavingMatroid.validate(PAPPUS_LINES, 3, 9)
+    assert constructible_order(pappus) is None
+    with pytest.raises(ResamplingExhausted, match="no constructible order"):
+        sample_realization(pappus, 0)
+
+
+def test_forced_points_that_never_certify_exhaust_resampling():
+    # Without the line 7 8 9 the order exists, but Pappus's theorem puts
+    # 7, 8, 9 on a line in every placement.
+    non_pappus = PavingMatroid.validate(PAPPUS_LINES[:-1], 3, 9)
+    assert constructible_order(non_pappus) is not None
+    with pytest.raises(ResamplingExhausted, match="after 64 tries"):
+        sample_realization(non_pappus, 0)
 
 
 def test_regular_flattened_configurations_satisfy_graph_subideal():

@@ -196,3 +196,12 @@ def test_bracket_polynomial_normalizes_sign():
     assert BracketPolynomial.bracket((3, 1, 2)) == BracketPolynomial.bracket((1, 2, 3))
     assert BracketPolynomial.bracket((2, 1, 3)) == -BracketPolynomial.bracket((1, 2, 3))
     assert BracketPolynomial.bracket((1, 1, 2)).is_zero()
+
+
+def test_bracket_support_is_the_set_of_brackets():
+    product = BracketPolynomial.bracket((1, 2, 3)) * BracketPolynomial.bracket((1, 2, 4))
+    assert product.support() == {(1, 2, 3), (1, 2, 4)}
+    assert (product * BracketPolynomial.bracket((3, 2, 1))).support() == {(1, 2, 3), (1, 2, 4)}
+    assert BracketPolynomial.bracket((2, 1)).support() == {(1, 2)}
+    assert (BracketPolynomial.bracket((1, "q")) + 1).support() == {(1, "q")}
+    assert BracketPolynomial().support() == set()
