@@ -24,7 +24,7 @@ from .generators import (
     rnc_polynomial_brackets,
 )
 from .lifting import Hyperplane, lift, lifting_number, project, regular_hyperplanes
-from .matroids import PavingMatroid, Submatroid, builtin_matroid
+from .matroids import PavingMatroid, builtin_matroid
 from .poly import Polynomial
 from .realizations import Realization, in_circuit_variety, in_realization_space
 from .samplers import sample_family, sample_realization
@@ -40,7 +40,6 @@ __all__ = [
     "PavingMatroid",
     "Polynomial",
     "Realization",
-    "Submatroid",
     "builtin_graph_data",
     "builtin_matroid",
     "circuit_polynomials",

@@ -102,13 +102,13 @@ def _generate_lifting(matroid, extras: list[ExtraVector], budget: int) -> list[L
     return [p for sub in subs for q in extras for p in lifting_polynomials(sub, q)]
 
 
-def _builtin_graph_data(matroid) -> GraphData:
-    name = matroid.name or ""
-    if name in builtin_graph_data_names():
+def _builtin_graph_data(matroid) -> GraphData | None:
+    """The worked-example data when ``matroid`` is that builtin matroid itself;
+    a file matroid that only borrows a builtin name gets none."""
+    name = matroid.name
+    if name in builtin_graph_data_names() and builtin_matroid(name) == matroid:
         return builtin_graph_data(name)
-    raise MatroidError(
-        f"no worked-example graph data for {name!r}; pass --graph-data"
-    )
+    return None
 
 
 def _generate_graph(data: GraphData) -> list[LabeledPolynomial]:
@@ -146,17 +146,21 @@ def cmd_generate(args) -> int:
         except HypothesisViolation as exc:
             print(f"invalid graph data: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-    try:
-        items: list[LabeledPolynomial] = []
-        if args.which in ("circuits", "all"):
-            items.extend(circuit_polynomials(matroid))
-        if args.which in ("lifting", "all"):
-            items.extend(_generate_lifting(matroid, extras, args.budget_minor))
-        if graph:
-            items.extend(_generate_graph(data or _builtin_graph_data(matroid)))
-    except MatroidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    elif graph:
+        data = _builtin_graph_data(matroid)
+        if data is None:
+            missing = f"no worked-example graph data for --matroid {args.matroid!r}"
+            if args.which == "graph":
+                print(f"error: {missing}; pass --graph-data", file=sys.stderr)
+                return EXIT_VALIDATION
+            print(f"note: {missing}; graph polynomials skipped", file=sys.stderr)
+    items: list[LabeledPolynomial] = []
+    if args.which in ("circuits", "all"):
+        items.extend(circuit_polynomials(matroid))
+    if args.which in ("lifting", "all"):
+        items.extend(_generate_lifting(matroid, extras, args.budget_minor))
+    if data is not None:
+        items.extend(_generate_graph(data))
     _write_out(render_polynomials(items), args.out)
     return EXIT_OK
 

@@ -9,7 +9,7 @@ forms are all read off that matrix.
 Circuit polynomials are the maximal minors of the generic coordinate matrix
 on the columns of a size-n circuit, i.e. single brackets.  Lifting
 polynomials are the (|N|-n+1)-minors of the liftability matrix of a
-full-rank submatroid N: the bracket matrix on its size-n circuits.  Graph
+full-rank restriction N: the bracket matrix on its size-n circuits.  Graph
 polynomials come from collections of circuits threaded through a set of
 points outside the closure of an anchor set J: the signed sum over disjoint
 cycle collections of a dependency digraph, which equals the determinant of
@@ -33,7 +33,7 @@ from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .brackets import BracketPolynomial, Label, evaluator, expander, meet_then_join, symbolic_column
-from .matroids import NotFullRank, PavingMatroid, Submatroid, builtin_matroid, grid_point, is_point_list
+from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
 from .poly import Polynomial
 from .polymatrix import MinorEngine, PolyMatrix
 from .scalars import Scalar, as_scalar, format_rational, normalize_scalar
@@ -193,7 +193,7 @@ def _liftability_brackets(matroid, label: Label, dim: int) -> PolyMatrix:
 
 
 def liftability_matrix(
-    matroid: PavingMatroid | Submatroid, q: ExtraVector, ambient: int | None = None
+    matroid: PavingMatroid, q: ExtraVector, ambient: int | None = None
 ) -> PolyMatrix:
     """Rows: circuits of size = ambient dimension (sorted); columns: points.
 
@@ -208,7 +208,7 @@ def liftability_matrix(
 
 
 def liftability_matrix_at(
-    matroid: PavingMatroid | Submatroid,
+    matroid: PavingMatroid,
     vectors: Mapping[int, Sequence[Scalar]],
     q: Sequence[Scalar],
 ) -> list[list[Scalar]]:
@@ -222,17 +222,16 @@ def liftability_matrix_at(
 
 
 def lifting_polynomials(
-    submatroid: Submatroid | PavingMatroid,
+    submatroid: PavingMatroid,
     q: ExtraVector,
     minor_size: int | None = None,
 ) -> list[LabeledPolynomial]:
-    """All (|N|-n+1)-minors of the liftability matrix of a full-rank N.
+    """All (|N|-n+1)-minors of the liftability matrix of N.
 
-    Columns are restricted to N's points.  A nonpositive minor size, or one
-    exceeding either matrix dimension, yields no polynomials.
+    N is a paving matroid, typically a restriction of a larger one, so the
+    columns are N's points.  A nonpositive minor size, or one exceeding
+    either matrix dimension, yields no polynomials.
     """
-    if isinstance(submatroid, Submatroid) and not submatroid.is_full_rank():
-        raise NotFullRank(f"submatroid on {submatroid.points} is not full rank")
     n = submatroid.rank
     tag = f"N={list(submatroid.points)}"
     size = len(submatroid.points) - n + 1 if minor_size is None else minor_size
@@ -751,10 +750,10 @@ def rnc_polynomial(curve_degree: int, hexagon: Sequence[int]) -> Polynomial:
 
 
 def builtin_graph_data(name: str) -> GraphData:
-    """The worked-example instances, keyed by matroid name."""
-    key = name.strip().lower()
-    if key in ("qs", "quadrilateral"):
-        m = builtin_matroid("qs")
+    """The worked-example instances, keyed by canonical builtin matroid name."""
+    m = builtin_matroid(name)
+    key = m.name
+    if key == "qs":
         return GraphData(
             m,
             frozenset({1, 5, 6}),
@@ -763,7 +762,6 @@ def builtin_graph_data(name: str) -> GraphData:
             tuple(ExtraVector.symbolic(f"q{i}") for i in (1, 2, 3)),
         )
     if key == "pascal":
-        m = builtin_matroid("pascal")
         return GraphData(
             m,
             frozenset({7, 8, 9}),
@@ -771,8 +769,7 @@ def builtin_graph_data(name: str) -> GraphData:
             ((1, 6, 9), (5, 6, 8), (4, 5, 7), (3, 4, 9), (2, 3, 8), (1, 2, 7)),
             tuple(ExtraVector.symbolic(f"q{i}") for i in range(1, 7)),
         )
-    if key in ("fig2c", "fig2_center"):
-        m = builtin_matroid("fig2c")
+    if key == "fig2c":
         return GraphData(
             m,
             frozenset({6, 7, 8}),
@@ -780,8 +777,7 @@ def builtin_graph_data(name: str) -> GraphData:
             ((1, 2, 3), (2, 5, 7), (3, 4, 7), (1, 4, 8), (1, 5, 6)),
             tuple(ExtraVector.symbolic(q) for q in ("q1", "q2", "q4", "q5", "q3")),
         )
-    if key in ("fig2r", "fig2_right"):
-        m = builtin_matroid("fig2r")
+    if key == "fig2r":
         return GraphData(
             m,
             frozenset({5, 6, 7}),
@@ -789,8 +785,7 @@ def builtin_graph_data(name: str) -> GraphData:
             ((1, 3, 6), (1, 2, 5), (2, 3, 4), (1, 4, 7)),
             tuple(ExtraVector.symbolic(f"q{i}") for i in range(1, 5)),
         )
-    if key in ("concurrent3", "concurrent_lines"):
-        m = builtin_matroid("concurrent3")
+    if key == "concurrent3":
         return GraphData(
             m,
             frozenset({7}),
@@ -799,7 +794,6 @@ def builtin_graph_data(name: str) -> GraphData:
             (ExtraVector.symbolic("qa"), ExtraVector.symbolic("qb")),
         )
     if key == "grid3x4":
-        m = builtin_matroid("grid3x4")
         k = 4
         anchor = frozenset(grid_point(i, 4, k) for i in (1, 2, 3))
         pairs = []
@@ -823,7 +817,6 @@ def builtin_graph_data(name: str) -> GraphData:
             tuple(ExtraVector.symbolic(q) for _, _, q in pairs),
         )
     if key == "paving4_9":
-        m = builtin_matroid("paving4_9")
         return GraphData(
             m,
             frozenset({6, 7, 8, 9}),

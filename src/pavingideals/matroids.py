@@ -8,8 +8,10 @@ points, which makes validation a cheap pairwise check.
 
 Hyperplanes, not circuits, are the input format everywhere (JSON, CLI,
 builders); circuits, ranks and closures are derived.  Ground sets are sets
-of positive integer ids; top-level matroids use 1..d, submatroids keep the
+of positive integer ids; top-level matroids use 1..d, restrictions keep the
 parent's ids so that derived polynomials stay in the parent's variables.
+Every matroid has full rank: a hyperplane equal to the ground set is
+rejected, and it is the only way a hyperplane family could fall below rank n.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class GroundSetTooSmall(MatroidError):
 
 
 class UnknownPoint(MatroidError):
-    pass
-
-
-class TooFewHyperplanes(MatroidError):
     pass
 
 
@@ -105,6 +103,10 @@ class PavingMatroid:
                 raise UnknownPoint(f"hyperplane {tuple(sorted(hp))} leaves the ground set")
             if len(hp) < rank:
                 raise HyperplaneTooSmall(hp, rank)
+            if len(hp) == len(points):
+                raise NotFullRank(
+                    f"hyperplane {tuple(sorted(hp))} is the whole ground set, so the rank is below {rank}"
+                )
             hps.append(hp)
         hps.sort(key=lambda h: tuple(sorted(h)))
         for h1, h2 in combinations(hps, 2):
@@ -196,43 +198,35 @@ class PavingMatroid:
                 if self.closure(s) == s and len(s) < len(self.points):
                     yield s
 
-    # -- submatroids ---------------------------------------------------------
+    # -- restrictions ----------------------------------------------------------
 
-    def restrict(self, subset: Iterable[int]) -> "Submatroid":
+    def restrict(self, subset: Iterable[int]) -> "PavingMatroid":
+        """The restriction to ``subset``, on the same point ids and unnamed.
+
+        Its hyperplanes are the parent's cut down to the subset, kept while
+        they hold at least n points; a subset of rank below n is rejected.
+        """
         s = self._check_points(subset)
-        return Submatroid.of(self, s)
+        return PavingMatroid.validate(
+            [h & s for h in self.hyperplanes if len(h & s) >= self.rank], self.rank, s
+        )
 
-    def submatroid_of_hyperplanes(self, hyperplanes: Iterable[Iterable[int]]) -> "Submatroid":
-        chosen = [frozenset(h) for h in hyperplanes]
-        if len(chosen) < 2:
-            raise TooFewHyperplanes("need at least two hyperplanes")
-        own = set(self.hyperplanes)
-        for h in chosen:
-            if h not in own:
-                raise MatroidError(f"{tuple(sorted(h))} is not a hyperplane of this matroid")
-        points: set[int] = set()
-        for h in chosen:
-            points |= h
-        return Submatroid.of(self, frozenset(points))
+    def full_rank_submatroids(self) -> Iterator["PavingMatroid"]:
+        """Restrictions to unions of >= 2 hyperplanes, and the whole matroid,
+        deduplicated by point set: where liftability minors live.
 
-    def full_rank_submatroids(self) -> Iterator["Submatroid"]:
-        """Full-rank submatroids, deduplicated by point set.
-
-        Enumerates unions of >= 2 hyperplanes plus the whole matroid, which
-        is where liftability minors live.
+        Each has full rank: a union of two distinct hyperplanes would lie in
+        a third only if it shared n points with each of them.
         """
         seen: set[frozenset[int]] = set()
         for count in range(2, len(self.hyperplanes) + 1):
             for chosen in combinations(self.hyperplanes, count):
                 points = frozenset().union(*chosen)
-                if points in seen:
-                    continue
-                seen.add(points)
-                sub = self.restrict(points)
-                if sub.rank_in_parent == self.rank:
-                    yield sub
+                if points not in seen:
+                    seen.add(points)
+                    yield self.restrict(points)
         whole = frozenset(self.points)
-        if whole not in seen and self.rank_of(whole) == self.rank:
+        if whole not in seen:
             yield self.restrict(whole)
 
     # -- liftability count --------------------------------------------------
@@ -282,71 +276,6 @@ class PavingMatroid:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class Submatroid:
-    """Restriction of a paving matroid to a point subset.
-
-    Dependent sets are the parent's dependent sets inside the subset; the
-    derived hyperplanes are the parent restrictions that keep at least n
-    points.  A full-rank submatroid is itself a paving matroid over the
-    original point ids (``as_paving``).
-    """
-
-    parent: PavingMatroid
-    points: tuple[int, ...]
-    hyperplanes: tuple[frozenset[int], ...]
-
-    @staticmethod
-    def of(parent: PavingMatroid, subset: frozenset[int]) -> "Submatroid":
-        restricted = []
-        for h in parent.hyperplanes:
-            cut = h & subset
-            if len(cut) >= parent.rank:
-                restricted.append(cut)
-        restricted.sort(key=lambda h: tuple(sorted(h)))
-        return Submatroid(parent, tuple(sorted(subset)), tuple(restricted))
-
-    @property
-    def rank(self) -> int:
-        return self.parent.rank
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def rank_in_parent(self) -> int:
-        return self.parent.rank_of(self.points)
-
-    def is_full_rank(self) -> bool:
-        return self.rank_in_parent == self.parent.rank
-
-    def as_paving(self) -> PavingMatroid:
-        if not self.is_full_rank():
-            raise NotFullRank(
-                f"submatroid on {self.points} has rank {self.rank_in_parent} < {self.parent.rank}"
-            )
-        return PavingMatroid(self.parent.rank, self.points, self.hyperplanes)
-
-    def circuits_n(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for h in self.hyperplanes:
-            out.extend(combinations(sorted(h), self.parent.rank))
-        return tuple(sorted(set(out)))
-
-    def circuits_of_size(self, size: int) -> tuple[tuple[int, ...], ...]:
-        if size == self.parent.rank:
-            return self.circuits_n()
-        return ()
-
-    def closure(self, subset: Iterable[int]) -> frozenset[int]:
-        return self.parent.closure(subset) & frozenset(self.points)
-
-    def is_closed(self, subset: Iterable[int]) -> bool:
-        s = frozenset(subset)
-        return self.closure(s) == s
 
 
 @lru_cache(maxsize=256)

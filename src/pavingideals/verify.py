@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .brackets import BracketPolynomial
 from .generators import LabeledPolynomial
@@ -98,27 +99,26 @@ def _extra_assignment(extra: Mapping[str, Sequence[Scalar]]) -> dict[Variable, S
 
 def _point_residual(
     poly: Polynomial, points: Mapping[Variable, Scalar]
-) -> tuple[Polynomial | None, set[Variable]]:
-    """``poly`` with the point coordinates substituted, and its extra variables.
+) -> tuple[tuple[str, ...], Callable[[Mapping[str, Sequence[Scalar]]], Scalar]]:
+    """The extra-vector names of ``poly`` and its value at an assignment of them.
 
-    The residual is None when the realization leaves a matrix entry of the
-    support unbound: the substitution could cancel the terms that name it,
-    and the UnboundVariable of a full evaluation must still list it.
+    The point coordinates are substituted once; each assignment then
+    evaluates only the residual in the extra variables.  Variables that
+    neither the points nor the assignment bind raise UnboundVariable first,
+    so a substitution that cancels their terms cannot hide them.
     """
     support = poly.support()
-    extras = {v for v in support if v.kind == KIND_EXTRA}
-    if any(v not in points for v in support - extras):
-        return None, extras
-    return poly.evaluate_partial(points), extras
+    open_vars = sorted(v for v in support if v not in points)
+    residual = poly.evaluate_partial(points)
 
-
-def _evaluate(poly, residual, extras, realization: Realization, extra) -> Scalar:
-    """The residual's value when ``extra`` binds all of ``extras``, else a full evaluation."""
-    if residual is not None:
+    def value(extra: Mapping[str, Sequence[Scalar]]) -> Scalar:
         values = _extra_assignment(extra)
-        if extras <= values.keys():
-            return residual.evaluate(values)
-    return evaluate_poly(poly, realization, extra)
+        unbound = [v for v in open_vars if v not in values]
+        if unbound:
+            raise UnboundVariable(unbound)
+        return residual.evaluate(values)
+
+    return tuple(sorted({v.column for v in support if v.kind == KIND_EXTRA})), value
 
 
 def verify_vanishing(
@@ -144,12 +144,9 @@ def verify_vanishing(
     for labeled in polynomials:
         poly = labeled.polynomial
         if isinstance(poly, BracketPolynomial):
-            names, residual, extras = extra_names(poly), None, set()
+            names, value_at = extra_names(poly), partial(evaluate_poly, poly, realization)
         else:
-            # Substitute the points once; each assignment then evaluates
-            # only the residual in the extra variables.
-            residual, extras = _point_residual(poly, points)
-            names = tuple(sorted({v.column for v in extras}))
+            names, value_at = _point_residual(poly, points)
         if sweep:
             assigns: Sequence[Mapping[str, Sequence[Scalar]]] = canonical_basis_sweep(names, dim)
         elif extra_assignments is not None:
@@ -158,7 +155,7 @@ def verify_vanishing(
             assigns = [{}]
         for extra in assigns:
             key = tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names))
-            value = _evaluate(poly, residual, extras, realization, extra)
+            value = value_at(extra)
             passed = (value == 0) if expect == "zero" else (value != 0)
             checks.append(VanishingCheck(labeled.label, key, value, passed))
     return VanishingReport(tuple(checks), expect)

@@ -572,6 +572,62 @@ def test_sample_embeds_a_file_matroid_that_borrows_a_builtin_name(tmp_path, caps
     assert in_realization_space(r.vectors, r.matroid)
 
 
+def test_generate_ignores_graph_data_of_a_borrowed_builtin_name(tmp_path, capsys):
+    # The quadrilateral's graph polynomial does not vanish on this matroid.
+    matroid = tmp_path / "impostor.json"
+    matroid.write_text(json.dumps(dict(CONSTRUCTIBLE_MATROID, name="qs")))
+    real = tmp_path / "real.json"
+    assert run_cli(capsys, "sample", "--matroid", str(matroid), "--out", str(real))[0] == 0
+    polys = tmp_path / "polys.txt"
+    code, _, err = run_cli(capsys, "generate", "--matroid", str(matroid), "--out", str(polys))
+    assert code == 0
+    assert err.startswith("note: ") and "skipped" in err
+    labels = [p.label for p in parse_polynomials(polys.read_text())]
+    assert labels and not any(label.startswith("graph") for label in labels)
+    code, out, _ = run_cli(
+        capsys, "verify", "--polys", str(polys), "--realization", str(real), "--q", "canonical"
+    )
+    assert code == 0
+    assert '"pass": false' not in out
+
+
+@pytest.mark.parametrize("spec", ["grid3x3", "file"])
+def test_generate_all_without_graph_data_skips_the_graph_family(tmp_path, capsys, spec):
+    if spec == "file":
+        spec = str(tmp_path / "m9.json")
+        Path(spec).write_text(json.dumps(CONSTRUCTIBLE_MATROID))
+    polys = tmp_path / "polys.txt"
+    code, _, err = run_cli(capsys, "generate", "--matroid", spec, "--out", str(polys))
+    assert code == 0
+    assert err.count("\n") == 1 and err.startswith("note: ") and "graph" in err
+    expected = []
+    for which in ("circuits", "lifting"):
+        code, out, _ = run_cli(capsys, "generate", "--matroid", spec, "--which", which)
+        assert code == 0
+        expected += parse_polynomials(out)
+    assert expected
+    assert parse_polynomials(polys.read_text()) == expected
+    code, out, err = run_cli(capsys, "generate", "--matroid", spec, "--which", "graph")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and repr(spec) in err
+    assert "Traceback" not in err
+
+
+ALL_COLLINEAR = {"rank": 3, "ground_set": 4, "hyperplanes": [[1, 2, 3, 4]]}
+
+
+@pytest.mark.parametrize("command", ["validate", "sample", "generate"])
+def test_all_collinear_matroid_is_not_full_rank(tmp_path, command):
+    matroid = tmp_path / "collinear.json"
+    matroid.write_text(json.dumps(ALL_COLLINEAR))
+    proc = run_fresh("-m", "pavingideals.cli", command, "--matroid", str(matroid))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "whole ground set" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 PAPPUS = {
     "rank": 3, "ground_set": 9,
     "hyperplanes": [

@@ -100,10 +100,7 @@ def test_regular_flattened_configurations_satisfy_graph_subideal():
         extra = ExtraVector.concrete(center)
         for count in (2, 3, 4):
             for lines in combinations(qs.hyperplanes, count):
-                sub = qs.submatroid_of_hyperplanes(list(lines))
-                if not sub.is_full_rank():
-                    continue
-                n_sub = sub.as_paving()
+                n_sub = qs.restrict(frozenset().union(*lines))
                 for anchor_size in range(0, 3):
                     for anchor_pick in combinations(n_sub.points, anchor_size):
                         anchor = frozenset(anchor_pick)

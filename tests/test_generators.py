@@ -179,13 +179,13 @@ def test_qs_maximal_minors_count():
 
 
 def test_undersized_minor_requests_yield_nothing():
-    two_lines = QS.submatroid_of_hyperplanes(list(QS.hyperplanes[:2]))
+    two_lines = QS.restrict(QS.hyperplanes[0] | QS.hyperplanes[1])
     # |N| = 5 points, two circuits: 3x3 minors need 3 rows but only 2 exist.
     assert lifting_polynomials(two_lines, Q_SYM) == []
 
 
 def test_lifting_polynomials_respect_submatroid_columns():
-    sub = QS.submatroid_of_hyperplanes([QS.hyperplanes[0], QS.hyperplanes[3]])
+    sub = QS.restrict(QS.hyperplanes[0] | QS.hyperplanes[3])
     polys = lifting_polynomials(sub, Q_SYM)
     cols = set(sub.points)
     for labeled in polys:

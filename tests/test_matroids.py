@@ -13,8 +13,8 @@ from pavingideals.matroids import (
     GroundSetTooSmall,
     IntersectionTooLarge,
     MatroidError,
+    NotFullRank,
     PavingMatroid,
-    TooFewHyperplanes,
     UnknownPoint,
     builtin_matroid,
     builtin_matroid_names,
@@ -151,41 +151,54 @@ def test_degrees():
     assert QS.max_degree() == 2
 
 
-# -- submatroids --------------------------------------------------------------
+# -- restrictions -------------------------------------------------------------
 
 
 def test_submatroid_of_all_lines_is_whole_qs():
-    sub = QS.submatroid_of_hyperplanes(QS.hyperplanes)
+    sub = QS.restrict(frozenset().union(*QS.hyperplanes))
     assert sub.points == QS.points
     assert sub.hyperplanes == QS.hyperplanes
 
 
 def test_two_lines_of_concurrent():
     m = builtin_matroid("concurrent3")
-    sub = m.submatroid_of_hyperplanes([frozenset({1, 2, 7}), frozenset({3, 4, 7})])
+    sub = m.restrict({1, 2, 7} | {3, 4, 7})
     assert sub.points == (1, 2, 3, 4, 7)
     assert len(sub.hyperplanes) == 2
-    assert sub.is_full_rank()
+    assert m.rank_of(sub.points) == m.rank
+    assert sub.name is None
 
 
 def test_restrict_to_line_is_not_full_rank():
-    sub = QS.restrict({1, 2, 3})
-    assert sub.rank_in_parent == 2
-    assert not sub.is_full_rank()
+    # A row of grid3x4 has four points, enough for rank 3, but rank 2.
+    grid = grid_matroid(3, 4)
+    assert grid.rank_of({1, 2, 3, 4}) == 2
+    with pytest.raises(NotFullRank):
+        grid.restrict({1, 2, 3, 4})
 
 
-def test_too_few_hyperplanes():
-    with pytest.raises(TooFewHyperplanes):
-        QS.submatroid_of_hyperplanes([frozenset({1, 2, 3})])
+def test_restrict_of_qs_line_is_rejected():
+    for line in QS.hyperplanes:
+        assert QS.rank_of(line) == 2
+        with pytest.raises(MatroidError):
+            QS.restrict(line)
 
 
 def test_full_rank_submatroids_revalidate():
     for name in ("qs", "pascal", "fig2r", "grid3x4", "paving4_9"):
         m = builtin_matroid(name)
         for sub in m.full_rank_submatroids():
-            paving = sub.as_paving()
-            again = PavingMatroid.validate(paving.hyperplanes, paving.rank, paving.points)
-            assert again.hyperplanes == paving.hyperplanes
+            assert isinstance(sub, PavingMatroid)
+            assert m.rank_of(sub.points) == m.rank
+            again = PavingMatroid.validate(sub.hyperplanes, sub.rank, sub.points)
+            assert again.hyperplanes == sub.hyperplanes
+
+
+def test_hyperplane_equal_to_ground_set_is_not_full_rank():
+    with pytest.raises(NotFullRank):
+        PavingMatroid.validate([[1, 2, 3, 4]], 3, 4)
+    with pytest.raises(NotFullRank):
+        PavingMatroid.validate([[1, 2, 3, 4, 5]], 4, 5)
 
 
 def test_submatroid_dependencies_match_parent():
