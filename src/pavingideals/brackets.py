@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
 from .poly import Polynomial, _split_terms
-from .polymatrix import PolyMatrix, determinant
+from .polymatrix import MinorEngine
 from .scalars import Scalar, format_rational, parse_rational
 from .variables import entry_var, extra_var
 
@@ -36,6 +36,10 @@ BracketMonomial = tuple[BracketKey, ...]
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class UnboundLabel(ValueError):
+    """Evaluation hit a bracket label with no vector."""
 
 
 def perm_sign_of_merge(seq: Sequence) -> int:
@@ -198,7 +202,7 @@ def expander(
                 )
             cols = [column(label) for label in key]
             rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-            got = determinant(PolyMatrix.from_rows(rows))
+            got = MinorEngine(rows).determinant()
             cache[key] = got
         return got
 
@@ -221,7 +225,11 @@ def evaluator(vectors: Mapping[Label, Sequence[Scalar]]) -> Callable[[BracketPol
     def bracket_value(key: BracketKey) -> Scalar:
         got = cache.get(key)
         if got is None:
-            cols = [vectors[label] for label in key]
+            try:
+                cols = [vectors[label] for label in key]
+            except KeyError as exc:
+                text = " ".join(map(str, key))
+                raise UnboundLabel(f"bracket <{text}> has no vector for label {exc.args[0]}") from None
             lengths = set(map(len, cols))
             if lengths != {len(key)}:
                 raise DimensionMismatch(f"bracket {key} on vectors of length {sorted(lengths)}")

@@ -35,12 +35,20 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .brackets import BracketPolynomial, Label, evaluator, expander, meet_then_join, symbolic_column
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
 from .poly import Polynomial
-from .polymatrix import MinorEngine, PolyMatrix
+from .polymatrix import MinorEngine
 from .scalars import Scalar, as_scalar, format_rational, normalize_scalar
+from .variables import is_extra_id
+
+BracketRows = list[list[BracketPolynomial]]
 
 # Graph polynomials are written in coordinates while the expansion estimate
 # factorial(rank)**k stays at or below this bound, in bracket form above it.
 EXPAND_LIMIT = 5000
+# Cycle-route budgets: threaded points in coordinate and in bracket form,
+# and disjoint cycle collections of one dependency digraph.
+CYCLE_MAX_POINTS = 8
+CYCLE_MAX_POINTS_BRACKETS = 12
+CYCLE_MAX_COLLECTIONS = 100_000
 
 
 class HypothesisViolation(ValueError):
@@ -106,7 +114,7 @@ class ExtraVector:
     def from_json_dict(data: dict) -> "ExtraVector":
         """``{"symbolic": name}`` or ``{"concrete": [rationals]}``."""
         if isinstance(data, dict) and len(data) == 1:
-            if isinstance(data.get("symbolic"), str) and data["symbolic"].isidentifier():
+            if isinstance(data.get("symbolic"), str) and is_extra_id(data["symbolic"]):
                 return ExtraVector.symbolic(data["symbolic"])
             if isinstance(data.get("concrete"), list):
                 return ExtraVector.concrete(data["concrete"])
@@ -121,9 +129,7 @@ def bracket(labels: Sequence[Label], dim: int) -> Polynomial:
 # -- the signed-bracket matrix ------------------------------------------------
 
 
-def bracket_matrix(
-    rows: Iterable[tuple[Sequence[int], Label]], columns: Sequence[int], row_labels: Sequence
-) -> PolyMatrix:
+def bracket_matrix(rows: Iterable[tuple[Sequence[int], Label]], columns: Sequence[int]) -> BracketRows:
     """One row per (circuit, extra-vector label), one column per point.
 
     The circuit is listed ascending; the entry at its i-th point (from 0) is
@@ -139,8 +145,8 @@ def bracket_matrix(
             p: BracketPolynomial({(circuit[:i] + circuit[i + 1 :] + (label,),): (-1) ** i})
             for i, p in enumerate(circuit)
         }
-        entries.append(tuple(signed.get(p, zero) for p in columns))
-    return PolyMatrix(tuple(row_labels), tuple(columns), tuple(entries))
+        entries.append([signed.get(p, zero) for p in columns])
+    return entries
 
 
 def _coordinates(extras: Iterable[ExtraVector], dim: int):
@@ -154,17 +160,10 @@ def _coordinates(extras: Iterable[ExtraVector], dim: int):
     return expander(dim, column)
 
 
-def _in_coordinates(matrix: PolyMatrix, extras: Iterable[ExtraVector], dim: int) -> PolyMatrix:
-    """Expand every entry of a bracket matrix into coordinates."""
-    expand = _coordinates(extras, dim)
-    rows = tuple(tuple(expand(e) for e in row) for row in matrix.entries)
-    return PolyMatrix(matrix.row_labels, matrix.col_labels, rows)
-
-
-def _at(matrix: PolyMatrix, vectors: Mapping[Label, Sequence[Scalar]]) -> list[list[Scalar]]:
+def _at(matrix: BracketRows, vectors: Mapping[Label, Sequence[Scalar]]) -> list[list[Scalar]]:
     """Evaluate every entry at concrete vectors."""
     value = evaluator(vectors)
-    return [[value(e) for e in row] for row in matrix.entries]
+    return [[value(e) for e in row] for row in matrix]
 
 
 # -- circuit polynomials ----------------------------------------------------
@@ -187,14 +186,14 @@ def circuit_polynomials(matroid: PavingMatroid) -> list[LabeledPolynomial]:
 # -- liftability matrices ----------------------------------------------------
 
 
-def _liftability_brackets(matroid, label: Label, dim: int) -> PolyMatrix:
+def _liftability_brackets(matroid, label: Label, dim: int) -> BracketRows:
     circuits = matroid.circuits_of_size(dim)
-    return bracket_matrix(((c, label) for c in circuits), matroid.points, circuits)
+    return bracket_matrix(((c, label) for c in circuits), matroid.points)
 
 
 def liftability_matrix(
     matroid: PavingMatroid, q: ExtraVector, ambient: int | None = None
-) -> PolyMatrix:
+) -> list[list[Polynomial]]:
     """Rows: circuits of size = ambient dimension (sorted); columns: points.
 
     For a rank-n paving matroid with ambient n these are the size-n
@@ -204,7 +203,8 @@ def liftability_matrix(
     dim = ambient if ambient is not None else matroid.rank
     if q.coords is not None and len(q.coords) != dim:
         raise ValueError("extra vector dimension disagrees with the ambient dimension")
-    return _in_coordinates(_liftability_brackets(matroid, q.label(), dim), [q], dim)
+    expand = _coordinates([q], dim)
+    return [[expand(e) for e in row] for row in _liftability_brackets(matroid, q.label(), dim)]
 
 
 def liftability_matrix_at(
@@ -221,33 +221,27 @@ def liftability_matrix_at(
     return _at(matrix, {**vectors, extra.label(): extra.coords})
 
 
-def lifting_polynomials(
-    submatroid: PavingMatroid,
-    q: ExtraVector,
-    minor_size: int | None = None,
-) -> list[LabeledPolynomial]:
+def lifting_polynomials(submatroid: PavingMatroid, q: ExtraVector) -> list[LabeledPolynomial]:
     """All (|N|-n+1)-minors of the liftability matrix of N.
 
-    N is a paving matroid, typically a restriction of a larger one, so the
-    columns are N's points.  A nonpositive minor size, or one exceeding
-    either matrix dimension, yields no polynomials.
+    N is a paving matroid, typically a restriction of a larger one.  The
+    matrix rows are N's size-n circuits and its columns are N's points.
+    With fewer circuits than the minor size there are no polynomials.
     """
-    n = submatroid.rank
-    tag = f"N={list(submatroid.points)}"
-    size = len(submatroid.points) - n + 1 if minor_size is None else minor_size
-    matrix = liftability_matrix(submatroid, q, ambient=n)
-    if size <= 0 or size > matrix.n_rows or size > matrix.n_cols:
+    circuits = submatroid.circuits_n()
+    points = submatroid.points
+    tag = f"N={list(points)}"
+    size = len(points) - submatroid.rank + 1
+    if size > len(circuits):
         return []
-    engine = MinorEngine(matrix)
+    engine = MinorEngine(liftability_matrix(submatroid, q))
     out = []
-    for row_idx in combinations(range(matrix.n_rows), size):
-        for col_idx in combinations(range(matrix.n_cols), size):
+    for row_idx in combinations(range(len(circuits)), size):
+        for col_idx in combinations(range(len(points)), size):
             poly = engine.minor(row_idx, col_idx)
-            row_labels = [list(matrix.row_labels[i]) for i in row_idx]
-            col_labels = [matrix.col_labels[j] for j in col_idx]
-            label = (
-                f"lifting-minor {tag} rows={row_labels} cols={col_labels} q={q.label()}"
-            )
+            rows = [list(circuits[i]) for i in row_idx]
+            cols = [points[j] for j in col_idx]
+            label = f"lifting-minor {tag} rows={rows} cols={cols} q={q.label()}"
             out.append(LabeledPolynomial(label, poly))
     return out
 
@@ -377,13 +371,13 @@ class DependencyDigraph:
         cycles.sort()
         return cycles
 
-    def cycle_collections(self, max_collections: int = 100_000) -> list[tuple[tuple[int, ...], ...]]:
+    def cycle_collections(self) -> list[tuple[tuple[int, ...], ...]]:
         """Nonempty sets of pairwise vertex-disjoint cycles, sorted."""
         cycles = self.simple_cycles()
         out: list[tuple[tuple[int, ...], ...]] = []
 
         def extend(start: int, chosen: list[int], used: set[int]):
-            if len(out) > max_collections:
+            if len(out) > CYCLE_MAX_COLLECTIONS:
                 raise TooLarge("too many disjoint cycle collections")
             if chosen:
                 out.append(tuple(cycles[i] for i in chosen))
@@ -475,13 +469,11 @@ def cycle_identity_value(graph: DependencyDigraph) -> Scalar:
 # expansions, with a concrete extra vector expanded to its constant column.
 
 
-def _graph_brackets(data: GraphData) -> PolyMatrix:
+def _graph_brackets(data: GraphData) -> BracketRows:
     """k-by-k bracket matrix: row i from circuit c_i with its extra vector,
     columns the threaded points."""
     data.validate()
-    labels = [e.label() for e in data.extras]
-    row_labels = tuple((c, l, i) for i, (c, l) in enumerate(zip(data.circuits, labels)))
-    return bracket_matrix(zip(data.circuits, labels), data.points, row_labels)
+    return bracket_matrix(zip(data.circuits, (e.label() for e in data.extras)), data.points)
 
 
 def _in_graph_coordinates(data: GraphData, poly: BracketPolynomial) -> Polynomial:
@@ -505,12 +497,14 @@ def emitted_graph_polynomial(data: GraphData) -> Polynomial | BracketPolynomial:
     return graph_polynomial(data)
 
 
-def graph_polynomial_via_cycles(data: GraphData, max_points: int = 8) -> Polynomial:
+def graph_polynomial_via_cycles(data: GraphData) -> Polynomial:
     """Cycle route, expanded into coordinates.  Oracle for graph_polynomial."""
-    return _in_graph_coordinates(data, _cycle_route(data, _graph_brackets(data), False, max_points))
+    return _in_graph_coordinates(
+        data, _cycle_route(data, _graph_brackets(data), False, CYCLE_MAX_POINTS)
+    )
 
 
-def graph_matrix_brackets(data: GraphData) -> PolyMatrix:
+def graph_matrix_brackets(data: GraphData) -> BracketRows:
     """The circuit/point matrix with formal brackets as entries.
 
     Exact and tiny regardless of how large the coordinate expansion would
@@ -530,7 +524,7 @@ def graph_polynomial_brackets(data: GraphData) -> BracketPolynomial:
 
 
 def graph_polynomial_via_cycles_brackets(
-    data: GraphData, dedupe_denominators: bool = False, max_points: int = 12
+    data: GraphData, dedupe_denominators: bool = False
 ) -> BracketPolynomial:
     """Cycle route at the bracket level.
 
@@ -539,18 +533,20 @@ def graph_polynomial_via_cycles_brackets(
     polynomial form when parallel rows share a dependency denominator; a
     collection that would consume a shared denominator twice is rejected.
     """
-    return _cycle_route(data, graph_matrix_brackets(data), dedupe_denominators, max_points)
+    return _cycle_route(
+        data, graph_matrix_brackets(data), dedupe_denominators, CYCLE_MAX_POINTS_BRACKETS
+    )
 
 
 def _cycle_route(
-    data: GraphData, matrix: PolyMatrix, dedupe_denominators: bool, max_points: int
+    data: GraphData, matrix: BracketRows, dedupe_denominators: bool, budget: int
 ) -> BracketPolynomial:
     """Expand the cycle identity in the bracket quotients of the graph
     matrix and clear denominators with its diagonal brackets."""
-    if data.k > max_points:
-        raise TooLarge(f"cycle expansion budget is {max_points} points, got {data.k}")
+    if data.k > budget:
+        raise TooLarge(f"cycle expansion budget is {budget} points, got {data.k}")
     index = {p: i for i, p in enumerate(data.points)}
-    diag = [matrix.entry(i, i) for i in range(data.k)]
+    diag = [matrix[i][i] for i in range(data.k)]
     # Group rows whose diagonal brackets agree up to sign; each class is
     # cleared once, and a used row contributes its sign relative to the
     # class representative.
@@ -576,7 +572,7 @@ def _cycle_route(
         term = one if len(collection) % 2 == 0 else -one
         for cyc in collection:
             for a, b in cycle_edges(cyc):
-                entry = matrix.entry(index[a], index[b])
+                entry = matrix[index[a]][index[b]]
                 term = term * (-entry).scale(row_sign[index[a]])
         for d, members in class_list:
             hits = sum(1 for i in members if i in used_rows)
@@ -736,14 +732,6 @@ def rnc_polynomial_brackets(curve_degree: int, hexagon: Sequence[int]):
     for labels in seconds:
         term2 = term2 * BracketPolynomial.bracket(labels)
     return term1 - term2
-
-
-def rnc_polynomial(curve_degree: int, hexagon: Sequence[int]) -> Polynomial:
-    """Expanded form of the normal-curve bracket difference (degree 2 only;
-    higher degrees explode combinatorially — use the bracket form)."""
-    if curve_degree > 2:
-        raise TooLarge("expansion above curve degree 2 is impractical; use rnc_polynomial_brackets")
-    return rnc_polynomial_brackets(curve_degree, hexagon).expand(curve_degree + 1)
 
 
 # -- canonical worked-example data -------------------------------------------------

@@ -375,6 +375,9 @@ class UnboundVariable(KeyError):
         names = ", ".join(v.text() for v in self.variables)
         super().__init__(f"unbound variables: {names}")
 
+    def __str__(self) -> str:
+        return self.args[0]
+
 
 def _parse_factor(factor: str) -> tuple[Variable, int]:
     """``x[r,c]`` or ``x[r,c]^e`` as a (Variable, exponent) pair, e >= 1."""

@@ -40,10 +40,15 @@ def entry_var(row: int, point: int) -> Variable:
     return Variable(KIND_ENTRY, row, point)
 
 
+def is_extra_id(name: str) -> bool:
+    """An extra-vector name is an ASCII identifier."""
+    return _EXTRA_ID_RE.fullmatch(name) is not None
+
+
 def extra_var(row: int, name: str) -> Variable:
     if row < 1:
         raise ValueError(f"row index is 1-based: {row}")
-    if not _EXTRA_ID_RE.match(name):
+    if not is_extra_id(name):
         raise ValueError(f"bad extra-vector id: {name!r}")
     return Variable(KIND_EXTRA, row, name)
 

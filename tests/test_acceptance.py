@@ -408,7 +408,7 @@ def test_criterion_8_minors_reproduced_by_graph_polynomials():
         k = len(circuits)
         matrix = liftability_matrix(matroid, q)
         engine = MinorEngine(matrix)
-        column_of = {p: j for j, p in enumerate(matrix.col_labels)}
+        column_of = {p: j for j, p in enumerate(matroid.points)}
         anchors = closed_complement_pairs(matroid, k)
         assert anchors, name
         for anchor in anchors:

@@ -23,9 +23,10 @@ from pavingideals.generators import (
     LabeledPolynomial,
     bracket,
     builtin_graph_data,
-    lifting_polynomials,
+    liftability_matrix,
 )
 from pavingideals.matroids import builtin_matroid, builtin_matroid_names
+from pavingideals.polymatrix import MinorEngine
 from pavingideals.brackets import BracketPolynomial
 from pavingideals.variables import parse_variable
 
@@ -179,6 +180,7 @@ BAD_GRAPH_DATA = [
     ("string-point", _qs_graph_data(P=[4, "3", 2]), 1, "parse error: "),
     ("float-extra", _qs_graph_data(extra=[{"concrete": [1.5, 0, 1]}] * 3), 1, "parse error: "),
     ("unknown-extra", _qs_graph_data(extra=[{"vector": "q"}] * 3), 1, "parse error: "),
+    ("non-ascii-extra", _qs_graph_data(extra=[{"symbolic": "qé"}] * 3), 1, "parse error: "),
     ("point-off-its-circuit", _qs_graph_data(C=[[2, 4, 6], [2, 4, 6], [1, 2, 3]]), 2, "invalid graph data: "),
     ("short-extra", _qs_graph_data(extra=[{"concrete": ["1", "0"]}] * 3), 2, "invalid graph data: "),
 ]
@@ -211,6 +213,10 @@ GOLDEN_DIGESTS = [
     (("fig2c", "all", "canonical"), "1df780921e04e3d3e3b13c997c94e7b8a72c355fd6b84b87e7b746acd7a2842e"),
     (("pascal", "graph", "symbolic"), "32c65f766ec6759251286fec5d587430bd35eb003f56546ad2fda70c5379a1fe"),
     (("grid3x4", "graph", "symbolic"), "32bdef853b4896f7f5a2f7e01bd907079284ffdfdfe8a4c333a640cf9a6a0ec9"),
+    (("grid3x4", "lifting", "symbolic"), "af9a2d1e062fada9a1466bb104383e673dfc480044d4e312bae1efb1e1f2cc64"),
+    (("pascal", "all", "symbolic"), "3cfad8e7d2780de1e87d752e8de5d2be390ac057a255f2195ee8a8f84f01ea9e"),
+    (("paving4_9", "all", "symbolic"), "3cd5f686e83fa22eb212987d59eb2297da57ca778e072b5a37e3d2b98fd499c5"),
+    (("grid3x3", "all", "symbolic"), "8c872c863ef54e31b18998db30939ffeff0c2c6de4cee8009c93c6beb9f2839e"),
 ]
 
 
@@ -450,11 +456,26 @@ def test_verify_rejects_brackets_of_the_wrong_size(tmp_path, capsys):
         assert err.startswith("error: bracket "), err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# source: unbound\n1 * x[1,q]\n", "error: unbound variables: x[1,q]\n"),
+    ("# form: bracket\n<1 2 77>\n", "error: bracket <1 2 77> has no vector for label 77\n"),
+])
+def test_verify_names_what_is_unbound(tmp_path, capsys, text, message):
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    polys.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
 def verify_q_files(tmp_path, capsys) -> dict[str, tuple[Path, Path]]:
     """An expanded qs lifting minor and the bracket-form pascal graph polynomial."""
     qs_polys = tmp_path / "qs_lifting.txt"
-    minors = lifting_polynomials(builtin_matroid("qs"), ExtraVector.symbolic("q"), minor_size=2)
-    qs_polys.write_text(render_polynomials(minors[:1]))
+    matrix = liftability_matrix(builtin_matroid("qs"), ExtraVector.symbolic("q"))
+    minor = MinorEngine(matrix).minor((0, 1), (0, 1))
+    qs_polys.write_text(render_polynomials([LabeledPolynomial("qs lifting 2x2 minor", minor)]))
     pascal_polys = tmp_path / "pascal_graph.txt"
     code, _, _ = run_cli(
         capsys, "generate", "--matroid", "pascal", "--which", "graph", "--out", str(pascal_polys)
@@ -702,6 +723,14 @@ def test_gc_rejects_operands_above_dim(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("labels", ["1,,2", "1,x y,z", "1,-2,3", "0,1,2"])
+def test_gc_rejects_labels_that_are_not_points_or_identifiers(capsys, labels):
+    code, out, err = run_cli(capsys, "gc", "join", labels, "--dim", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad point label ")
 
 
 def test_liftcheck_grid_and_qs(capsys):

@@ -26,7 +26,7 @@ from pavingideals.brackets import (
 )
 from pavingideals.linalg import matrix_rank
 from pavingideals.poly import Polynomial
-from pavingideals.polymatrix import PolyMatrix, determinant
+from pavingideals.polymatrix import MinorEngine
 from pavingideals.variables import entry_var
 
 
@@ -34,7 +34,7 @@ def symbolic_bracket(points, dim=3) -> Polynomial:
     rows = [
         [Polynomial.variable(entry_var(r, p)) for p in points] for r in range(1, dim + 1)
     ]
-    return determinant(PolyMatrix.from_rows(rows))
+    return MinorEngine(rows).determinant()
 
 
 def random_vector(rng, dim):
