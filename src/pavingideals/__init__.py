@@ -23,7 +23,7 @@ from .generators import (
     pascal_gc_quartic,
     rnc_polynomial_brackets,
 )
-from .lifting import Hyperplane, lift, lifting_number, project, regular_hyperplanes
+from .lifting import Hyperplane, lift, project
 from .matroids import PavingMatroid, builtin_matroid
 from .poly import Polynomial
 from .realizations import Realization, in_circuit_variety, in_realization_space
@@ -53,11 +53,9 @@ __all__ = [
     "in_realization_space",
     "lift",
     "liftability_matrix",
-    "lifting_number",
     "lifting_polynomials",
     "pascal_gc_quartic",
     "project",
-    "regular_hyperplanes",
     "rnc_polynomial_brackets",
     "sample_family",
     "sample_realization",

@@ -10,6 +10,11 @@ meet/join output readable — the printer emits ⟨i j k⟩ notation — while
 ``expand`` turns everything into an honest coordinate polynomial and
 ``evaluate`` plugs in exact vectors directly.
 
+Numeric evaluation (``evaluator``) writes each vector once as integers over
+the lcm of its denominators, takes a bracket as an integer determinant over
+the product of those denominators, and memoizes it by its columns, so one
+``verify`` run computes each bracket once per distinct vector assignment.
+
 The labeled wedge here is the algebra of formal points: joins concatenate
 labels with the sorting sign, meets follow the shuffle sum with formal
 brackets as coefficients.  No rewriting (straightening) is performed.
@@ -19,14 +24,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from typing import Callable, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
 from .poly import Polynomial, _split_terms
 from .polymatrix import MinorEngine
-from .scalars import Scalar, format_rational, parse_rational
-from .variables import entry_var, extra_var
+from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
+from .variables import entry_var, extra_var, is_extra_id
 
 Label = Union[int, str]
 
@@ -53,6 +60,15 @@ def perm_sign_of_merge(seq: Sequence) -> int:
             if items[i] > items[j]:
                 sign = -sign
     return sign
+
+
+def parse_label(text: str) -> Label:
+    """A positive integer point id, or an extra-vector identifier."""
+    if text.isascii() and text.isdigit() and int(text) > 0:
+        return int(text)
+    if is_extra_id(text):
+        return text
+    raise ValueError(f"bad point label {text!r}: need a positive integer or an identifier")
 
 
 def _label_key(label: Label):
@@ -143,9 +159,9 @@ class BracketPolynomial(Polynomial):
             coeff = sign * (parse_rational(m.group(1)) if m.group(1) else 1)
             keys = []
             for group in re.findall(r"<([^>]*)>", m.group(2)):
-                labels = tuple(
-                    int(tok) if tok.isdigit() else tok for tok in group.split()
-                )
+                labels = tuple(parse_label(tok) for tok in group.split())
+                if not labels:
+                    raise ValueError(f"empty bracket in term: {body!r}")
                 key_sign, norm = normalize_labels(labels)
                 coeff = coeff * key_sign
                 keys.append(norm)
@@ -218,35 +234,53 @@ def expander(
     return expand
 
 
-def evaluator(vectors: Mapping[Label, Sequence[Scalar]]) -> Callable[[BracketPolynomial], Scalar]:
-    """Exact evaluation sharing one bracket-value cache across calls."""
-    cache: dict[BracketKey, Scalar] = {}
+def _integer_column(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
+    """(integer vector, denominator) whose quotient is the given vector."""
+    scale = lcm(*(c.denominator for c in vector))
+    return tuple(c.numerator * (scale // c.denominator) for c in vector), scale
 
-    def bracket_value(key: BracketKey) -> Scalar:
-        got = cache.get(key)
+
+def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]:
+    """``value(poly, extra=None)``: exact value with each label bound to its
+    vector in ``extra``, else in ``points``; bracket values are shared by all calls."""
+    columns = {label: _integer_column(vec) for label, vec in points.items()}
+    memo: dict[tuple, Scalar] = {}
+
+    def bracket_value(key: BracketKey, bound: Mapping[Label, tuple]) -> Scalar:
+        try:
+            cols = tuple(bound[label] for label in key)
+        except KeyError as exc:
+            text = " ".join(map(str, key))
+            raise UnboundLabel(f"bracket <{text}> has no vector for label {exc.args[0]}") from None
+        got = memo.get(cols)
         if got is None:
-            try:
-                cols = [vectors[label] for label in key]
-            except KeyError as exc:
-                text = " ".join(map(str, key))
-                raise UnboundLabel(f"bracket <{text}> has no vector for label {exc.args[0]}") from None
-            lengths = set(map(len, cols))
+            lengths = {len(ints) for ints, _ in cols}
             if lengths != {len(key)}:
                 raise DimensionMismatch(f"bracket {key} on vectors of length {sorted(lengths)}")
-            got = bareiss_determinant(zip(*cols))
-            cache[key] = got
+            got = bareiss_determinant(zip(*(ints for ints, _ in cols)))
+            scale = prod(den for _, den in cols)
+            if scale != 1:
+                got = normalize_scalar(Fraction(got, scale))
+            memo[cols] = got
         return got
 
-    def evaluate(poly: BracketPolynomial) -> Scalar:
+    def value(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None = None) -> Scalar:
+        bound = columns
+        if extra:
+            bound = {**columns, **{label: _integer_column(vec) for label, vec in extra.items()}}
+        at: dict[BracketKey, Scalar] = {}
         total: Scalar = 0
         for mono, coeff in poly.terms.items():
             val: Scalar = coeff
             for key in mono:
-                val = val * bracket_value(key)
+                got = at.get(key)
+                if got is None:
+                    got = at[key] = bracket_value(key, bound)
+                val = val * got
             total = total + val
         return total
 
-    return evaluate
+    return value
 
 
 def symbolic_column(label: Label, dim: int) -> list[Polynomial]:

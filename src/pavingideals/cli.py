@@ -15,7 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .brackets import Label, LabeledExtensor, labeled_join, labeled_meet, to_bracket_polynomial
+from .brackets import (
+    Label, LabeledExtensor, labeled_join, labeled_meet, parse_label, to_bracket_polynomial,
+)
 from .generators import (
     ExtraVector,
     GraphData,
@@ -38,7 +40,6 @@ from .polyfiles import parse_polynomials, render_polynomials
 from .realizations import Realization
 from .samplers import ResamplingExhausted, sample_realization
 from .scalars import parse_rational
-from .variables import is_extra_id
 from .verify import extra_names, verify_vanishing
 
 EXIT_OK = 0
@@ -221,11 +222,7 @@ def cmd_verify(args) -> int:
 
 def _parse_point_list(text: str) -> tuple[Label, ...]:
     """Comma-separated positive integer point ids and extra-vector identifiers."""
-    labels = [t.strip() for t in text.split(",")]
-    for t in labels:
-        if not ((t.isascii() and t.isdigit() and int(t) > 0) or is_extra_id(t)):
-            raise ValueError(f"bad point label {t!r}: need a positive integer or an identifier")
-    return tuple(int(t) if t.isdigit() else t for t in labels)
+    return tuple(parse_label(t.strip()) for t in text.split(","))
 
 
 def cmd_gc(args) -> int:

@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .generators import liftability_matrix_at
-from .linalg import kernel_basis, matrix_rank, same_row_space, solve_particular
+from .linalg import kernel_basis, matrix_rank, solve_particular
 from .matroids import PavingMatroid
-from .realizations import IndexMismatch, Realization
+from .realizations import Realization
 from .scalars import Scalar, normalize_scalar
 
 
@@ -150,30 +150,3 @@ def lift(
         )
     return Realization(matroid, lifted, flat.seed)
 
-
-def regular_hyperplanes(
-    vectors: Mapping[int, Sequence[Scalar]], matroid: PavingMatroid
-) -> tuple[frozenset[int], ...]:
-    """Hyperplanes whose vectors span exactly dimension n-1."""
-    if set(vectors) != set(matroid.points):
-        raise IndexMismatch("vectors are not indexed by the matroid's points")
-    out = []
-    for h in matroid.hyperplanes:
-        if matrix_rank([vectors[p] for p in sorted(h)]) == matroid.rank - 1:
-            out.append(h)
-    return tuple(out)
-
-
-def lifting_number(vectors: Mapping[int, Sequence[Scalar]], matroid: PavingMatroid) -> int:
-    """Ordered pairs of distinct regular hyperplanes with identical spans."""
-    regular = regular_hyperplanes(vectors, matroid)
-    count = 0
-    for h1 in regular:
-        rows1 = [list(vectors[p]) for p in sorted(h1)]
-        for h2 in regular:
-            if h1 == h2:
-                continue
-            rows2 = [list(vectors[p]) for p in sorted(h2)]
-            if same_row_space(rows1, rows2):
-                count += 1
-    return count

@@ -109,7 +109,3 @@ def solve_particular(m: list[list[Scalar]], b: Sequence[Scalar]) -> list[Scalar]
     x: list[Scalar] = [0] * n_cols + [-1]
     return _back_substitute(reduced, pivots, x)[:n_cols]
 
-
-def same_row_space(a: Rows, b: Rows) -> bool:
-    a, b = [list(r) for r in a], [list(r) for r in b]
-    return matrix_rank(a) == matrix_rank(b) == matrix_rank(a + b)

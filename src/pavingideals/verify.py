@@ -15,7 +15,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .brackets import BracketPolynomial
+from .brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from .generators import LabeledPolynomial
 from .poly import Polynomial, UnboundVariable
 from .realizations import Realization
@@ -73,17 +73,19 @@ def evaluate_poly(
     poly,
     realization: Realization,
     extra: Mapping[str, Sequence[Scalar]],
+    *,
+    brackets: Callable[..., Scalar] | None = None,
 ) -> Scalar:
-    """Exact value of an expanded or bracket-form polynomial."""
+    """Exact value of an expanded or bracket-form polynomial; calls that pass
+    one ``evaluator`` of the realization's points as ``brackets`` share it."""
     if isinstance(poly, BracketPolynomial):
-        names = extra_names(poly)
-        missing = [n for n in names if n not in extra]
-        if missing:
-            raise UnboundVariable([extra_var(1, n) for n in missing])
-        vectors: dict = dict(realization.vectors)
-        for name, vec in extra.items():
-            vectors[name] = tuple(vec)
-        return poly.evaluate(vectors)
+        try:
+            return (brackets or evaluator(realization.vectors))(poly, extra)
+        except (UnboundLabel, DimensionMismatch):
+            missing = [n for n in extra_names(poly) if n not in extra]
+            if missing:
+                raise UnboundVariable([extra_var(1, n) for n in missing]) from None
+            raise
     full = dict(realization.assignment())
     full.update(_extra_assignment(extra))
     return poly.evaluate(full)
@@ -140,11 +142,13 @@ def verify_vanishing(
         raise ValueError("expect must be 'zero' or 'nonzero'")
     dim = realization.dim
     points = realization.assignment()
+    brackets = evaluator(realization.vectors)
     checks: list[VanishingCheck] = []
     for labeled in polynomials:
         poly = labeled.polynomial
         if isinstance(poly, BracketPolynomial):
-            names, value_at = extra_names(poly), partial(evaluate_poly, poly, realization)
+            names = extra_names(poly)
+            value_at = partial(evaluate_poly, poly, realization, brackets=brackets)
         else:
             names, value_at = _point_residual(poly, points)
         if sweep:

@@ -470,6 +470,18 @@ def test_verify_names_what_is_unbound(tmp_path, capsys, text, message):
     assert err == message
 
 
+@pytest.mark.parametrize("line", ["1<1 2 -3>", "1<1 2 q1,>", "<>", "<1 2 0>"])
+def test_verify_rejects_bracket_labels_that_are_not_points_or_identifiers(tmp_path, capsys, line):
+    real = tmp_path / "real.json"
+    code, _, _ = run_cli(capsys, "sample", "--family", "grid3x4", "--seed", "0", "--out", str(real))
+    assert code == 0
+    polys = tmp_path / "polys.txt"
+    polys.write_text(f"# form: bracket\n{line}\n")
+    _assert_parse_error(*run_cli(
+        capsys, "verify", "--polys", str(polys), "--realization", str(real), "--q", "canonical"
+    ))
+
+
 def verify_q_files(tmp_path, capsys) -> dict[str, tuple[Path, Path]]:
     """An expanded qs lifting minor and the bracket-form pascal graph polynomial."""
     qs_polys = tmp_path / "qs_lifting.txt"

