@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import lcm, prod
 from typing import Callable, Mapping, Sequence, Union
 
@@ -76,7 +76,7 @@ def _label_key(label: Label):
 
 
 def _bracket_sort_key(key: BracketKey):
-    return tuple(_label_key(l) for l in key)
+    return tuple(map(_label_key, key))
 
 
 def _mono_sort_key(mono: BracketMonomial):
@@ -114,7 +114,20 @@ class BracketPolynomial(Polynomial):
     def _monomial_product(self):
         return _bracket_monomial_mul
 
-    _term_key = staticmethod(_mono_sort_key)
+    # A monomial's atoms are its brackets, and a repeat is a power.
+    _atom_key = staticmethod(_bracket_sort_key)
+
+    @staticmethod
+    def _exponents(mono: BracketMonomial) -> list[tuple[BracketKey, int]]:
+        return [(key, len(list(run))) for key, run in groupby(mono)]
+
+    @staticmethod
+    def _power(key: BracketKey, exp: int) -> BracketMonomial:
+        return (key,) * exp
+
+    def _sort_keys(self):
+        """Terms in order of their sorted bracket sequences, shorter prefixes first."""
+        return map(_mono_sort_key, self._terms)
 
     def support(self) -> set[BracketKey]:
         """The brackets that occur in some term."""
@@ -205,29 +218,36 @@ class BracketPolynomial(Polynomial):
 def expander(
     dim: int, column: Callable[[Label], Sequence[Polynomial]] | None = None
 ) -> Callable[[BracketPolynomial], Polynomial]:
-    """Coordinate expansion sharing one bracket->polynomial cache across calls."""
+    """Coordinate expansion sharing one bracket->polynomial cache across calls.
+
+    The brackets a call meets first are maximal minors of one matrix, whose
+    columns are their labels' columns, so they share one MinorEngine.
+    """
     column = column or (lambda label: symbolic_column(label, dim))
     cache: dict[BracketKey, Polynomial] = {}
 
-    def bracket_poly(key: BracketKey) -> Polynomial:
-        got = cache.get(key)
-        if got is None:
+    def expand_brackets(keys: list[BracketKey]) -> None:
+        for key in keys:
             if len(key) != dim:
-                raise DimensionMismatch(
-                    f"bracket {key} has {len(key)} columns in dimension {dim}"
-                )
-            cols = [column(label) for label in key]
-            rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-            got = MinorEngine(rows).determinant()
-            cache[key] = got
-        return got
+                raise DimensionMismatch(f"bracket {key} has {len(key)} columns in dimension {dim}")
+        labels = list(dict.fromkeys(label for key in keys for label in key))
+        cols = [column(label) for label in labels]
+        engine = MinorEngine([[col[i] for col in cols] for i in range(dim)])
+        at = {label: j for j, label in enumerate(labels)}
+        rows = tuple(range(dim))
+        for key in keys:
+            cache[key] = engine.minor(rows, tuple(at[label] for label in key))
 
     def expand(poly: BracketPolynomial) -> Polynomial:
+        terms = poly.sorted_terms()
+        new = [key for key in dict.fromkeys(k for mono, _ in terms for k in mono) if key not in cache]
+        if new:
+            expand_brackets(new)
         total = Polynomial.zero()
-        for mono, coeff in poly.sorted_terms():
-            term = bracket_poly(mono[0]).scale(coeff) if mono else Polynomial.constant(coeff)
+        for mono, coeff in terms:
+            term = cache[mono[0]].scale(coeff) if mono else Polynomial.constant(coeff)
             for key in mono[1:]:
-                term = term * bracket_poly(key)
+                term = term * cache[key]
             total = total + term
         return total
 
@@ -244,7 +264,16 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
     """``value(poly, extra=None)``: exact value with each label bound to its
     vector in ``extra``, else in ``points``; bracket values are shared by all calls."""
     columns = {label: _integer_column(vec) for label, vec in points.items()}
+    # The extra vectors of a sweep are a few distinct ones, met on every call.
+    extra_columns: dict[tuple[Scalar, ...], tuple[tuple[int, ...], int]] = {}
     memo: dict[tuple, Scalar] = {}
+
+    def extra_column(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
+        vector = tuple(vector)
+        got = extra_columns.get(vector)
+        if got is None:
+            got = extra_columns[vector] = _integer_column(vector)
+        return got
 
     def bracket_value(key: BracketKey, bound: Mapping[Label, tuple]) -> Scalar:
         try:
@@ -267,7 +296,7 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
     def value(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None = None) -> Scalar:
         bound = columns
         if extra:
-            bound = {**columns, **{label: _integer_column(vec) for label, vec in extra.items()}}
+            bound = {**columns, **{label: extra_column(vec) for label, vec in extra.items()}}
         at: dict[BracketKey, Scalar] = {}
         total: Scalar = 0
         for mono, coeff in poly.terms.items():

@@ -6,8 +6,13 @@ polynomial maps monomials to nonzero scalar coefficients, so two polynomials
 are equal exactly when their dicts are equal — there is one representation
 per polynomial and no floating point anywhere.
 
+Where a fixed set of variables meets many monomials, ``ExponentPacking``
+writes each exponent vector as one int: the term order becomes int order and,
+in a ring that knows its exponent bound, a monomial product one addition.
+
 The text form used in generated files is one polynomial per line, terms
-sorted by monomial order and joined with `` + `` / `` - ``::
+sorted lexicographically (earlier variables and higher powers first) and
+joined with `` + `` / `` - ``::
 
     2 * x[1,3]^2 * x[2,q1] - 1/3 * x[1,4]
 
@@ -18,7 +23,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import and_, itemgetter, neg, rshift
+from typing import Collection, Iterable, Iterator, Mapping, Tuple
 
 from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
 from .variables import Variable, parse_variable
@@ -60,15 +68,85 @@ def monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _lex_key(m: Monomial):
-    # A monomial with an earlier variable (or a higher power of it) comes
-    # first.  Padding with a sentinel makes shorter prefixes sort after
-    # their extensions' divisors correctly.
-    key = []
-    for v, e in m:
-        key.append((0, v, -e))
-    key.append((1,))
-    return tuple(key)
+# Unpacking reads the atoms' fields in runs of at most this many atoms, one
+# table lookup per run; the runs split the atoms evenly.
+MAX_RUN_ATOMS = 10
+
+
+class _RunTable(dict):
+    """Value of a run of adjacent fields -> the monomial of those atoms' powers.
+
+    An entry is built on first lookup; the terms of a minor repeat few values
+    per run.
+    """
+
+    __slots__ = ("_power", "_fields", "_mask")
+
+    def __init__(self, power, fields: list[tuple[object, int]], mask: int):
+        self._power = power
+        self._fields = fields
+        self._mask = mask
+
+    def __missing__(self, value: int) -> tuple:
+        power, mask = self._power, self._mask
+        powers = (power(atom, e) for atom, shift in self._fields if (e := (value >> shift) & mask))
+        mono = self[value] = tuple(chain.from_iterable(powers))
+        return mono
+
+
+class ExponentPacking:
+    """Monomials of one ring over a fixed set of atoms, each as one int.
+
+    The ring splits a monomial into (atom, exponent) pairs; the atoms are
+    sorted in its order and each owns a bit field of ``bound.bit_length()``
+    bits.  The first atom takes the most significant field, so descending
+    int order is the lex term order.  While no exponent exceeds ``bound`` no
+    field carries, and the product of two monomials is the sum of their ints.
+    """
+
+    def __init__(self, ring: type["Polynomial"], pairs: Collection[tuple[object, int]], bound: int):
+        self._ring = ring
+        self._atoms = sorted(set(map(itemgetter(0), pairs)), key=ring._atom_key)
+        self._width = width = bound.bit_length()
+        # A bound of 0 leaves no atoms, and no field to place.
+        shift = dict(zip(self._atoms, range(width * (len(self._atoms) - 1), -1, -width))) if width else {}
+        # (atom, exponent) -> its packed int; a monomial packs to their sum.
+        self.weight = {pair: pair[1] << shift[pair[0]] for pair in pairs}
+
+    def pack(self, pairs: Iterable[tuple[object, int]]) -> int:
+        """The int of the monomial with these (atom, exponent) pairs."""
+        return sum(map(self.weight.__getitem__, pairs))
+
+    @cached_property
+    def _runs(self) -> list[tuple[_RunTable, int, int]]:
+        """Per run of atoms: its table, the shift of its last field, its mask."""
+        width, atoms = self._width, self._atoms
+        n_runs = -(-len(atoms) // MAX_RUN_ATOMS) or 1
+        size = -(-len(atoms) // n_runs) or 1
+        runs = []
+        # With no atoms one empty run still maps 0 to the constant monomial.
+        for start in range(0, len(atoms), size) or [0]:
+            run = atoms[start : start + size]
+            low = width * (len(atoms) - start - len(run))
+            fields = [(atom, width * i) for i, atom in zip(range(len(run) - 1, -1, -1), run)]
+            table = _RunTable(self._ring._power, fields, (1 << width) - 1)
+            runs.append((table, low, (1 << width * len(run)) - 1))
+        return runs
+
+    def unpack(self, packed: Collection[int]) -> Iterator[tuple]:
+        """The ring's monomials: each the powers of its atoms, joined in atom order."""
+        runs = [
+            map(table.__getitem__, map(and_, map(rshift, packed, repeat(low)), repeat(mask)))
+            for table, low, mask in self._runs
+        ]
+        return map(tuple, map(chain, *runs))
+
+
+def _lex_keys(terms: Mapping[Monomial, Scalar], pairs: set[tuple[Variable, int]]) -> Iterator[int]:
+    """Per term, in ``terms`` order, its exponent vector packed over ``pairs``,
+    the (variable, exponent) pairs of all terms: descending keys are lex order."""
+    weight = ExponentPacking(Polynomial, pairs, max(map(itemgetter(1), pairs), default=0)).weight
+    return map(sum, map(partial(map, weight.__getitem__), terms))
 
 
 class Polynomial:
@@ -149,6 +227,23 @@ class Polynomial:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
+    # -- monomials as (atom, exponent) pairs -----------------------------
+    #
+    # A coordinate monomial already is its (variable, exponent) pairs in
+    # variable order.  A subclass with other monomials says how one splits
+    # into pairs, how its atoms sort, and which monomial a power of one atom
+    # is; a monomial is its atoms' powers joined in atom order.
+
+    _atom_key = None
+
+    @staticmethod
+    def _exponents(mono: Monomial) -> Iterable[tuple[Variable, int]]:
+        return mono
+
+    @staticmethod
+    def _power(atom: Variable, exp: int) -> Monomial:
+        return ((atom, exp),)
+
     # -- ring operations ------------------------------------------------
     #
     # Every result has the class of its operands, so a subclass with its own
@@ -173,8 +268,6 @@ class Polynomial:
         # The module-level function, looked up per product so that a
         # rebinding of ``monomial_mul`` is seen.
         return monomial_mul
-
-    _term_key = staticmethod(_lex_key)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -293,14 +386,20 @@ class Polynomial:
 
     # -- canonical form helpers ------------------------------------------
 
+    def _sort_keys(self) -> Iterator:
+        """Per term, in ``terms`` order, a key; ascending keys are the term
+        order: lex, earlier variables and higher powers first."""
+        return map(neg, _lex_keys(self._terms, set().union(*self._terms)))
+
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        key = self._term_key
-        return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
+        # Distinct monomials have distinct keys.
+        by_key = dict(zip(self._sort_keys(), self._terms.items()))
+        return [by_key[key] for key in sorted(by_key)]
 
     def leading_coefficient(self) -> Scalar:
         if not self._terms:
             return 0
-        return self._terms[min(self._terms, key=self._term_key)]
+        return min(zip(self._sort_keys(), self._terms.values()))[1]
 
     def normalized_sign(self) -> tuple["Polynomial", int]:
         """(p, +1) or (-p, -1) so the leading coefficient is positive."""
@@ -314,19 +413,20 @@ class Polynomial:
     def to_text(self) -> str:
         if not self._terms:
             return "0"
+        # A polynomial repeats a few dozen distinct factors and coefficients
+        # thousands of times, so each one is rendered once per call.
+        pairs = set().union(*self._terms)
+        factor = {(var, e): f" * {var.text()}^{e}" if e > 1 else f" * {var.text()}" for var, e in pairs}
+        heads: dict[Scalar, str] = {}
         chunks: list[str] = []
-        for idx, (mono, coeff) in enumerate(self.sorted_terms()):
-            sign = "-" if coeff < 0 else "+"
-            mag = format_rational(-coeff if coeff < 0 else coeff)
-            factors = [mag]
-            for var, exp in mono:
-                factors.append(var.text() if exp == 1 else f"{var.text()}^{exp}")
-            body = " * ".join(factors)
-            if idx == 0:
-                chunks.append(body if sign == "+" else f"-{body}")
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        by_key = dict(zip(_lex_keys(self._terms, pairs), self._terms.items()))
+        for mono, coeff in map(by_key.__getitem__, sorted(by_key, reverse=True)):
+            head = heads.get(coeff)
+            if head is None:
+                head = heads[coeff] = (" - " if coeff < 0 else " + ") + format_rational(abs(coeff))
+            chunks.append(head + "".join(map(factor.__getitem__, mono)))
+        text = "".join(chunks)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     @staticmethod
     def from_text(text: str) -> "Polynomial":

@@ -30,12 +30,18 @@ class VanishingCheck:
     value: Scalar
     passed: bool
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, vector_texts: dict[tuple, list[str]]) -> dict:
+        """The check as a JSON object; ``vector_texts`` keeps each assignment
+        vector's formatted coordinates for the next check that names it."""
+        assignment = {}
+        for name, vec in self.assignment:
+            text = vector_texts.get(vec)
+            if text is None:
+                text = vector_texts[vec] = [format_rational(c) for c in vec]
+            assignment[name] = text
         return {
             "poly_id": self.poly_id,
-            "assignment": {
-                name: [format_rational(c) for c in vec] for name, vec in self.assignment
-            },
+            "assignment": assignment,
             "value": format_rational(self.value),
             "pass": self.passed,
         }
@@ -51,7 +57,9 @@ class VanishingReport:
         return all(c.passed for c in self.checks)
 
     def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(c.to_json_dict(), sort_keys=True) for c in self.checks)
+        # A sweep names a few distinct vectors in every check: format each once.
+        texts: dict[tuple, list[str]] = {}
+        return "\n".join(json.dumps(c.to_json_dict(texts), sort_keys=True) for c in self.checks)
 
 
 def extra_names(poly) -> tuple[str, ...]:

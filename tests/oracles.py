@@ -7,8 +7,9 @@ from fractions import Fraction
 
 from pavingideals.generators import DependencyDigraph
 from pavingideals.lifting import Hyperplane
-from pavingideals.linalg import solve_particular
-from pavingideals.scalars import Scalar, normalize_scalar
+from pavingideals.linalg import NonSquare, solve_particular
+from pavingideals.poly import Monomial, Polynomial
+from pavingideals.scalars import Scalar, format_rational, normalize_scalar
 
 
 def random_weighted_digraph(rng: random.Random, max_vertices: int = 7) -> DependencyDigraph:
@@ -183,3 +184,112 @@ def rref_solve(m: list[list[Scalar]], b) -> list[Scalar] | None:
     for r, c in enumerate(pivots):
         x[c] = normalize_scalar(reduced[r][n_cols])
     return x
+
+
+# -- polynomial oracles -----------------------------------------------------------
+#
+# The tuple-merge minor expansion and the lex-key renderer that
+# ``MinorEngine`` (packed exponents) and ``Polynomial.to_text`` (packed sort
+# keys) replaced; kept as references for them.
+
+
+class TupleMergeMinors:
+    """Memoized Laplace expansion through the ring's own ``*`` and ``+``."""
+
+    MEMO_LIMIT = 8
+
+    def __init__(self, rows):
+        self.rows = rows
+        self._cache = {}
+        self._zero = [[entry.is_zero() for entry in row] for row in rows]
+        self._ring = next((type(row[0]) for row in rows if row), Polynomial)
+
+    def minor(self, rows, cols):
+        rows, cols = tuple(rows), tuple(cols)
+        if len(rows) != len(cols):
+            raise NonSquare(f"minor on {len(rows)} rows and {len(cols)} columns")
+        return self._minor(rows, cols)
+
+    def determinant(self):
+        n_rows = len(self.rows)
+        n_cols = len(self.rows[0]) if self.rows else 0
+        if n_rows != n_cols:
+            raise NonSquare(f"{n_rows}x{n_cols} matrix has no determinant")
+        return self._minor(tuple(range(n_rows)), tuple(range(n_cols)))
+
+    def _minor(self, rows, cols):
+        k = len(rows)
+        if k == 0:
+            return self._ring.one()
+        ent = self.rows
+        if k == 1:
+            return ent[rows[0]][cols[0]]
+        cached = self._cache.get((rows, cols)) if k <= self.MEMO_LIMIT else None
+        if cached is not None:
+            return cached
+        if k == 2:
+            a, b = ent[rows[0]][cols[0]], ent[rows[0]][cols[1]]
+            c, d = ent[rows[1]][cols[0]], ent[rows[1]][cols[1]]
+            result = a * d - b * c
+        else:
+            result = self._expand(rows, cols)
+        if k <= self.MEMO_LIMIT:
+            self._cache[(rows, cols)] = result
+        return result
+
+    def _expand(self, rows, cols):
+        zero = self._zero
+        best_axis, best_idx, best_count = 0, 0, len(cols) + 1
+        for i, r in enumerate(rows):
+            count = sum(1 for c in cols if not zero[r][c])
+            if count < best_count:
+                best_axis, best_idx, best_count = 0, i, count
+        for j, c in enumerate(cols):
+            count = sum(1 for r in rows if not zero[r][c])
+            if count < best_count:
+                best_axis, best_idx, best_count = 1, j, count
+        if best_count == 0:
+            return self._ring.zero()
+        ent = self.rows
+        total = self._ring.zero()
+        if best_axis == 0:
+            r = rows[best_idx]
+            sub_rows = rows[:best_idx] + rows[best_idx + 1 :]
+            for j, c in enumerate(cols):
+                if zero[r][c]:
+                    continue
+                term = ent[r][c] * self._minor(sub_rows, cols[:j] + cols[j + 1 :])
+                total = total + (term if (best_idx + j) % 2 == 0 else -term)
+        else:
+            c = cols[best_idx]
+            sub_cols = cols[:best_idx] + cols[best_idx + 1 :]
+            for i, r in enumerate(rows):
+                if zero[r][c]:
+                    continue
+                term = ent[r][c] * self._minor(rows[:i] + rows[i + 1 :], sub_cols)
+                total = total + (term if (i + best_idx) % 2 == 0 else -term)
+        return total
+
+
+def lex_key(m: Monomial):
+    """A monomial with an earlier variable (or a higher power of it) sorts
+    first; the sentinel puts a monomial after those it divides."""
+    return tuple((0, v, -e) for v, e in m) + ((1,),)
+
+
+def render_polynomial(p: Polynomial) -> str:
+    """The coordinate text form, terms sorted by ``lex_key``."""
+    if p.is_zero():
+        return "0"
+    chunks = []
+    for idx, (mono, coeff) in enumerate(sorted(p.terms.items(), key=lambda kv: lex_key(kv[0]))):
+        sign = "-" if coeff < 0 else "+"
+        factors = [format_rational(-coeff if coeff < 0 else coeff)]
+        for var, exp in mono:
+            factors.append(var.text() if exp == 1 else f"{var.text()}^{exp}")
+        body = " * ".join(factors)
+        if idx == 0:
+            chunks.append(body if sign == "+" else f"-{body}")
+        else:
+            chunks.append(f" {sign} {body}")
+    return "".join(chunks)

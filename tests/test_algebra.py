@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gaussian_pivot_product, rref_kernel_basis, rref_rank, rref_solve
+from oracles import (
+    TupleMergeMinors,
+    gaussian_pivot_product,
+    lex_key,
+    render_polynomial,
+    rref_kernel_basis,
+    rref_rank,
+    rref_solve,
+)
+from pavingideals.brackets import BracketPolynomial
 from pavingideals.linalg import (
     NonSquare,
     bareiss_determinant,
@@ -175,6 +185,37 @@ def test_repeated_variable_in_a_term_merges_exponents(text):
 def test_text_form_is_sorted_and_stable():
     p = x(2, 2) + x(1, 1) + x(1, 2)
     assert p.to_text() == "1 * x[1,1] + 1 * x[1,2] + 1 * x[2,2]"
+
+
+# Rows and columns of two digits, so that x[10,1] is ordered against x[2,1].
+TEXT_VARIABLES = [entry_var(r, c) for r in (1, 2, 3, 10, 12) for c in (1, 2, 9, 10)] + [
+    extra_var(r, name) for r in (1, 3, 10) for name in ("q", "q1", "r2")
+]
+
+
+def test_to_text_matches_the_lex_key_renderer():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            variables = sorted(rng.sample(TEXT_VARIABLES, rng.randint(0, 4)))
+            mono = tuple((v, rng.choice([1, 1, 2, 3, 11])) for v in variables)
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 7]))
+        p = Polynomial(terms)
+        for mono, coeff in p.terms.items():
+            seen.add("constant" if not mono else "power" if any(e > 1 for _, e in mono) else "linear")
+            seen.add("negative" if coeff < 0 else "positive")
+            seen.add("fraction" if isinstance(coeff, Fraction) else "integer")
+            seen.update("row >= 10" for v, _ in mono if v.row >= 10)
+            seen.update("extra" for v, _ in mono if isinstance(v.column, str))
+        assert p.to_text() == render_polynomial(p)
+        assert Polynomial.from_text(p.to_text()) == p
+        lead = min(p.terms, key=lex_key) if p.terms else None
+        assert p.leading_coefficient() == p.terms.get(lead, 0)
+    assert seen == {
+        "constant", "power", "linear", "negative", "positive", "fraction", "integer", "row >= 10", "extra",
+    }
 
 
 # -- scalar linear algebra ------------------------------------------------
@@ -360,6 +401,69 @@ def test_minor_engine_shares_cache():
     m = generic_matrix(4)
     engine = MinorEngine(m)
     d1 = engine.minor((0, 1, 2), (0, 1, 2))
+    shared = engine._cache[((1, 2), (0, 1))]
     d2 = engine.minor((0, 1, 2), (0, 1, 3))
     assert d1 != d2
-    assert engine.minor((0, 1), (0, 1)) in engine._cache.values()
+    # d2 reads the 2x2 minor that d1 memoized instead of computing it again.
+    assert engine._cache[((1, 2), (0, 1))] is shared
+    assert engine.minor((1, 2), (0, 1)) == x(2, 1) * x(3, 2) - x(2, 2) * x(3, 1)
+
+
+# Variables and bracket labels of the random matrices; x[1,1]^200 in a
+# k-minor needs fields of more than 8 bits.
+MINOR_VARIABLES = [entry_var(r, c) for r in (1, 2, 10) for c in (1, 2)] + [extra_var(1, "q")]
+MINOR_LABELS = [1, 2, 3, 10, "q", "r"]
+
+
+def random_coefficient(rng: random.Random):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+
+
+def random_coordinate_entry(rng: random.Random) -> Polynomial:
+    p = Polynomial.zero()
+    for _ in range(rng.randint(0, 3)):
+        term = Polynomial.constant(random_coefficient(rng))
+        for v in rng.sample(MINOR_VARIABLES, rng.randint(0, 2)):
+            term = term * Polynomial({((v, rng.choice([1, 1, 2, 200])),): 1})
+        p = p + term
+    return p
+
+
+def random_bracket_entry(rng: random.Random) -> BracketPolynomial:
+    p = BracketPolynomial.zero()
+    for _ in range(rng.randint(0, 3)):
+        term = BracketPolynomial.constant(random_coefficient(rng))
+        for _ in range(rng.randint(0, 2)):
+            b = BracketPolynomial.bracket(rng.sample(MINOR_LABELS, 3))
+            term = term * (b * b if rng.random() < 0.3 else b)
+        p = p + term
+    return p
+
+
+def test_minor_engine_matches_the_tuple_merge_oracle():
+    rng = random.Random(2007)
+    shapes = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 3), (3, 5)]
+    top = 0
+    for entry in (random_coordinate_entry, random_bracket_entry):
+        for n_rows, n_cols in shapes * 3:
+            rows = [[entry(rng) for _ in range(n_cols)] for _ in range(n_rows)]
+            if entry is random_coordinate_entry:
+                top = max([top] + [e for row in rows for p in row for m in p.terms for _, e in m])
+            engine, oracle = MinorEngine(rows), TupleMergeMinors(rows)
+            for k in range(min(n_rows, n_cols) + 1):
+                for row_idx in combinations(range(n_rows), k):
+                    for col_idx in combinations(range(n_cols), k):
+                        got, want = engine.minor(row_idx, col_idx), oracle.minor(row_idx, col_idx)
+                        assert (type(got), got) == (type(want), want), (rows, row_idx, col_idx)
+            if n_rows == n_cols:
+                assert engine.determinant() == oracle.determinant()
+            else:
+                with pytest.raises(NonSquare):
+                    engine.determinant()
+            with pytest.raises(NonSquare):
+                engine.minor([0], [])
+    assert top == 200
+    # x^400 - y*z: 400 needs 9 bits.
+    a, b = Polynomial({((entry_var(1, 1), 200),): 1}), x(1, 2)
+    rows = [[a, b], [b, a]]
+    assert MinorEngine(rows).determinant() == TupleMergeMinors(rows).determinant() == a * a - b * b

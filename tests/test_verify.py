@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavingideals import brackets
+from pavingideals import brackets, verify
 from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from pavingideals.cli import main
 from pavingideals.generators import LabeledPolynomial, bracket
@@ -224,6 +224,32 @@ def test_canonical_sweep_computes_each_bracket_once(tmp_path, monkeypatch):
     verify_graph_sweep(tmp_path, "grid3x4")
     # 729 assignments of e1..e3 to six q's, 18 brackets each: only 54 distinct.
     assert 0 < len(calls) <= 54
+
+
+def test_canonical_sweep_converts_and_formats_each_vector_once(tmp_path, monkeypatch):
+    columns, texts = [], []
+    to_column, to_text = brackets._integer_column, verify.format_rational
+
+    def counted_column(vector):
+        columns.append(tuple(vector))
+        return to_column(vector)
+
+    def counted_text(value):
+        texts.append(value)
+        return to_text(value)
+
+    monkeypatch.setattr(brackets, "_integer_column", counted_column)
+    monkeypatch.setattr(verify, "format_rational", counted_text)
+    lines = verify_graph_sweep(tmp_path, "grid3x4").count(b"\n")
+    # 12 points, then e1..e3 once each: before, 4,374 conversions.
+    assert len(columns) == 12 + 3
+    # One value per check, then the 3 coordinates of e1..e3: before, 13,851 calls.
+    assert len(texts) == lines + 3 * 3
+
+
+def test_expansion_rejects_a_bracket_of_the_wrong_size():
+    with pytest.raises(DimensionMismatch, match=r"bracket \(1, 2\) has 2 columns in dimension 3"):
+        BracketPolynomial.from_text("<1 2 3> - <1 2><1 3 4>").expand(3)
 
 
 INTS = st.integers(-9, 9)
