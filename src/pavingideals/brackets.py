@@ -14,6 +14,9 @@ Numeric evaluation (``evaluator``) writes each vector once as integers over
 the lcm of its denominators, takes a bracket as an integer determinant over
 the product of those denominators, and memoizes it by its columns, so one
 ``verify`` run computes each bracket once per distinct vector assignment.
+A polynomial evaluated more than once is compiled into a plan of per-bracket
+value tables and index tuples, so each further evaluation is lookups and a
+sum of products.
 
 The labeled wedge here is the algebra of formal points: joins concatenate
 labels with the sorting sign, meets follow the shuffle sum with formal
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import lcm, prod
+from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
@@ -208,7 +212,7 @@ class BracketPolynomial(Polynomial):
         The default column map sends integer labels to matrix-entry columns
         and string labels to extra-vector columns.
         """
-        return expander(dim, column)(self)
+        return expander(dim, column)([self])[0]
 
     def evaluate(self, vectors: Mapping[Label, Sequence[Scalar]]) -> Scalar:
         """Exact value with every label bound to a concrete vector."""
@@ -217,11 +221,13 @@ class BracketPolynomial(Polynomial):
 
 def expander(
     dim: int, column: Callable[[Label], Sequence[Polynomial]] | None = None
-) -> Callable[[BracketPolynomial], Polynomial]:
-    """Coordinate expansion sharing one bracket->polynomial cache across calls.
+) -> Callable[[Sequence[BracketPolynomial]], list[Polynomial]]:
+    """Coordinate expansion of a sequence of bracket polynomials, sharing one
+    bracket->polynomial cache across calls.
 
-    The brackets a call meets first are maximal minors of one matrix, whose
-    columns are their labels' columns, so they share one MinorEngine.
+    The brackets a call meets first, in all its polynomials, are maximal
+    minors of one matrix, whose columns are their labels' columns, so they
+    share one MinorEngine.
     """
     column = column or (lambda label: symbolic_column(label, dim))
     cache: dict[BracketKey, Polynomial] = {}
@@ -238,11 +244,7 @@ def expander(
         for key in keys:
             cache[key] = engine.minor(rows, tuple(at[label] for label in key))
 
-    def expand(poly: BracketPolynomial) -> Polynomial:
-        terms = poly.sorted_terms()
-        new = [key for key in dict.fromkeys(k for mono, _ in terms for k in mono) if key not in cache]
-        if new:
-            expand_brackets(new)
+    def expand_one(terms) -> Polynomial:
         total = Polynomial.zero()
         for mono, coeff in terms:
             term = cache[mono[0]].scale(coeff) if mono else Polynomial.constant(coeff)
@@ -250,6 +252,14 @@ def expander(
                 term = term * cache[key]
             total = total + term
         return total
+
+    def expand(polys: Sequence[BracketPolynomial]) -> list[Polynomial]:
+        terms = [poly.sorted_terms() for poly in polys]
+        keys = dict.fromkeys(k for each in terms for mono, _ in each for k in mono)
+        new = [key for key in keys if key not in cache]
+        if new:
+            expand_brackets(new)
+        return [expand_one(each) for each in terms]
 
     return expand
 
@@ -262,11 +272,25 @@ def _integer_column(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
 
 def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]:
     """``value(poly, extra=None)``: exact value with each label bound to its
-    vector in ``extra``, else in ``points``; bracket values are shared by all calls."""
+    vector in ``extra``, else in ``points``; bracket values are shared by all calls.
+
+    A polynomial's first call is evaluated term by term, so one-shot callers
+    (a matrix evaluated entry by entry) build nothing more.  Its second call
+    compiles it into a plan (``_Plan``): its distinct brackets in term order,
+    one value table per bracket keyed by the vectors ``extra`` gives that
+    bracket's labels (None for a label left to ``points``), and its terms as
+    coefficients and bracket indices.  A call whose vectors every table has
+    seen is then a few lookups and ``sum(coeff * prod(values))``; a bracket
+    missing from its table is computed and checked in term order, so errors
+    name the same first bad bracket as term-by-term evaluation does.
+    """
     columns = {label: _integer_column(vec) for label, vec in points.items()}
     # The extra vectors of a sweep are a few distinct ones, met on every call.
     extra_columns: dict[tuple[Scalar, ...], tuple[tuple[int, ...], int]] = {}
     memo: dict[tuple, Scalar] = {}
+    # id(poly) -> (poly, plan, or None after one call); holding the poly keeps
+    # its id from being reused.
+    plans: dict[int, tuple[BracketPolynomial, _Plan | None]] = {}
 
     def extra_column(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
         vector = tuple(vector)
@@ -293,10 +317,13 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
             memo[cols] = got
         return got
 
-    def value(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None = None) -> Scalar:
-        bound = columns
-        if extra:
-            bound = {**columns, **{label: extra_column(vec) for label, vec in extra.items()}}
+    def bind(extra: Mapping[Label, Sequence[Scalar]] | None) -> Mapping[Label, tuple]:
+        if not extra:
+            return columns
+        return {**columns, **{label: extra_column(vec) for label, vec in extra.items()}}
+
+    def term_by_term(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None) -> Scalar:
+        bound = bind(extra)
         at: dict[BracketKey, Scalar] = {}
         total: Scalar = 0
         for mono, coeff in poly.terms.items():
@@ -309,7 +336,70 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
             total = total + val
         return total
 
+    def fill(plan: _Plan, extra: Mapping[Label, Sequence[Scalar]]) -> list[Scalar]:
+        """Bracket values of a call that missed a table, computed in term order."""
+        extra = {label: tuple(vec) for label, vec in extra.items()}
+        bound = bind(extra)
+        vectors = list(map(extra.get, plan.labels))
+        values = []
+        for key, table_key, table in zip(plan.brackets, plan.table_keys, plan.tables):
+            at = table_key(vectors)
+            got = table.get(at)
+            if got is None:
+                got = table[at] = bracket_value(key, bound)
+            values.append(got)
+        return values
+
+    def value(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None = None) -> Scalar:
+        if not poly.terms:
+            # A bracket matrix shares one zero polynomial among its entries.
+            return 0
+        entry = plans.get(id(poly))
+        if entry is None or entry[0] is not poly:
+            plans[id(poly)] = (poly, None)
+            return term_by_term(poly, extra)
+        plan = entry[1]
+        if plan is None:
+            plan = _Plan(poly)
+            plans[id(poly)] = (poly, plan)
+        extra = extra or {}
+        vectors = list(map(extra.get, plan.labels))
+        try:
+            values = [table[key(vectors)] for key, table in zip(plan.table_keys, plan.tables)]
+        except (KeyError, TypeError):  # a new vector, or an unhashable one
+            values = fill(plan, extra)
+        values.append(1)
+        return sum(map(mul, plan.coeffs, map(prod, [factors(values) for factors in plan.factors])))
+
     return value
+
+
+class _Plan:
+    """A bracket polynomial compiled for repeated evaluation by one evaluator.
+
+    ``table_keys[i](vectors)`` picks bracket i's labels out of the vectors a
+    call gives the polynomial's ``labels``.  ``factors[t](values)`` picks
+    term t's bracket values; an index one past the last bracket names a
+    trailing 1, which pads every term to at least two factors so that each
+    pick is a tuple.
+    """
+
+    __slots__ = ("labels", "brackets", "table_keys", "tables", "coeffs", "factors")
+
+    def __init__(self, poly: BracketPolynomial):
+        self.brackets: list[BracketKey] = list(dict.fromkeys(key for mono in poly.terms for key in mono))
+        self.labels = tuple(dict.fromkeys(label for key in self.brackets for label in key))
+        at = {label: i for i, label in enumerate(self.labels)}.__getitem__
+        self.table_keys = [itemgetter(*map(at, key)) if key else _no_labels for key in self.brackets]
+        self.tables: list[dict] = [{} for _ in self.brackets]
+        index = {key: i for i, key in enumerate(self.brackets)}.__getitem__
+        one = len(self.brackets)
+        self.coeffs = list(poly.terms.values())
+        self.factors = [itemgetter(*map(index, mono), *(one,) * (2 - len(mono))) for mono in poly.terms]
+
+
+def _no_labels(vectors: list) -> tuple:
+    return ()
 
 
 def symbolic_column(label: Label, dim: int) -> list[Polynomial]:

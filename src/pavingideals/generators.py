@@ -203,8 +203,10 @@ def liftability_matrix(
     dim = ambient if ambient is not None else matroid.rank
     if q.coords is not None and len(q.coords) != dim:
         raise ValueError("extra vector dimension disagrees with the ambient dimension")
-    expand = _coordinates([q], dim)
-    return [[expand(e) for e in row] for row in _liftability_brackets(matroid, q.label(), dim)]
+    brackets = _liftability_brackets(matroid, q.label(), dim)
+    # One expansion call, so all the matrix's brackets share one MinorEngine.
+    entries = iter(_coordinates([q], dim)([e for row in brackets for e in row]))
+    return [[next(entries) for _ in row] for row in brackets]
 
 
 def liftability_matrix_at(
@@ -477,7 +479,7 @@ def _graph_brackets(data: GraphData) -> BracketRows:
 
 
 def _in_graph_coordinates(data: GraphData, poly: BracketPolynomial) -> Polynomial:
-    return _coordinates(data.extras, data.matroid.rank)(poly)
+    return _coordinates(data.extras, data.matroid.rank)([poly])[0]
 
 
 def graph_polynomial(data: GraphData) -> Polynomial:
@@ -632,6 +634,8 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
 
     n = matroid.rank
     circuits = matroid.circuits_n()
+    # Every candidate's extra vectors are basis vectors: one expander serves them all.
+    expand = _coordinates([ExtraVector.basis(b, n) for b in range(1, n + 1)], n)
     for anchor in matroid.closed_sets(max_size=FAMILY_MAX_ANCHOR):
         points = tuple(p for p in matroid.points if p not in anchor)
         if not points or len(points) > FAMILY_MAX_POINTS:
@@ -661,7 +665,7 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
                     break
                 extras = tuple(ExtraVector.basis(b, n) for b in basis_pick)
                 data = GraphData(matroid, anchor, points, combo, extras)
-                poly = graph_polynomial(data)
+                poly = expand([MinorEngine(_graph_brackets(data)).determinant()])[0]
                 if poly.is_zero():
                     continue
                 normal, _ = poly.normalized_sign()

@@ -5,6 +5,14 @@ when its value is the zero scalar under each requested assignment of the
 auxiliary symbolic vectors, and in ``nonzero`` mode when no assignment
 evaluates to zero.  Assignments are explicit vectors per symbolic name, or
 the canonical-basis sweep over every combination.
+
+Coordinate polynomials take the realization's point coordinates once and
+evaluate the residual per assignment.  Bracket-form polynomials share one
+``brackets.evaluator`` per run, which computes each bracket once per
+distinct tuple of columns and compiles a polynomial checked more than once
+into per-bracket value tables, so a sweep check is a few lookups and a sum
+of products.  The sweep yields each check's (name, vector) key directly,
+and the report writes each polynomial id and vector once.
 """
 
 from __future__ import annotations
@@ -26,25 +34,10 @@ from .variables import KIND_EXTRA, Variable, extra_var
 @dataclass(frozen=True)
 class VanishingCheck:
     poly_id: str
+    # (name, vector) pairs sorted by name.
     assignment: tuple[tuple[str, tuple[Scalar, ...]], ...]
     value: Scalar
     passed: bool
-
-    def to_json_dict(self, vector_texts: dict[tuple, list[str]]) -> dict:
-        """The check as a JSON object; ``vector_texts`` keeps each assignment
-        vector's formatted coordinates for the next check that names it."""
-        assignment = {}
-        for name, vec in self.assignment:
-            text = vector_texts.get(vec)
-            if text is None:
-                text = vector_texts[vec] = [format_rational(c) for c in vec]
-            assignment[name] = text
-        return {
-            "poly_id": self.poly_id,
-            "assignment": assignment,
-            "value": format_rational(self.value),
-            "pass": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -57,9 +50,38 @@ class VanishingReport:
         return all(c.passed for c in self.checks)
 
     def to_json_lines(self) -> str:
-        # A sweep names a few distinct vectors in every check: format each once.
-        texts: dict[tuple, list[str]] = {}
-        return "\n".join(json.dumps(c.to_json_dict(texts), sort_keys=True) for c in self.checks)
+        """One line per check, byte for byte ``json.dumps(obj, sort_keys=True)``
+        of ``{"poly_id", "assignment": {name: [coordinates]}, "value", "pass"}``.
+
+        A sweep repeats a few polynomial ids and vectors in every check, so
+        each id, and each (name, vector) pair, is encoded once; each vector's
+        coordinates are formatted once.  ``format_rational`` writes only
+        digits, ``-`` and ``/``, which JSON quotes without escapes.
+        """
+        ids: dict[str, str] = {}
+        pairs: dict[tuple, str] = {}
+        vectors: dict[tuple, str] = {}
+
+        def pair_text(pair: tuple[str, tuple]) -> str:
+            name, vec = pair
+            text = vectors.get(vec)
+            if text is None:
+                text = vectors[vec] = json.dumps([format_rational(c) for c in vec])
+            text = pairs[pair] = f"{json.dumps(name)}: {text}"
+            return text
+
+        lines = []
+        for check in self.checks:
+            poly_id = ids.get(check.poly_id)
+            if poly_id is None:
+                poly_id = ids[check.poly_id] = json.dumps(check.poly_id)
+            assignment = ", ".join([pairs.get(pair) or pair_text(pair) for pair in check.assignment])
+            verdict = "true" if check.passed else "false"
+            value = format_rational(check.value)
+            lines.append(
+                f'{{"assignment": {{{assignment}}}, "pass": {verdict}, "poly_id": {poly_id}, "value": "{value}"}}'
+            )
+        return "\n".join(lines)
 
 
 def extra_names(poly) -> tuple[str, ...]:
@@ -70,11 +92,14 @@ def extra_names(poly) -> tuple[str, ...]:
 
 def canonical_basis_sweep(names: Sequence[str], dim: int) -> list[dict[str, tuple[int, ...]]]:
     """Every assignment of canonical basis vectors to the named extras."""
+    return [dict(pairs) for pairs in _basis_pairs(names, dim)]
+
+
+def _basis_pairs(names: Sequence[str], dim: int) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:
+    """The canonical-basis sweep as (name, vector) pairs in the order of
+    ``names``; every assignment shares the name's pair objects."""
     basis = [tuple(1 if i == j else 0 for i in range(1, dim + 1)) for j in range(1, dim + 1)]
-    out = []
-    for pick in product(range(dim), repeat=len(names)):
-        out.append({name: basis[i] for name, i in zip(names, pick)})
-    return out
+    return list(product(*[[(name, e) for e in basis] for name in names]))
 
 
 def evaluate_poly(
@@ -160,13 +185,14 @@ def verify_vanishing(
         else:
             names, value_at = _point_residual(poly, points)
         if sweep:
-            assigns: Sequence[Mapping[str, Sequence[Scalar]]] = canonical_basis_sweep(names, dim)
-        elif extra_assignments is not None:
-            assigns = extra_assignments
+            # The names are sorted, so each sweep's pairs are already a check's key.
+            assigns = ((pairs, dict(pairs)) for pairs in _basis_pairs(names, dim))
         else:
-            assigns = [{}]
-        for extra in assigns:
-            key = tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names))
+            assigns = (
+                (tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names)), extra)
+                for extra in (extra_assignments if extra_assignments is not None else [{}])
+            )
+        for key, extra in assigns:
             value = value_at(extra)
             passed = (value == 0) if expect == "zero" else (value != 0)
             checks.append(VanishingCheck(labeled.label, key, value, passed))

@@ -11,7 +11,9 @@ tests below pin its output bytes, its determinant count and its checks.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from pavingideals.linalg import echelon
 from pavingideals.poly import Polynomial, UnboundVariable
 from pavingideals.realizations import Realization
 from pavingideals.samplers import sample_family
+from pavingideals.scalars import format_rational
 from pavingideals.variables import KIND_EXTRA, entry_var, extra_var
 from pavingideals.verify import (
     VanishingCheck,
@@ -247,6 +250,54 @@ def test_canonical_sweep_converts_and_formats_each_vector_once(tmp_path, monkeyp
     assert len(texts) == lines + 3 * 3
 
 
+def test_report_lines_equal_json_dumps_with_sorted_keys():
+    e1, half = (1, 0, 0), (Fraction(-1, 2), 0, Fraction(7, 3))
+    ids = ['say "hi"', "back\\slash", "⟨1 2 q⟩ - ⟨1 3 q⟩", "tab\there", "plain"]
+    assignments = [
+        (),
+        (("q1", e1),),
+        (("q1", half), ("q10", e1), ("q2", half)),
+        (("q", (Fraction(1, 3), -2, 0)),),
+    ]
+    values = [0, -3, Fraction(-5, 7), Fraction(9, 4), 12345678901234567890, 7]
+    checks = [
+        VanishingCheck(ids[i % len(ids)], assignments[i % len(assignments)], values[i % len(values)], i % 3 == 0)
+        for i in range(40)
+    ]
+    want = "\n".join(
+        json.dumps(
+            {
+                "poly_id": c.poly_id,
+                "assignment": {name: [format_rational(x) for x in vec] for name, vec in c.assignment},
+                "value": format_rational(c.value),
+                "pass": c.passed,
+            },
+            sort_keys=True,
+        )
+        for c in checks
+    )
+    assert VanishingReport(tuple(checks), "zero").to_json_lines() == want
+    assert VanishingReport((), "zero").to_json_lines() == ""
+
+
+def pascal_collinear_witness(path) -> None:
+    """Nine points on one line at which the Pascal hexagon graph polynomial
+    with every extra vector e3 is nonzero (criterion 5)."""
+    xs = [0, 1, 3, 7, 12, 20, -5, -9, 15]
+    points = {str(p): [x, 1, 0] for p, x in enumerate(xs, start=1)}
+    path.write_text(json.dumps({"matroid": "pascal", "points": points}))
+
+
+def test_witness_catches_a_verifier_that_always_returns_zero(tmp_path, monkeypatch):
+    polys, witness = tmp_path / "polys.txt", tmp_path / "witness.json"
+    assert main(["generate", "--matroid", "pascal", "--which", "graph", "--out", str(polys)]) == 0
+    pascal_collinear_witness(witness)
+    argv = ["verify", "--polys", str(polys), "--realization", str(witness), "--q", "0,0,1", "--expect", "nonzero"]
+    assert main(argv + ["--out", str(tmp_path / "good.jsonl")]) == 0
+    monkeypatch.setattr(verify, "evaluate_poly", lambda *args, **kwargs: 0)
+    assert main(argv + ["--out", str(tmp_path / "bad.jsonl")]) == 3
+
+
 def test_expansion_rejects_a_bracket_of_the_wrong_size():
     with pytest.raises(DimensionMismatch, match=r"bracket \(1, 2\) has 2 columns in dimension 3"):
         BracketPolynomial.from_text("<1 2 3> - <1 2><1 3 4>").expand(3)
@@ -293,6 +344,19 @@ def random_bracket_polynomials(rng: random.Random, realization: Realization):
     return out
 
 
+def shaped_bracket_polynomials(realization: Realization):
+    """Constant terms, repeated brackets and brackets holding two extra labels."""
+    assert realization.dim == 3
+    a, b, c, d = sorted(realization.vectors)[:4]
+    texts = [
+        f"2/3 - <{a} {b} q1><{a} {b} q1> + 3 <{a} q1 q2>",
+        f"<{b} q2 q3><{a} {c} q1> - 5 <{d} q1 q3><{d} q1 q3><{c} q1 q2> + <{a} {b} {c}>",
+        f"<{a} {b} {c}><{a} {b} {d}> - 4",
+        "7",
+    ]
+    return [LabeledPolynomial(f"s{i}", BracketPolynomial.from_text(t)) for i, t in enumerate(texts)]
+
+
 @pytest.mark.parametrize("family, seed", SAMPLES, ids=[f"{f}-{s}" for f, s in SAMPLES])
 def test_bracket_verify_matches_the_expanded_oracle(family, seed):
     sampled = sample_family(family, seed)
@@ -304,8 +368,11 @@ def test_bracket_verify_matches_the_expanded_oracle(family, seed):
     }
     dim = sampled.dim
     explicit = [{n: random_vector(rng, dim) for n in EXTRAS} for _ in range(3)]
+    # List-valued vectors cannot key a value table; repeat one so a plan meets it twice.
+    listed = {n: list(random_vector(rng, dim)) for n in EXTRAS}
+    explicit += [listed, explicit[0], dict(listed)]
     for realization in (sampled, Realization(sampled.matroid, scaled)):
-        polys = random_bracket_polynomials(rng, realization)
+        polys = random_bracket_polynomials(rng, realization) + shaped_bracket_polynomials(realization)
         expanded = [LabeledPolynomial(p.label, p.polynomial.expand(dim)) for p in polys]
         for kwargs, assignments_of in [
             (dict(sweep=True), lambda names: canonical_basis_sweep(names, dim)),
@@ -334,6 +401,62 @@ def test_evaluator_checks_labels_and_lengths_with_a_warm_memo():
     assert value(b12q * b123, {"q": (0, 0, Fraction(1, 3))}) == Fraction(1, 3)
 
 
+def test_one_evaluator_serves_several_polynomials_with_shared_brackets():
+    realization = sample_family("fig2r", 1)
+    dim = realization.dim
+    rng = random.Random("shared-evaluator")
+    polys = [p.polynomial for p in random_bracket_polynomials(rng, realization)]
+    polys += [p.polynomial for p in shaped_bracket_polynomials(realization)]
+    polys.append(polys[0] * polys[1] - polys[2])
+    expanded = [p.expand(dim) for p in polys]
+    vectors = [random_vector(rng, dim) for _ in range(2)] + [(1, 0, 0), (0, 0, 1)]
+    value = evaluator(realization.vectors)
+    # Interleaved calls: first calls, plan compilations, table hits and misses.
+    for _ in range(4):
+        for poly, coords in zip(polys, expanded):
+            extra = {n: rng.choice(vectors) for n in EXTRAS}
+            want = coords.evaluate(full_assignment(realization, extra))
+            assert value(poly, extra) == want
+            assert value(poly, {**extra, "unused": (1, 2)}) == want
+
+
+WARM_POINTS = {1: (1, 0, 0), 2: (0, 1, 0), 3: (Fraction(1, 2), 0, 1), 4: (1, 1)}
+
+
+def bracket_fault(value, poly, extra) -> tuple[type, str]:
+    with pytest.raises((UnboundLabel, DimensionMismatch)) as exc:
+        value(poly, extra)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"q": (1, 0, 0)},
+        {"r": [0, 1, 0]},
+        {"q": (1, 0, 0), "r": (0, 1)},
+        {"q": (1, 0), "r": (0, 1, 0)},
+        {"q": (1, 0, 0), "r": (0, 1, 0), 2: (1, 1)},
+    ],
+)
+def test_a_compiled_plan_reports_the_first_bad_bracket_of_a_cold_evaluation(bad):
+    poly = BracketPolynomial.from_text("<1 2 3><2 3 q> - <1 3 r><2 3 q> + <1 2 q>")
+    want = bracket_fault(evaluator(WARM_POINTS), poly, bad)
+    warm = evaluator(WARM_POINTS)
+    for q in [(1, 1, 3), (0, 0, 1), (1, 1, 3)]:
+        good = {"q": q, "r": (2, 0, 1)}
+        assert warm(poly, good) == evaluator(WARM_POINTS)(poly, good)
+    assert bracket_fault(warm, poly, bad) == want
+    assert bracket_fault(warm, poly, bad) == want
+
+
+def test_a_bad_point_bracket_fails_every_call():
+    value = evaluator(WARM_POINTS)
+    poly = BracketPolynomial.from_text("<1 2 3> + <2 3 q><1 2 4>")
+    faults = {bracket_fault(value, poly, {"q": (1, 2, 3)}) for _ in range(4)}
+    assert faults == {(DimensionMismatch, "bracket (1, 2, 4) on vectors of length [2, 3]")}
+
+
 @pytest.mark.parametrize("second, error", [("<1 2 77>", UnboundLabel), ("<1 2>", DimensionMismatch)])
 def test_verify_checks_every_bracket_after_others_are_stored(second, error):
     realization = sample_family("qs", 0)
@@ -349,6 +472,12 @@ def test_verify_checks_every_bracket_after_others_are_stored(second, error):
 def test_a_missing_extra_vector_is_reported_before_other_bracket_faults(text):
     realization = sample_family("qs", 0)
     poly = BracketPolynomial.from_text(text)
-    assert unbound_list(lambda: evaluate_poly(poly, realization, {"q1": (1, 0, 0)})) == [
-        extra_var(1, "q2")
-    ]
+    want = [extra_var(1, "q2")]
+    assert unbound_list(lambda: evaluate_poly(poly, realization, {"q1": (1, 0, 0)})) == want
+    # The same through one evaluator: a first call, a plan compilation, then the plan.
+    value = evaluator(realization.vectors)
+    for _ in range(3):
+        with contextlib.suppress(UnboundLabel, DimensionMismatch):
+            value(poly, {"q1": (1, 0, 0), "q2": (0, 1, 0)})
+        got = unbound_list(lambda: evaluate_poly(poly, realization, {"q1": (1, 0, 0)}, brackets=value))
+        assert got == want
