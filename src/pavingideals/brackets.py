@@ -363,6 +363,8 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
             plan = _Plan(poly)
             plans[id(poly)] = (poly, plan)
         extra = extra or {}
+        # A list, not a tuple: tuple() of an iterator resizes its result, and
+        # a sweep's worth of such tuples stays on CPython's tuple free list.
         vectors = list(map(extra.get, plan.labels))
         try:
             values = [table[key(vectors)] for key, table in zip(plan.table_keys, plan.tables)]

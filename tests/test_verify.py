@@ -5,8 +5,10 @@ once and evaluates the residual per extra-vector assignment.  The oracle
 here evaluates the original polynomial on the full assignment for every
 check, so any difference in a value, a verdict or an unbound-variable list
 shows up.  Bracket-form polynomials go through one evaluator per run that
-computes each bracket once per distinct tuple of columns, in integers; the
-tests below pin its output bytes, its determinant count and its checks.
+computes each bracket once per distinct tuple of columns, in integers, and
+compiles a polynomial evaluated more than once into per-bracket value
+tables; the tests below pin its output bytes, its determinant count, its
+checks and its errors.
 """
 
 from __future__ import annotations
@@ -450,11 +452,17 @@ def test_a_compiled_plan_reports_the_first_bad_bracket_of_a_cold_evaluation(bad)
     assert bracket_fault(warm, poly, bad) == want
 
 
-def test_a_bad_point_bracket_fails_every_call():
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        (BracketPolynomial.from_text("<1 2 3> + <2 3 q><1 2 4>"), "bracket (1, 2, 4) on vectors of length [2, 3]"),
+        (BracketPolynomial.bracket([]) + 1, "bracket () on vectors of length []"),
+    ],
+)
+def test_a_bad_point_bracket_fails_every_call(poly, message):
     value = evaluator(WARM_POINTS)
-    poly = BracketPolynomial.from_text("<1 2 3> + <2 3 q><1 2 4>")
     faults = {bracket_fault(value, poly, {"q": (1, 2, 3)}) for _ in range(4)}
-    assert faults == {(DimensionMismatch, "bracket (1, 2, 4) on vectors of length [2, 3]")}
+    assert faults == {(DimensionMismatch, message)}
 
 
 @pytest.mark.parametrize("second, error", [("<1 2 77>", UnboundLabel), ("<1 2>", DimensionMismatch)])
