@@ -28,14 +28,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from math import lcm, prod
 from operator import itemgetter, mul
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
-from .poly import Polynomial, _split_terms
-from .polymatrix import MinorEngine
+from .poly import ExponentPacking, Polynomial, _split_terms
+from .polymatrix import MinorEngine, Packed, _add_product
 from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
 from .variables import entry_var, extra_var, is_extra_id
 
@@ -227,7 +227,11 @@ def expander(
 
     The brackets a call meets first, in all its polynomials, are maximal
     minors of one matrix, whose columns are their labels' columns, so they
-    share one MinorEngine.
+    share one MinorEngine.  Each call multiplies the brackets' expansions on
+    packed exponent vectors (``ExponentPacking``) over the variables they
+    hold: no exponent of a product of m brackets exceeds m times the largest
+    exponent in one bracket, so fields sized for the longest bracket monomial
+    never carry.  Each polynomial is unpacked once.
     """
     column = column or (lambda label: symbolic_column(label, dim))
     cache: dict[BracketKey, Polynomial] = {}
@@ -244,14 +248,46 @@ def expander(
         for key in keys:
             cache[key] = engine.minor(rows, tuple(at[label] for label in key))
 
-    def expand_one(terms) -> Polynomial:
+    def combine(terms) -> Polynomial:
+        """Terms of at most one bracket each: a linear combination of expansions."""
         total = Polynomial.zero()
         for mono, coeff in terms:
-            term = cache[mono[0]].scale(coeff) if mono else Polynomial.constant(coeff)
-            for key in mono[1:]:
-                term = term * cache[key]
-            total = total + term
+            total = total + (cache[mono[0]].scale(coeff) if mono else Polynomial.constant(coeff))
         return total
+
+    def expand_one(terms, packed: dict[BracketKey, Packed]) -> Packed:
+        total: Packed = {}
+        for mono, coeff in terms:
+            factors = [packed[key] for key in mono] or [{0: 1}]
+            product: Packed = {0: coeff}
+            for factor in factors[:-1]:
+                step: Packed = {}
+                _add_product(step, product, factor, 1)
+                product = step
+            _add_product(total, product, factors[-1], 1)
+        return total
+
+    # One packing for every call, rebuilt only when a call brings a variable
+    # or an exponent bound it lacks, so its unpacking tables stay warm.
+    packing = ExponentPacking(Polynomial, (), 0)
+    packing_pairs: set[tuple] = set()
+    packing_bound = 0
+    packed: dict[BracketKey, Packed] = {}
+
+    def pack_brackets(keys: Iterable[BracketKey], longest: int) -> None:
+        nonlocal packing, packing_bound
+        fresh = [key for key in keys if key not in packed]
+        pairs = set(chain.from_iterable(chain.from_iterable(cache[key].terms for key in fresh)))
+        bound = longest * max((e for _, e in pairs | packing_pairs), default=0)
+        if not pairs <= packing_pairs or bound > packing_bound:
+            packing_pairs.update(pairs)
+            packing_bound = max(bound, packing_bound)
+            packing = ExponentPacking(Polynomial, packing_pairs, packing_bound)
+            packed.clear()
+            fresh = list(keys)
+        for key in fresh:
+            terms = cache[key].terms
+            packed[key] = dict(zip(map(packing.pack, terms), terms.values()))
 
     def expand(polys: Sequence[BracketPolynomial]) -> list[Polynomial]:
         terms = [poly.sorted_terms() for poly in polys]
@@ -259,7 +295,16 @@ def expander(
         new = [key for key in keys if key not in cache]
         if new:
             expand_brackets(new)
-        return [expand_one(each) for each in terms]
+        longest = max((len(mono) for each in terms for mono, _ in each), default=0)
+        if longest <= 1:
+            # No bracket products (a matrix of brackets): nothing to pack.
+            return [combine(each) for each in terms]
+        pack_brackets(keys, longest)
+        out = []
+        for each in terms:
+            total = expand_one(each, packed)
+            out.append(Polynomial._from_clean(dict(zip(packing.unpack(total.keys()), total.values()))))
+        return out
 
     return expand
 

@@ -189,10 +189,21 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # The realization is loaded first, so coordinate lines are read straight
+    # into point residuals; a fault in the polynomial file is still reported
+    # before one in the realization.
+    parse_errors = (OSError, json.JSONDecodeError, ValueError, KeyError)
+    realization = bad_realization = None
     try:
-        polys = parse_polynomials(Path(args.polys).read_text())
         realization = Realization.from_json(Path(args.realization).read_text())
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except parse_errors as exc:
+        bad_realization = exc
+    try:
+        points = realization.assignment() if realization is not None else None
+        polys = parse_polynomials(Path(args.polys).read_text(), points)
+        if bad_realization is not None:
+            raise bad_realization
+    except parse_errors as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sweep = args.q == "canonical"

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .brackets import BracketPolynomial, Label, evaluator, expander, meet_then_join, symbolic_column
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
-from .poly import Polynomial
+from .poly import PointResidual, Polynomial
 from .polymatrix import MinorEngine
 from .scalars import Scalar, as_scalar, format_rational, normalize_scalar
 from .variables import is_extra_id
@@ -171,7 +171,8 @@ def _at(matrix: BracketRows, vectors: Mapping[Label, Sequence[Scalar]]) -> list[
 
 class LabeledPolynomial(NamedTuple):
     label: str
-    polynomial: Polynomial
+    # A file read against a realization's points holds PointResiduals.
+    polynomial: Polynomial | PointResidual
 
 
 def circuit_polynomials(matroid: PavingMatroid) -> list[LabeledPolynomial]:

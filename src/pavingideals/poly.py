@@ -16,16 +16,20 @@ joined with `` + `` / `` - ``::
 
     2 * x[1,3]^2 * x[2,q1] - 1/3 * x[1,4]
 
-``from_text`` parses exactly this shape back; exponents are integers >= 1.
+``from_text`` parses exactly this shape back, with free spacing around the
+operators; coefficients, exponents (>= 1) and indices are ASCII digits.
+``read_point_residual`` is the same reader with some variables bound: it
+substitutes their values term by term, so a verifier gets the small residual
+polynomial in the other variables without the full expansion being built.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain, repeat
-from operator import and_, itemgetter, neg, rshift
+from operator import and_, itemgetter, mul, neg, rshift
 from typing import Collection, Iterable, Iterator, Mapping, Tuple
 
 from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
@@ -430,32 +434,9 @@ class Polynomial:
 
     @staticmethod
     def from_text(text: str) -> "Polynomial":
-        text = text.strip()
-        if text == "0":
-            return Polynomial()
-        terms: dict[Monomial, Scalar] = {}
-        # A line names a few dozen distinct factors thousands of times, so
-        # each distinct factor text is parsed once per call.
-        parsed: dict[str, tuple[Variable, int]] = {}
-        for sign, body in _split_terms(text):
-            factors = body.split("*")
-            coeff: Scalar = sign * parse_rational(factors[0])
-            mono: list[tuple[Variable, int]] = []
-            for factor in factors[1:]:
-                factor = factor.strip()
-                pair = parsed.get(factor)
-                if pair is None:
-                    pair = parsed[factor] = _parse_factor(factor)
-                mono.append(pair)
-            key = tuple(sorted(mono))
-            if len(dict(key)) != len(key):
-                # A variable repeats inside the term: add its exponents.
-                merged: dict[Variable, int] = {}
-                for var, exp in key:
-                    merged[var] = merged.get(var, 0) + exp
-                key = tuple(merged.items())
-            terms[key] = terms.get(key, 0) + coeff
-        return Polynomial(terms)
+        """The polynomial a line writes: ``read_point_residual``'s reader with
+        no variable bound."""
+        return Polynomial._from_clean(_read(text, {})[0])
 
     def __str__(self) -> str:
         return self.to_text()
@@ -480,14 +461,13 @@ class UnboundVariable(KeyError):
 
 
 def _parse_factor(factor: str) -> tuple[Variable, int]:
-    """``x[r,c]`` or ``x[r,c]^e`` as a (Variable, exponent) pair, e >= 1."""
+    """``x[r,c]`` or ``x[r,c]^e`` as a (Variable, exponent) pair, e >= 1 in
+    ASCII digits."""
     var_text, caret, exp_text = factor.partition("^")
     if not caret:
         return parse_variable(factor), 1
-    try:
-        exp = int(exp_text)
-    except ValueError:
-        exp = 0
+    exp_text = exp_text.strip()
+    exp = int(exp_text) if exp_text.isascii() and exp_text.isdigit() else 0
     if exp < 1:
         raise ValueError(f"exponent must be a positive integer: {factor!r}")
     return parse_variable(var_text), exp
@@ -503,3 +483,123 @@ def _split_terms(text: str):
     yield sign, parts[0].strip()
     for i in range(1, len(parts), 2):
         yield (1 if parts[i] == "+" else -1), parts[i + 1].strip()
+
+
+# Bits per variable in a term's order-free key.  A sum that carries across
+# fields can only make two monomials look alike, which costs speed, not
+# exactness.
+_KEY_FIELD = 32
+
+
+def _monomial(pairs: Iterable[tuple[Variable, int]]) -> Monomial:
+    """The monomial of a term's (variable, exponent) factors, in any order: the
+    pairs sorted, the exponents of a repeated variable added."""
+    key = tuple(sorted(pairs))
+    if len(dict(key)) != len(key):
+        merged: dict[Variable, int] = {}
+        for var, exp in key:
+            merged[var] = merged.get(var, 0) + exp
+        key = tuple(merged.items())
+    return key
+
+
+class _Memo(dict):
+    """key -> compute(key), computed on first lookup; a computation that
+    raises stores nothing."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _read(text: str, points: Mapping[Variable, Scalar]) -> tuple[dict[Monomial, Scalar], set[Variable] | None]:
+    """The term grammar: one line read with ``points`` substituted.
+
+    Returns the terms of the residual, the polynomial in the variables
+    ``points`` leaves free, and, when ``points`` is not empty, the line's
+    variables if they are the support of the polynomial it writes, else
+    None.  They are when no coefficient is 0 and no two terms share a
+    monomial, so no term cancels: each term's key, the sum of exponent <<
+    field(variable) over its factors, is order-free, and fewer distinct keys
+    than terms means a shared (or merely colliding) monomial.
+
+    A line names a few dozen distinct factors thousands of times, so each
+    distinct written factor is looked up once and each distinct stripped
+    one parsed once.  Each step over the terms is a lazy map, and one loop
+    draws them in step a term at a time, coefficient first, so the first
+    malformed text of the line is the one that raises.  With nothing bound
+    the residual is the polynomial itself, and no keys or values are made.
+    """
+    text = text.strip()
+    if text == "0":
+        return {}, set()
+    parsed = _Memo(_parse_factor)
+    factors = _Memo(lambda written: parsed[written.strip()])
+    coefficients = _Memo(lambda signed: signed[0] * parse_rational(signed[1]))
+    signs, bodies = zip(*_split_terms(text))
+    split = list(map(str.split, bodies, repeat("*")))
+    written = list(map(itemgetter(slice(1, None)), split))
+    coeffs = map(coefficients.__getitem__, zip(signs, map(itemgetter(0), split)))
+    if points:
+        fields: dict[Variable, int] = {}
+        point_value: dict[str, Scalar] = {}
+        free: dict[str, tuple[Variable, int]] = {}
+
+        def weigh(written: str) -> int:
+            """The factor's key weight; files its point value, or its pair when free."""
+            var, exp = pair = factors[written]
+            if var in points:
+                point_value[written] = normalize_scalar(points[var]) ** exp
+            else:
+                free[written] = pair
+            return exp << fields.setdefault(var, _KEY_FIELD * len(fields))
+
+        keys = map(sum, map(map, repeat(_Memo(weigh).__getitem__), written))
+        bound = map(reduce, repeat(mul), map(map, repeat(point_value.get), written, repeat(repeat(1))), repeat(1))
+        free_monomials = _Memo(lambda frees: _monomial(map(free.__getitem__, frees)))
+        monos = map(free_monomials.__getitem__, map(tuple, map(filter, repeat(free.__contains__), written)))
+    else:
+        keys, bound = repeat(0), repeat(1)
+        monos = map(_monomial, map(map, repeat(factors.__getitem__), written))
+    terms: dict[Monomial, Scalar] = {}
+    get = terms.get
+    seen: set[int] = set()
+    for coeff, key, value, mono in zip(coeffs, keys, bound, monos):
+        seen.add(key)
+        terms[mono] = get(mono, 0) + coeff * value
+    residual = {mono: normalize_scalar(c) for mono, c in terms.items() if c}
+    if points and all(coefficients.values()) and len(seen) == len(split):
+        return residual, {var for var, _ in parsed.values()}
+    return residual, None
+
+
+class PointResidual:
+    """A coordinate polynomial read with point coordinates substituted.
+
+    ``residual`` is the polynomial in the variables ``points`` leaves free
+    (for a realization, the extra-vector coordinates), ``support`` the
+    variables of the polynomial as written, after cancellation, and
+    ``points`` the substitution it was read against.
+    """
+
+    __slots__ = ("residual", "support", "points")
+
+    def __init__(self, residual: Polynomial, support: frozenset[Variable], points: Mapping[Variable, Scalar]):
+        self.residual = residual
+        self.support = support
+        self.points = points
+
+
+def read_point_residual(text: str, points: Mapping[Variable, Scalar]) -> PointResidual:
+    """``from_text(text)`` with ``points`` substituted, without building it:
+    equal to ``evaluate_partial(points)`` and ``support()`` of that polynomial.
+    A line whose terms may cancel takes its support from the full polynomial."""
+    terms, support = _read(text, points)
+    if support is None:
+        support = Polynomial.from_text(text).support()
+    return PointResidual(Polynomial._from_clean(terms), frozenset(support), points)

@@ -37,15 +37,21 @@ def normalize_scalar(value: Scalar) -> Scalar:
 
 
 def parse_rational(text: str) -> Scalar:
-    """Parse 'n' or 'p/q' into an exact scalar; q = 0 raises NotRational."""
+    """Parse 'n' or 'p/q' into an exact scalar: ASCII digits, with a leading
+    '-' allowed on n and p only; q = 0 raises NotRational."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
+    num, slash, den = text.partition("/")
+    if slash:
         denominator = int(den)
         if denominator == 0:
             raise NotRational(f"zero denominator: {text!r}")
-        return normalize_scalar(Fraction(int(num), denominator))
-    return int(text)
+        value = normalize_scalar(Fraction(int(num), denominator))
+    else:
+        value = int(num)
+    # int() also takes other Unicode digits, '_' separators, a '+' and spaces.
+    if not (text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+        raise NotRational(f"not an ASCII rational: {text!r}")
+    return value
 
 
 def format_rational(value: Scalar) -> str:

@@ -22,7 +22,7 @@ KIND_ENTRY = "entry"
 KIND_EXTRA = "extra"
 
 _EXTRA_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_VARIABLE_RE = re.compile(r"^x\[(\d+),([^\]]+)\]$")
+_VARIABLE_RE = re.compile(r"^x\[([0-9]+),([^\]]+)\]$")
 
 
 class Variable(NamedTuple):
@@ -59,6 +59,6 @@ def parse_variable(text: str) -> Variable:
         raise ValueError(f"bad variable syntax: {text!r}")
     row = int(m.group(1))
     col = m.group(2)
-    if col.isdigit():
+    if col.isascii() and col.isdigit():
         return entry_var(row, int(col))
     return extra_var(row, col)

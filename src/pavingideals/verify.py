@@ -7,7 +7,10 @@ evaluates to zero.  Assignments are explicit vectors per symbolic name, or
 the canonical-basis sweep over every combination.
 
 Coordinate polynomials take the realization's point coordinates once and
-evaluate the residual per assignment.  Bracket-form polynomials share one
+evaluate the residual per assignment.  A ``PointResidual``, which
+``polyfiles.parse_polynomials`` reads straight from a line given the point
+coordinates, is that residual with the support of its polynomial; one read
+against other points is refused.  Bracket-form polynomials share one
 ``brackets.evaluator`` per run, which computes each bracket once per
 distinct tuple of columns and compiles a polynomial checked more than once
 into per-bracket value tables, so a sweep check is a few lookups and a sum
@@ -25,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from .generators import LabeledPolynomial
-from .poly import Polynomial, UnboundVariable
+from .poly import PointResidual, Polynomial, UnboundVariable
 from .realizations import Realization
 from .scalars import Scalar, format_rational
 from .variables import KIND_EXTRA, Variable, extra_var
@@ -87,12 +90,11 @@ class VanishingReport:
 def extra_names(poly) -> tuple[str, ...]:
     if isinstance(poly, BracketPolynomial):
         return tuple(sorted(l for l in poly.labels() if isinstance(l, str)))
-    return tuple(sorted({v.column for v in poly.support() if v.kind == KIND_EXTRA}))
+    return _extra_columns(poly.support if isinstance(poly, PointResidual) else poly.support())
 
 
-def canonical_basis_sweep(names: Sequence[str], dim: int) -> list[dict[str, tuple[int, ...]]]:
-    """Every assignment of canonical basis vectors to the named extras."""
-    return [dict(pairs) for pairs in _basis_pairs(names, dim)]
+def _extra_columns(support: Iterable[Variable]) -> tuple[str, ...]:
+    return tuple(sorted({v.column for v in support if v.kind == KIND_EXTRA}))
 
 
 def _basis_pairs(names: Sequence[str], dim: int) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:
@@ -132,19 +134,18 @@ def _extra_assignment(extra: Mapping[str, Sequence[Scalar]]) -> dict[Variable, S
     }
 
 
-def _point_residual(
-    poly: Polynomial, points: Mapping[Variable, Scalar]
+def _residual_value(
+    residual: Polynomial, support: Iterable[Variable], points: Mapping[Variable, Scalar]
 ) -> tuple[tuple[str, ...], Callable[[Mapping[str, Sequence[Scalar]]], Scalar]]:
-    """The extra-vector names of ``poly`` and its value at an assignment of them.
+    """The extra-vector names of a polynomial with this support and its value
+    at an assignment of them, from its residual after substituting ``points``.
 
-    The point coordinates are substituted once; each assignment then
-    evaluates only the residual in the extra variables.  Variables that
-    neither the points nor the assignment bind raise UnboundVariable first,
-    so a substitution that cancels their terms cannot hide them.
+    Each assignment evaluates only the residual in the extra variables.
+    Variables that neither the points nor the assignment bind raise
+    UnboundVariable first, so a substitution that cancels their terms cannot
+    hide them.
     """
-    support = poly.support()
     open_vars = sorted(v for v in support if v not in points)
-    residual = poly.evaluate_partial(points)
 
     def value(extra: Mapping[str, Sequence[Scalar]]) -> Scalar:
         values = _extra_assignment(extra)
@@ -153,7 +154,7 @@ def _point_residual(
             raise UnboundVariable(unbound)
         return residual.evaluate(values)
 
-    return tuple(sorted({v.column for v in support if v.kind == KIND_EXTRA})), value
+    return _extra_columns(support), value
 
 
 def verify_vanishing(
@@ -168,22 +169,31 @@ def verify_vanishing(
     ``extra_assignments`` maps symbolic extra-vector names to concrete
     vectors, one dict per evaluation; ``sweep`` instead runs the full
     canonical-basis sweep over each polynomial's own symbolic names.
-    Polynomials may be expanded or in bracket form.  Unassigned symbolic
-    vectors raise UnboundVariable.
+    Polynomials may be expanded, point residuals read against this
+    realization's points, or in bracket form.  Unassigned symbolic vectors
+    raise UnboundVariable.
     """
     if expect not in ("zero", "nonzero"):
         raise ValueError("expect must be 'zero' or 'nonzero'")
     dim = realization.dim
     points = realization.assignment()
     brackets = evaluator(realization.vectors)
+    read_against = None
     checks: list[VanishingCheck] = []
     for labeled in polynomials:
         poly = labeled.polynomial
         if isinstance(poly, BracketPolynomial):
             names = extra_names(poly)
             value_at = partial(evaluate_poly, poly, realization, brackets=brackets)
+        elif isinstance(poly, PointResidual):
+            # A file's residuals share one mapping, so it is compared once.
+            if poly.points is not read_against:
+                if poly.points != points:
+                    raise ValueError(f"{labeled.label}: residual read against other points")
+                read_against = poly.points
+            names, value_at = _residual_value(poly.residual, poly.support, points)
         else:
-            names, value_at = _point_residual(poly, points)
+            names, value_at = _residual_value(poly.evaluate_partial(points), poly.support(), points)
         if sweep:
             # The names are sorted, so each sweep's pairs are already a check's key.
             assigns = ((pairs, dict(pairs)) for pairs in _basis_pairs(names, dim))

@@ -64,6 +64,24 @@ def test_zero_denominator_is_not_rational(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["1_0", "+1", "١", "1/2_0", "1/ 2", "1/-2"])
+def test_rationals_are_ascii_digits(text):
+    with pytest.raises(NotRational, match="not an ASCII rational"):
+        parse_rational(text)
+
+
+def test_ascii_rationals_still_parse():
+    assert [parse_rational(t) for t in (" 7 ", "-3", "0", "-0", "4/6", "-10/5")] == [7, -3, 0, 0, Fraction(2, 3), -2]
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0 * x[١,1]^2_0", "1 * x[١,1]", "1 * x[1,١]", "1 * x[1,1]^+2", "1 * x[1,1]^٢"]
+)
+def test_text_numerals_are_ascii_digits(text):
+    with pytest.raises(ValueError):
+        Polynomial.from_text(text)
+
+
 # -- polynomial ring ----------------------------------------------------
 
 

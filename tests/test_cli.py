@@ -414,6 +414,82 @@ def test_verify_rejects_exponents_below_one(tmp_path, capsys, exponent):
     assert "exponent must be a positive integer" in err
 
 
+# Numerals in the text grammar are ASCII digits: int() alone also takes
+# other Unicode digits, '_' separators, a '+' and inner spaces.
+NON_ASCII_LINES = {
+    "coefficient": "1_0 * x[1,1] + 1 * x[2,2]",
+    "signed-coefficient": "+1 * x[1,1]",
+    "fraction": "1/ 2 * x[1,1]",
+    "exponent": "1 * x[1,1]^2_0 + 1 * x[2,2]",
+    "row": "1 * x[\u0661,1] + 1 * x[2,2]",
+    "column": "1 * x[1,\u0661] + 1 * x[2,2]",
+}
+
+
+@pytest.mark.parametrize("line", NON_ASCII_LINES.values(), ids=list(NON_ASCII_LINES))
+def test_verify_rejects_numerals_that_are_not_ascii_in_polynomials(tmp_path, capsys, line):
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    polys.write_text(f"# source: bad\n{line}\n", encoding="utf-8")
+    for q in ([], ["--q", "canonical"]):
+        _assert_parse_error(
+            *run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real), *q)
+        )
+
+
+@pytest.mark.parametrize("coordinate", ["1_0", "+1", "\u0661"], ids=["underscore", "plus", "arabic-indic"])
+def test_numerals_that_are_not_ascii_are_parse_errors_in_every_input(tmp_path, capsys, coordinate):
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    polys.write_text("# source: ok\n1 * x[1,1] * x[2,q]\n")
+    # --q of verify and of generate
+    q = f"{coordinate},0,0"
+    _assert_parse_error(*run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real), "--q", q))
+    _assert_parse_error(*run_cli(capsys, "generate", "--matroid", "qs", "--q", q))
+    # a string coordinate of a realization
+    payload = json.loads(real.read_text())
+    payload["points"]["1"][0] = coordinate
+    real.write_text(json.dumps(payload))
+    _assert_parse_error(*run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real)))
+    # a concrete extra vector of graph data
+    data = tmp_path / "graph.json"
+    payload = builtin_graph_data("qs").to_json_dict()
+    payload["extra"][0] = {"concrete": [coordinate, "0", "0"]}
+    data.write_text(json.dumps(payload))
+    _assert_parse_error(
+        *run_cli(capsys, "generate", "--matroid", "qs", "--which", "graph", "--graph-data", str(data))
+    )
+
+
+BAD_REALIZATION = '{"matroid": "qs", "points": '
+
+
+def test_verify_reports_a_malformed_polynomial_file_before_a_malformed_realization(tmp_path, capsys):
+    polys, real = tmp_path / "polys.txt", tmp_path / "real.json"
+    polys.write_text("# source: a\n1 * x[1,1] * x[2,q]\n# source: b\n2 * x[1,2]^0\n")
+    real.write_text(BAD_REALIZATION)
+    for q in ([], ["--q", "canonical"]):
+        code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real), *q)
+        assert (code, out, err) == (1, "", "parse error: exponent must be a positive integer: 'x[1,2]^0'\n")
+    polys.write_text("# source: a\n1 * x[1,1] * x[2,q]\n")
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert (code, out, err) == (1, "", "parse error: Expecting value: line 1 column 29 (char 28)\n")
+
+
+def test_verify_reads_every_line_before_naming_unbound_variables(tmp_path, capsys):
+    real = sample_qs(tmp_path, capsys)
+    polys, out_file = tmp_path / "polys.txt", tmp_path / "checks.jsonl"
+    unbound = "# source: a\n1 * x[1,99] * x[2,q] + 1 * x[1,1]\n# source: b\n1 * x[1,2]\n"
+    polys.write_text(unbound + "# source: c\n3 * x[1,3] * y[1,1]\n")
+    argv = ["verify", "--polys", str(polys), "--realization", str(real), "--out", str(out_file)]
+    for q in ([], ["--q", "canonical"]):
+        assert run_cli(capsys, *argv, *q) == (1, "", "parse error: bad variable syntax: 'y[1,1]'\n")
+    polys.write_text(unbound)
+    assert run_cli(capsys, *argv) == (1, "", "error: unbound variables: x[1,99], x[2,q]\n")
+    assert run_cli(capsys, *argv, "--q", "canonical") == (1, "", "error: unbound variables: x[1,99]\n")
+    assert not out_file.exists()
+
+
 def _vector_not_a_list(payload):
     payload["points"]["1"] = 5
     return payload

@@ -18,28 +18,24 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pavingideals import brackets, verify
+from pavingideals import poly as poly_module
 from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from pavingideals.cli import main
 from pavingideals.generators import LabeledPolynomial, bracket
 from pavingideals.linalg import echelon
-from pavingideals.poly import Polynomial, UnboundVariable
+from pavingideals.poly import Polynomial, UnboundVariable, read_point_residual
 from pavingideals.realizations import Realization
 from pavingideals.samplers import sample_family
 from pavingideals.scalars import format_rational
 from pavingideals.variables import KIND_EXTRA, entry_var, extra_var
-from pavingideals.verify import (
-    VanishingCheck,
-    VanishingReport,
-    canonical_basis_sweep,
-    evaluate_poly,
-    verify_vanishing,
-)
+from pavingideals.verify import VanishingCheck, VanishingReport, evaluate_poly, verify_vanishing
 
 EXTRAS = ("q1", "q2", "q3")
 
@@ -79,6 +75,13 @@ def random_polynomials(rng: random.Random, realization: Realization, with_extras
             poly = circuit * poly
         out.append(LabeledPolynomial(f"p{i}", poly))
     return out
+
+
+def canonical_basis_sweep(names, dim: int) -> list[dict[str, tuple[int, ...]]]:
+    """Every assignment of canonical basis vectors to the named extras, the
+    last name varying fastest."""
+    basis = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    return [dict(zip(names, vectors)) for vectors in product(basis, repeat=len(names))]
 
 
 def full_assignment(realization: Realization, extra) -> dict:
@@ -191,6 +194,100 @@ def test_unbound_point_is_reported_even_when_its_terms_vanish():
     assert unbound_list(lambda: verify_vanishing(no_extras, realization)) == [entry_var(1, missing)]
 
 
+# -- coordinate lines read against the points ----------------------------------------
+
+READ_POINTS = {entry_var(r, p): v for (r, p), v in zip(
+    [(r, p) for p in range(1, 5) for r in range(1, 4)],
+    [3, -1, 0, Fraction(1, 2), 2, 1, Fraction(-7, 3), 0, 5, 1, -2, Fraction(9, 4)],
+)}
+# Bound and unbound point coordinates, and the coordinates of two extras.
+READ_VARIABLES = (
+    list(READ_POINTS)
+    + [entry_var(r, 99) for r in (1, 2)]
+    + [extra_var(r, name) for name in ("q1", "q2") for r in (1, 2, 3)]
+)
+
+
+def written_term(rng: random.Random, coeff, factors, first: bool) -> str:
+    """One term as a person might write it: factors shuffled, a variable
+    repeated or raised to a power, ``^1`` spelled out, free spacing."""
+    pieces = []
+    for var, exp in factors:
+        split = rng.randint(1, exp)
+        parts = [exp - split + 1] + [1] * (split - 1)
+        for e in parts:
+            pieces.append(var.text() + (f"^{e}" if e > 1 or rng.random() < 0.1 else ""))
+    rng.shuffle(pieces)
+    star = rng.choice(["*", " * ", "* ", " *", "  *  "])
+    magnitude = format_rational(abs(coeff))
+    body = star.join([magnitude] + pieces)
+    if first:
+        return ("-" if coeff < 0 else "") + body
+    return (rng.choice([" - ", "  -  "]) if coeff < 0 else rng.choice([" + ", "  +  "])) + body
+
+
+def random_line(rng: random.Random) -> str:
+    """Seeded terms with 0 and Fraction coefficients, and, often, a term
+    written again (shuffled) with its sign flipped or kept, so monomials
+    merge or cancel, extras included."""
+    terms = []
+    for _ in range(rng.randint(1, 7)):
+        coeff = rng.choice([1, -1, 2, -3, 0, Fraction(1, 2), Fraction(-5, 3)])
+        chosen = rng.sample(READ_VARIABLES, rng.randint(0, 4))
+        terms.append((coeff, [(v, rng.randint(1, 3)) for v in chosen]))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        coeff, factors = rng.choice(terms)
+        terms.insert(rng.randint(0, len(terms)), (rng.choice([-coeff, -coeff, coeff, 2]), list(factors)))
+    return "".join(written_term(rng, c, f, i == 0) for i, (c, f) in enumerate(terms))
+
+
+def test_a_line_read_against_points_equals_substituting_its_polynomial():
+    rng = random.Random("read-point-residual")
+    routes = {True: 0, False: 0}
+    for _ in range(3000):
+        line = random_line(rng)
+        full = Polynomial.from_text(line)
+        read = read_point_residual(line, READ_POINTS)
+        assert read.residual == full.evaluate_partial(READ_POINTS), line
+        assert read.support == full.support(), line
+        assert all(isinstance(c, int) or c.denominator > 1 for c in read.residual.terms.values()), line
+        routes[poly_module._read(line, READ_POINTS)[1] is None] += 1
+    # Both the direct and the general route are taken.
+    assert min(routes.values()) > 300, routes
+
+
+def test_verify_takes_a_point_residual_as_its_polynomial():
+    realization = sample_family("qs", 3)
+    points = realization.assignment()
+    rng = random.Random("verify-point-residual")
+    for _ in range(40):
+        line = random_line(rng).replace("x[1,99]", "x[1,1]").replace("x[2,99]", "x[2,2]")
+        from_text = [LabeledPolynomial("p", Polynomial.from_text(line))]
+        read = [LabeledPolynomial("p", read_point_residual(line, points))]
+        for kwargs in (dict(sweep=True), dict(extra_assignments=[{"q1": (1, 2, 3), "q2": (0, -1, 5)}])):
+            want = verify_vanishing(from_text, realization, **kwargs).to_json_lines()
+            assert verify_vanishing(read, realization, **kwargs).to_json_lines() == want, line
+        assert verify.extra_names(read[0].polynomial) == verify.extra_names(from_text[0].polynomial)
+
+
+def test_verify_refuses_a_point_residual_read_against_other_points():
+    realization, other = sample_family("qs", 3), sample_family("qs", 4)
+    line = "1 * x[1,1] * x[2,q] - 2 * x[3,2]"
+    good = LabeledPolynomial("good", read_point_residual(line, realization.assignment()))
+    bad = LabeledPolynomial("bad", read_point_residual(line, other.assignment()))
+    for polys in ([bad], [good, good, bad]):
+        with pytest.raises(ValueError, match="bad: residual read against other points"):
+            verify_vanishing(polys, realization, sweep=True)
+
+
+def test_unbound_variables_of_a_point_residual_are_named_at_verification():
+    realization = sample_family("qs", 3)
+    line = "1 * x[1,99] * x[2,q] + 1 * x[1,1]"
+    read = [LabeledPolynomial("p", read_point_residual(line, realization.assignment()))]
+    assert unbound_list(lambda: verify_vanishing(read, realization, sweep=True)) == [entry_var(1, 99)]
+    assert unbound_list(lambda: verify_vanishing(read, realization)) == [entry_var(1, 99), extra_var(2, "q")]
+
+
 # -- numeric brackets --------------------------------------------------------------
 
 # sha256 and line count of `verify --q canonical --out` on the bracket-form
@@ -215,6 +312,29 @@ def verify_graph_sweep(tmp_path, family: str) -> bytes:
 def test_canonical_sweep_of_graph_polynomials_matches_recorded_digest(tmp_path, family):
     text = verify_graph_sweep(tmp_path, family)
     assert (hashlib.sha256(text).hexdigest(), text.count(b"\n")) == VERIFY_DIGESTS[family]
+
+
+# sha256 and line count of `verify --q canonical --out` on the coordinate-form
+# files of `generate --matroid M ...`, on `sample --family M --seed 7`.
+COORDINATE_VERIFY_DIGESTS = {
+    "qs --which lifting": ("7b21a8c2d6d49febbf3a3ddfd4d25fe919b947d9d479838bee38653059f199cc", 45),
+    "qs --which all": ("f33ee39277c1d9dc87ff05d4a84baa36dab0e6800cfc501bbc230ee79368a057", 76),
+    "fig2r --which all": ("28d4d9e55e4f2e88e67042ed6ef3a425868c3a5e6f370309a676b67b876f1884", 86),
+    "grid3x4 --which lifting": ("6c1e3574af92d9ab45c6d16172f71c45263ec1183a9d56a59269f95bae9bbe6d", 900),
+    "qs --which lifting --q canonical": ("37fc37a685d156419ee7abad6219a087562fb073b7e184902bdd94c5fb2e0799", 45),
+}
+
+
+@pytest.mark.parametrize("generate", sorted(COORDINATE_VERIFY_DIGESTS))
+def test_canonical_sweep_of_coordinate_polynomials_matches_recorded_digest(tmp_path, generate):
+    family, *rest = generate.split()
+    polys, real, out = (tmp_path / name for name in ("polys.txt", "real.json", "checks.jsonl"))
+    assert main(["generate", "--matroid", family, *rest, "--out", str(polys)]) == 0
+    assert main(["sample", "--family", family, "--seed", "7", "--out", str(real)]) == 0
+    argv = ["verify", "--polys", str(polys), "--realization", str(real), "--q", "canonical"]
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert (hashlib.sha256(text).hexdigest(), text.count(b"\n")) == COORDINATE_VERIFY_DIGESTS[generate]
 
 
 def test_canonical_sweep_computes_each_bracket_once(tmp_path, monkeypatch):
