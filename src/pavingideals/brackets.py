@@ -227,11 +227,14 @@ def expander(
 
     The brackets a call meets first, in all its polynomials, are maximal
     minors of one matrix, whose columns are their labels' columns, so they
-    share one MinorEngine.  Each call multiplies the brackets' expansions on
-    packed exponent vectors (``ExponentPacking``) over the variables they
-    hold: no exponent of a product of m brackets exceeds m times the largest
-    exponent in one bracket, so fields sized for the longest bracket monomial
-    never carry.  Each polynomial is unpacked once.
+    share one MinorEngine.  Where terms multiply brackets, the expansions are
+    multiplied on packed exponent vectors (``ExponentPacking``) over the
+    variables they hold: no exponent of a product of m brackets exceeds m
+    times the largest exponent in one bracket, so fields sized for the
+    longest bracket monomial never carry, and each polynomial is unpacked
+    once.  A call whose terms hold at most one bracket each, such as a
+    matrix of brackets, is a linear combination of expansions and packs
+    nothing.
     """
     column = column or (lambda label: symbolic_column(label, dim))
     cache: dict[BracketKey, Polynomial] = {}
@@ -297,7 +300,6 @@ def expander(
             expand_brackets(new)
         longest = max((len(mono) for each in terms for mono, _ in each), default=0)
         if longest <= 1:
-            # No bracket products (a matrix of brackets): nothing to pack.
             return [combine(each) for each in terms]
         pack_brackets(keys, longest)
         out = []

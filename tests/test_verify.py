@@ -30,6 +30,7 @@ from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundL
 from pavingideals.cli import main
 from pavingideals.generators import LabeledPolynomial, bracket
 from pavingideals.linalg import echelon
+from pavingideals.polymatrix import MinorEngine
 from pavingideals.poly import Polynomial, UnboundVariable, read_point_residual
 from pavingideals.realizations import Realization
 from pavingideals.samplers import sample_family
@@ -423,6 +424,35 @@ def test_witness_catches_a_verifier_that_always_returns_zero(tmp_path, monkeypat
 def test_expansion_rejects_a_bracket_of_the_wrong_size():
     with pytest.raises(DimensionMismatch, match=r"bracket \(1, 2\) has 2 columns in dimension 3"):
         BracketPolynomial.from_text("<1 2 3> - <1 2><1 3 4>").expand(3)
+
+
+def squared_column(label) -> list[Polynomial]:
+    """Column entries with exponents up to 2, so products of brackets need
+    fields wider than their bracket count."""
+    x = [var(entry_var(r, label)) for r in (1, 2, 3)]
+    return [x[0] * x[0], x[1] + 2, x[2] * x[0] - 1]
+
+
+def test_bracket_products_expand_as_ring_products():
+    rng = random.Random("packed-bracket-products")
+    expand = brackets.expander(3, squared_column)
+
+    def determinant(key) -> Polynomial:
+        return MinorEngine([[squared_column(label)[r] for label in key] for r in range(3)]).determinant()
+
+    for _ in range(25):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            keys = ["<%s>" % " ".join(map(str, rng.sample(range(1, 6), 3))) for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+            terms.append(f"{rng.randint(1, 5)}{''.join(keys)}")
+        poly = BracketPolynomial.from_text(" - ".join(terms) if rng.random() < 0.5 else " + ".join(terms))
+        want = Polynomial.zero()
+        for mono, coeff in poly.terms.items():
+            term = Polynomial.constant(coeff)
+            for key in mono:
+                term = term * determinant(key)
+            want = want + term
+        assert expand([poly]) == [want], poly.to_text()
 
 
 INTS = st.integers(-9, 9)
