@@ -12,11 +12,9 @@ from .generators import (
     GraphData,
     builtin_graph_data,
     circuit_polynomials,
-    cycle_identity_value,
     finite_generating_family,
     graph_polynomial,
     graph_polynomial_brackets,
-    graph_polynomial_via_cycles,
     graph_polynomial_via_cycles_brackets,
     liftability_matrix,
     lifting_polynomials,
@@ -43,11 +41,9 @@ __all__ = [
     "builtin_graph_data",
     "builtin_matroid",
     "circuit_polynomials",
-    "cycle_identity_value",
     "finite_generating_family",
     "graph_polynomial",
     "graph_polynomial_brackets",
-    "graph_polynomial_via_cycles",
     "graph_polynomial_via_cycles_brackets",
     "in_circuit_variety",
     "in_realization_space",

@@ -195,15 +195,6 @@ class BracketPolynomial(Polynomial):
                 out.update(key)
         return out
 
-    def rename_labels(self, mapping: Mapping[Label, Label]) -> "BracketPolynomial":
-        total = BracketPolynomial.zero()
-        for mono, coeff in self.terms.items():
-            term = BracketPolynomial.constant(coeff)
-            for key in mono:
-                term = term * BracketPolynomial.bracket([mapping.get(l, l) for l in key])
-            total = total + term
-        return total
-
     # -- expansion and evaluation ---------------------------------------------
 
     def expand(self, dim: int, column: Callable[[Label], Sequence[Polynomial]] | None = None) -> Polynomial:

@@ -27,6 +27,7 @@ from .generators import (
     builtin_graph_data_names,
     circuit_polynomials,
     emitted_graph_polynomial,
+    lifting_minors,
     lifting_polynomials,
 )
 from .matroids import (
@@ -39,7 +40,7 @@ from .matroids import (
 from .polyfiles import parse_polynomials, render_polynomials
 from .realizations import Realization
 from .samplers import ResamplingExhausted, sample_realization
-from .scalars import parse_rational
+from .scalars import parse_integer, parse_rational
 from .verify import extra_names, verify_vanishing
 
 EXIT_OK = 0
@@ -98,10 +99,20 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _generate_lifting(matroid, extras: list[ExtraVector], budget: int) -> list[LabeledPolynomial]:
+def _generate_lifting(matroid, extras: list[ExtraVector], budget: int) -> list:
+    """Per restriction with minor size k <= budget: its minors record for a
+    symbolic q, its expanded minors for a concrete one (bracket text names
+    symbolic vectors only)."""
     rank = matroid.rank
     subs = [s for s in matroid.full_rank_submatroids() if 0 < s.size - rank + 1 <= budget]
-    return [p for sub in subs for q in extras for p in lifting_polynomials(sub, q)]
+    items = []
+    for sub in subs:
+        for q in extras:
+            if not q.is_symbolic:
+                items.extend(lifting_polynomials(sub, q))
+            elif (record := lifting_minors(sub, q)).k <= len(record.circuits):
+                items.append(record)
+    return items
 
 
 def _builtin_graph_data(matroid) -> GraphData | None:
@@ -214,7 +225,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        names = {name for labeled in polys for name in extra_names(labeled.polynomial)}
+        names = {name for item in polys for name in extra_names(item)}
         extra_assignments = [{name: coords for name in sorted(names)}]
     try:
         report = verify_vanishing(
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matroid", required=True)
     p.add_argument("--which", choices=("circuits", "lifting", "graph", "all"), default="all")
     p.add_argument("--q", default="symbolic", help="symbolic | canonical | comma-separated rationals")
-    p.add_argument("--budget-minor", type=int, default=4)
+    p.add_argument("--budget-minor", type=parse_integer, default=4)
     p.add_argument("--graph-data", help="GraphData JSON path (defaults to the builtin instance)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
@@ -318,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--matroid", "--family", dest="matroid", required=True,
         help=f"path or builtin name ({names}); needs a constructible order",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_integer, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sample)
 
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=("meet", "join"))
     p.add_argument("extensors", nargs="+", help="comma-separated point labels, e.g. 3,4")
     p.add_argument("--join", action="append", help="join the result with more points")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=parse_integer, required=True)
     p.set_defaults(fn=cmd_gc)
 
     p = sub.add_parser("liftcheck", help="sufficient-liftability verdict")

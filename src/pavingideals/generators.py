@@ -9,14 +9,15 @@ forms are all read off that matrix.
 Circuit polynomials are the maximal minors of the generic coordinate matrix
 on the columns of a size-n circuit, i.e. single brackets.  Lifting
 polynomials are the (|N|-n+1)-minors of the liftability matrix of a
-full-rank restriction N: the bracket matrix on its size-n circuits.  Graph
-polynomials come from collections of circuits threaded through a set of
-points outside the closure of an anchor set J: the signed sum over disjoint
-cycle collections of a dependency digraph, which equals the determinant of
-the circuit/point bracket matrix after clearing denominators.  Both routes
-work on the bracket matrix; the determinant is the production path, the
-cycle expansion is kept as an independent oracle, and the coordinate forms
-of both are expansions of their bracket results.
+full-rank restriction N: the bracket matrix on its size-n circuits, kept
+whole as a ``LiftingMinors`` record and expanded minor by minor on demand.
+Graph polynomials come from collections of circuits threaded through a set
+of points outside the closure of an anchor set J: the signed sum over
+disjoint cycle collections of a dependency digraph, which equals the
+determinant of the circuit/point bracket matrix after clearing
+denominators.  Both routes work on the bracket matrix; the determinant is
+the production path and the coordinate form is its expansion, while the
+cycle expansion is kept at the bracket level as an independent oracle.
 
 Sign conventions: circuit elements are always listed ascending by point id
 when forming brackets, so every emitted polynomial is canonical; agreement
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -36,7 +36,7 @@ from .brackets import BracketPolynomial, Label, evaluator, expander, meet_then_j
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
 from .poly import PointResidual, Polynomial
 from .polymatrix import MinorEngine
-from .scalars import Scalar, as_scalar, format_rational, normalize_scalar
+from .scalars import Scalar, as_scalar, format_rational
 from .variables import is_extra_id
 
 BracketRows = list[list[BracketPolynomial]]
@@ -44,9 +44,8 @@ BracketRows = list[list[BracketPolynomial]]
 # Graph polynomials are written in coordinates while the expansion estimate
 # factorial(rank)**k stays at or below this bound, in bracket form above it.
 EXPAND_LIMIT = 5000
-# Cycle-route budgets: threaded points in coordinate and in bracket form,
-# and disjoint cycle collections of one dependency digraph.
-CYCLE_MAX_POINTS = 8
+# Cycle-route budgets: threaded points and disjoint cycle collections of one
+# dependency digraph.
 CYCLE_MAX_POINTS_BRACKETS = 12
 CYCLE_MAX_COLLECTIONS = 100_000
 
@@ -160,12 +159,6 @@ def _coordinates(extras: Iterable[ExtraVector], dim: int):
     return expander(dim, column)
 
 
-def _at(matrix: BracketRows, vectors: Mapping[Label, Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Evaluate every entry at concrete vectors."""
-    value = evaluator(vectors)
-    return [[value(e) for e in row] for row in matrix]
-
-
 # -- circuit polynomials ----------------------------------------------------
 
 
@@ -204,10 +197,13 @@ def liftability_matrix(
     dim = ambient if ambient is not None else matroid.rank
     if q.coords is not None and len(q.coords) != dim:
         raise ValueError("extra vector dimension disagrees with the ambient dimension")
-    brackets = _liftability_brackets(matroid, q.label(), dim)
-    # One expansion call, so all the matrix's brackets share one MinorEngine.
-    entries = iter(_coordinates([q], dim)([e for row in brackets for e in row]))
-    return [[next(entries) for _ in row] for row in brackets]
+    return _expanded(_liftability_brackets(matroid, q.label(), dim), q, dim)
+
+
+def _expanded(matrix: BracketRows, q: ExtraVector, dim: int) -> list[list[Polynomial]]:
+    """The matrix in coordinates, in one expansion call: one MinorEngine."""
+    entries = iter(_coordinates([q], dim)([e for row in matrix for e in row]))
+    return [[next(entries) for _ in row] for row in matrix]
 
 
 def liftability_matrix_at(
@@ -220,33 +216,65 @@ def liftability_matrix_at(
     The ambient dimension is the length of q.
     """
     extra = ExtraVector.concrete(q)
-    matrix = _liftability_brackets(matroid, extra.label(), len(q))
-    return _at(matrix, {**vectors, extra.label(): extra.coords})
+    value = evaluator({**vectors, extra.label(): extra.coords})
+    return [[value(e) for e in row] for row in _liftability_brackets(matroid, extra.label(), len(q))]
+
+
+@dataclass(frozen=True)
+class LiftingMinors:
+    """Every k-minor of the bracket matrix of a restriction N: its lifting
+    polynomials, kept as the matrix they are read off.
+
+    Rows are N's size-n circuits with the extra vector q, columns N's
+    points, and k = |N| - n + 1.  The minors vanish at a point exactly when
+    the evaluated matrix has rank below k.
+    """
+
+    points: tuple[int, ...]
+    circuits: tuple[tuple[int, ...], ...]
+    q: ExtraVector
+    k: int
+    matrix: BracketRows
+
+    @property
+    def label(self) -> str:
+        return f"lifting N={list(self.points)} rows={[list(c) for c in self.circuits]} q={self.q.label()}"
+
+    def index_sets(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(rows, columns) of each minor: row sets outer, both ascending."""
+        return product(combinations(range(len(self.circuits)), self.k), combinations(range(len(self.points)), self.k))
+
+    def minor_label(self, rows: Sequence[int], cols: Sequence[int]) -> str:
+        return (
+            f"lifting-minor N={list(self.points)} rows={[list(self.circuits[i]) for i in rows]} "
+            f"cols={[self.points[j] for j in cols]} q={self.q.label()}"
+        )
+
+    def minors(self) -> list[LabeledPolynomial]:
+        """Each minor expanded into coordinates, through one MinorEngine."""
+        index_sets = list(self.index_sets())
+        if not index_sets:
+            return []
+        engine = MinorEngine(_expanded(self.matrix, self.q, len(self.circuits[0])))
+        return [LabeledPolynomial(self.minor_label(r, c), engine.minor(r, c)) for r, c in index_sets]
+
+
+def lifting_minors(submatroid: PavingMatroid, q: ExtraVector) -> LiftingMinors:
+    """The (|N|-n+1)-minor record of N, a paving matroid, typically a
+    restriction of a larger one; with fewer circuits than k it has no minors."""
+    rank = submatroid.rank
+    return LiftingMinors(
+        submatroid.points,
+        submatroid.circuits_of_size(rank),
+        q,
+        submatroid.size - rank + 1,
+        _liftability_brackets(submatroid, q.label(), rank),
+    )
 
 
 def lifting_polynomials(submatroid: PavingMatroid, q: ExtraVector) -> list[LabeledPolynomial]:
-    """All (|N|-n+1)-minors of the liftability matrix of N.
-
-    N is a paving matroid, typically a restriction of a larger one.  The
-    matrix rows are N's size-n circuits and its columns are N's points.
-    With fewer circuits than the minor size there are no polynomials.
-    """
-    circuits = submatroid.circuits_n()
-    points = submatroid.points
-    tag = f"N={list(points)}"
-    size = len(points) - submatroid.rank + 1
-    if size > len(circuits):
-        return []
-    engine = MinorEngine(liftability_matrix(submatroid, q))
-    out = []
-    for row_idx in combinations(range(len(circuits)), size):
-        for col_idx in combinations(range(len(points)), size):
-            poly = engine.minor(row_idx, col_idx)
-            rows = [list(circuits[i]) for i in row_idx]
-            cols = [points[j] for j in col_idx]
-            label = f"lifting-minor {tag} rows={rows} cols={cols} q={q.label()}"
-            out.append(LabeledPolynomial(label, poly))
-    return out
+    """All (|N|-n+1)-minors of the liftability matrix of N, in coordinates."""
+    return lifting_minors(submatroid, q).minors()
 
 
 # -- graph data and dependency digraphs ------------------------------------------
@@ -401,69 +429,16 @@ def cycle_edges(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
 
-def build_graph(
-    data: GraphData,
-    vectors: Mapping[int, Sequence[Scalar]] | None = None,
-    extra_values: Mapping[str, Sequence[Scalar]] | None = None,
-) -> DependencyDigraph:
-    """Dependency digraph of the data.
-
-    Symbolic mode (no vectors) inserts the edge p_i -> p_j whenever p_j sits
-    in c_i besides p_i, i.e. generic nonvanishing of the coefficient.
-    Numeric mode reads the dependency coefficients off a realization as
-    signed bracket quotients and drops exact zeros.
-    """
+def build_graph(data: GraphData) -> DependencyDigraph:
+    """Dependency digraph of the data: the edge p_i -> p_j whenever p_j sits
+    in c_i besides p_i, i.e. generic nonvanishing of the coefficient."""
     data.validate()
     point_set = set(data.points)
-    if vectors is None:
-        edges = []
-        for p, c in zip(data.points, data.circuits):
-            for other in sorted(set(c) & point_set - {p}):
-                edges.append((p, other))
-        return DependencyDigraph(tuple(data.points), tuple(sorted(set(edges))), None)
-    values: dict[Label, Sequence[Scalar]] = dict(vectors)
-    for extra in data.extras:
-        if extra.coords is not None:
-            values[extra.label()] = extra.coords
-        elif extra_values and extra.name in extra_values:
-            values[extra.name] = tuple(extra_values[extra.name])
-        else:
-            raise HypothesisViolation(
-                f"numeric mode needs a value for extra vector {extra.name!r}"
-            )
-    numeric = _at(_graph_brackets(data), values)
-    column = {p: j for j, p in enumerate(data.points)}
-    weights: dict[tuple[int, int], Scalar] = {}
     edges = []
-    for i, (p, c) in enumerate(zip(data.points, data.circuits)):
-        diag = numeric[i][i]
-        if diag == 0:
-            raise HypothesisViolation(
-                f"degenerate dependency: bracket of {[x for x in c if x != p]} with q vanishes"
-            )
+    for p, c in zip(data.points, data.circuits):
         for other in sorted(set(c) & point_set - {p}):
-            # alpha_{p,other} = -N[p-row][other] / N[p-row][p].
-            value = normalize_scalar(Fraction(-numeric[i][column[other]], diag))
-            if value != 0:
-                edges.append((p, other))
-                weights[(p, other)] = value
-    return DependencyDigraph(tuple(data.points), tuple(sorted(edges)), weights)
-
-
-def cycle_identity_value(graph: DependencyDigraph) -> Scalar:
-    """1 + sum over disjoint cycle collections of (-1)^size * weight product.
-
-    Equals det(I - A) for the weight matrix A, and vanishes whenever the
-    weights come from genuine linear dependencies of nonzero vectors.
-    """
-    total: Scalar = 1
-    for collection in graph.cycle_collections():
-        prod: Scalar = 1
-        for cyc in collection:
-            for edge in cycle_edges(cyc):
-                prod = prod * graph.weight(edge)
-        total = total + (-1) ** len(collection) * prod
-    return total
+            edges.append((p, other))
+    return DependencyDigraph(tuple(data.points), tuple(sorted(set(edges))), None)
 
 
 # -- graph polynomials ----------------------------------------------------------
@@ -498,13 +473,6 @@ def emitted_graph_polynomial(data: GraphData) -> Polynomial | BracketPolynomial:
     if symbolic and factorial(data.matroid.rank) ** data.k > EXPAND_LIMIT:
         return graph_polynomial_brackets(data)
     return graph_polynomial(data)
-
-
-def graph_polynomial_via_cycles(data: GraphData) -> Polynomial:
-    """Cycle route, expanded into coordinates.  Oracle for graph_polynomial."""
-    return _in_graph_coordinates(
-        data, _cycle_route(data, _graph_brackets(data), False, CYCLE_MAX_POINTS)
-    )
 
 
 def graph_matrix_brackets(data: GraphData) -> BracketRows:

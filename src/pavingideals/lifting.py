@@ -48,9 +48,6 @@ class Hyperplane:
         if not any(c != 0 for c in self.normal):
             raise ValueError("hyperplane normal must be nonzero")
 
-    def contains(self, vector: Sequence[Scalar]) -> bool:
-        return self.pairing(vector) == 0
-
     def pairing(self, vector: Sequence[Scalar]) -> Scalar:
         return normalize_scalar(sum(a * b for a, b in zip(self.normal, vector)))
 

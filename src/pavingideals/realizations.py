@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .linalg import matrix_rank
 from .matroids import MatroidError, PavingMatroid, builtin_matroid
-from .scalars import Scalar, as_scalar, format_rational
+from .scalars import Scalar, as_scalar, format_rational, parse_integer
 from .variables import Variable, entry_var
 
 
@@ -98,7 +98,7 @@ class Realization:
         else:
             matroid = PavingMatroid.from_json_dict(matroid_field)
         vectors = {
-            int(p): tuple(as_scalar(c) for c in vec) for p, vec in data["points"].items()
+            parse_integer(p): tuple(as_scalar(c) for c in vec) for p, vec in data["points"].items()
         }
         for p, vec in sorted(vectors.items()):
             if len(vec) != matroid.rank:

@@ -36,6 +36,18 @@ def normalize_scalar(value: Scalar) -> Scalar:
     return value
 
 
+def _is_integer(text: str) -> bool:
+    # int() also takes other Unicode digits, '_' separators, a '+' and spaces.
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer: ASCII digits with an optional leading '-'."""
+    if not _is_integer(text):
+        raise NotRational(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Scalar:
     """Parse 'n' or 'p/q' into an exact scalar: ASCII digits, with a leading
     '-' allowed on n and p only; q = 0 raises NotRational."""
@@ -48,8 +60,7 @@ def parse_rational(text: str) -> Scalar:
         value = normalize_scalar(Fraction(int(num), denominator))
     else:
         value = int(num)
-    # int() also takes other Unicode digits, '_' separators, a '+' and spaces.
-    if not (text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+    if not (_is_integer(num) and (den.isascii() and den.isdigit() or not slash)):
         raise NotRational(f"not an ASCII rational: {text!r}")
     return value
 

@@ -16,6 +16,12 @@ distinct tuple of columns and compiles a polynomial checked more than once
 into per-bracket value tables, so a sweep check is a few lookups and a sum
 of products.  The sweep yields each check's (name, vector) key directly,
 and the report writes each polynomial id and vector once.
+
+A ``LiftingMinors`` record is checked minor by minor without expanding
+anything: per assignment its bracket matrix is evaluated once with the
+run's evaluator, every k-minor is 0 when the exact rank is below k, and at
+full rank each is one Bareiss determinant.  The checks carry the ids and
+values its expanded minors would, in the same order.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
-from .generators import LabeledPolynomial
+from .generators import LabeledPolynomial, LiftingMinors
+from .linalg import bareiss_determinant, matrix_rank
 from .poly import PointResidual, Polynomial, UnboundVariable
 from .realizations import Realization
 from .scalars import Scalar, format_rational
@@ -88,6 +95,10 @@ class VanishingReport:
 
 
 def extra_names(poly) -> tuple[str, ...]:
+    if isinstance(poly, LabeledPolynomial):
+        return extra_names(poly.polynomial)
+    if isinstance(poly, LiftingMinors):
+        return tuple(sorted({name for row in poly.matrix for e in row for name in extra_names(e)}))
     if isinstance(poly, BracketPolynomial):
         return tuple(sorted(l for l in poly.labels() if isinstance(l, str)))
     return _extra_columns(poly.support if isinstance(poly, PointResidual) else poly.support())
@@ -157,8 +168,19 @@ def _residual_value(
     return _extra_columns(support), value
 
 
+def _minor_values(
+    record: LiftingMinors, realization: Realization, extra: Mapping[str, Sequence[Scalar]], brackets
+) -> list[Scalar]:
+    """Every k-minor of the record at one assignment, in ``index_sets`` order."""
+    m = [[evaluate_poly(e, realization, extra, brackets=brackets) for e in row] for row in record.matrix]
+    index_sets = list(record.index_sets())
+    if matrix_rank(m) < record.k:
+        return [0] * len(index_sets)
+    return [bareiss_determinant([[m[i][j] for j in cols] for i in rows]) for rows, cols in index_sets]
+
+
 def verify_vanishing(
-    polynomials: Iterable[LabeledPolynomial],
+    polynomials: Iterable[LabeledPolynomial | LiftingMinors],
     realization: Realization,
     extra_assignments: Sequence[Mapping[str, Sequence[Scalar]]] | None = None,
     sweep: bool = False,
@@ -170,8 +192,8 @@ def verify_vanishing(
     vectors, one dict per evaluation; ``sweep`` instead runs the full
     canonical-basis sweep over each polynomial's own symbolic names.
     Polynomials may be expanded, point residuals read against this
-    realization's points, or in bracket form.  Unassigned symbolic vectors
-    raise UnboundVariable.
+    realization's points, or in bracket form; a minors record stands for
+    its minors.  Unassigned symbolic vectors raise UnboundVariable.
     """
     if expect not in ("zero", "nonzero"):
         raise ValueError("expect must be 'zero' or 'nonzero'")
@@ -179,8 +201,26 @@ def verify_vanishing(
     points = realization.assignment()
     brackets = evaluator(realization.vectors)
     read_against = None
+    zero = expect == "zero"
     checks: list[VanishingCheck] = []
+
+    def assignments(names: tuple[str, ...]) -> list[tuple[tuple, Mapping[str, Sequence[Scalar]]]]:
+        if sweep:
+            # The names are sorted, so each sweep's pairs are already a check's key.
+            return [(pairs, dict(pairs)) for pairs in _basis_pairs(names, dim)]
+        return [
+            (tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names)), extra)
+            for extra in (extra_assignments if extra_assignments is not None else [{}])
+        ]
+
     for labeled in polynomials:
+        if isinstance(labeled, LiftingMinors):
+            assigns = assignments(extra_names(labeled))
+            columns = [_minor_values(labeled, realization, extra, brackets) for _, extra in assigns]
+            for (rows, cols), values in zip(labeled.index_sets(), zip(*columns)):
+                label = labeled.minor_label(rows, cols)
+                checks.extend(VanishingCheck(label, key, v, (v == 0) == zero) for (key, _), v in zip(assigns, values))
+            continue
         poly = labeled.polynomial
         if isinstance(poly, BracketPolynomial):
             names = extra_names(poly)
@@ -194,16 +234,7 @@ def verify_vanishing(
             names, value_at = _residual_value(poly.residual, poly.support, points)
         else:
             names, value_at = _residual_value(poly.evaluate_partial(points), poly.support(), points)
-        if sweep:
-            # The names are sorted, so each sweep's pairs are already a check's key.
-            assigns = ((pairs, dict(pairs)) for pairs in _basis_pairs(names, dim))
-        else:
-            assigns = (
-                (tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names)), extra)
-                for extra in (extra_assignments if extra_assignments is not None else [{}])
-            )
-        for key, extra in assigns:
+        for key, extra in assignments(names):
             value = value_at(extra)
-            passed = (value == 0) if expect == "zero" else (value != 0)
-            checks.append(VanishingCheck(labeled.label, key, value, passed))
+            checks.append(VanishingCheck(labeled.label, key, value, (value == 0) == zero))
     return VanishingReport(tuple(checks), expect)

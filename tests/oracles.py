@@ -5,10 +5,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pavingideals.generators import DependencyDigraph
+from pavingideals.brackets import BracketPolynomial, evaluator
+from pavingideals.generators import (
+    DependencyDigraph,
+    GraphData,
+    HypothesisViolation,
+    LiftingMinors,
+    bracket_matrix,
+    cycle_edges,
+    graph_polynomial_via_cycles_brackets,
+)
 from pavingideals.lifting import Hyperplane
 from pavingideals.linalg import NonSquare, solve_particular
 from pavingideals.poly import Monomial, Polynomial
+from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.scalars import Scalar, format_rational, normalize_scalar
 
 
@@ -61,6 +71,85 @@ def dependency_digraph_from_vectors(rng: random.Random) -> DependencyDigraph | N
                 edges.append((i + 1, j + 1))
                 weights[(i + 1, j + 1)] = sol[pos]
     return DependencyDigraph(tuple(range(1, m + 1)), tuple(sorted(edges)), weights)
+
+
+# -- graph oracles -----------------------------------------------------------------
+
+
+def cycle_identity_value(graph: DependencyDigraph) -> Scalar:
+    """1 + sum over disjoint cycle collections of (-1)^size * weight product.
+
+    Equals det(I - A) for the weight matrix A, and vanishes whenever the
+    weights come from genuine linear dependencies of nonzero vectors.
+    """
+    total: Scalar = 1
+    for collection in graph.cycle_collections():
+        prod: Scalar = 1
+        for cyc in collection:
+            for edge in cycle_edges(cyc):
+                prod = prod * graph.weight(edge)
+        total = total + (-1) ** len(collection) * prod
+    return total
+
+
+def numeric_graph(data: GraphData, vectors, extra_values=None) -> DependencyDigraph:
+    """Dependency digraph of the data with its weights read off a realization
+    as signed bracket quotients; exact zeros are dropped."""
+    data.validate()
+    point_set = set(data.points)
+    values = dict(vectors)
+    for extra in data.extras:
+        if extra.coords is not None:
+            values[extra.label()] = extra.coords
+        elif extra_values and extra.name in extra_values:
+            values[extra.name] = tuple(extra_values[extra.name])
+        else:
+            raise HypothesisViolation(
+                f"numeric mode needs a value for extra vector {extra.name!r}"
+            )
+    value = evaluator(values)
+    matrix = bracket_matrix(zip(data.circuits, (e.label() for e in data.extras)), data.points)
+    numeric = [[value(e) for e in row] for row in matrix]
+    column = {p: j for j, p in enumerate(data.points)}
+    weights: dict[tuple[int, int], Scalar] = {}
+    edges = []
+    for i, (p, c) in enumerate(zip(data.points, data.circuits)):
+        diag = numeric[i][i]
+        if diag == 0:
+            raise HypothesisViolation(
+                f"degenerate dependency: bracket of {[x for x in c if x != p]} with q vanishes"
+            )
+        for other in sorted(set(c) & point_set - {p}):
+            # alpha_{p,other} = -N[p-row][other] / N[p-row][p].
+            value = normalize_scalar(Fraction(-numeric[i][column[other]], diag))
+            if value != 0:
+                edges.append((p, other))
+                weights[(p, other)] = value
+    return DependencyDigraph(tuple(data.points), tuple(sorted(edges)), weights)
+
+
+def graph_polynomial_via_cycles(data: GraphData) -> Polynomial:
+    """Cycle route, expanded into coordinates.  Oracle for graph_polynomial."""
+    return graph_polynomial_via_cycles_brackets(data).expand(data.matroid.rank)
+
+
+def rename_labels(poly: BracketPolynomial, mapping) -> BracketPolynomial:
+    """The bracket polynomial with each label l replaced by mapping.get(l, l)."""
+    total = BracketPolynomial.zero()
+    for mono, coeff in poly.terms.items():
+        term = BracketPolynomial.constant(coeff)
+        for key in mono:
+            term = term * BracketPolynomial.bracket([mapping.get(l, l) for l in key])
+        total = total + term
+    return total
+
+
+def expand_records(text: str) -> str:
+    """A generated file with each minors record expanded into its minors."""
+    items = parse_polynomials(text)
+    return render_polynomials(
+        [p for item in items for p in (item.minors() if isinstance(item, LiftingMinors) else [item])]
+    )
 
 
 def random_hyperplane_and_center(rng: random.Random, dim: int = 3):

@@ -29,7 +29,9 @@ from displays import (
     equal_up_to_unit,
 )
 from oracles import (
+    cycle_identity_value,
     dependency_digraph_from_vectors,
+    graph_polynomial_via_cycles,
     find_sdr,
     identity_minus_weights,
     perm_parity,
@@ -44,11 +46,9 @@ from pavingideals.generators import (
     bracket,
     builtin_graph_data,
     circuit_polynomials,
-    cycle_identity_value,
     emitted_graph_polynomial,
     graph_polynomial,
     graph_polynomial_brackets,
-    graph_polynomial_via_cycles,
     graph_polynomial_via_cycles_brackets,
     liftability_matrix,
     liftability_matrix_at,

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pavingideals
+from oracles import expand_records
 from pavingideals import cli
 from pavingideals import poly as poly_module
 from pavingideals.cli import main
@@ -21,9 +22,11 @@ from pavingideals.realizations import Realization, in_realization_space
 from pavingideals.generators import (
     ExtraVector,
     LabeledPolynomial,
+    LiftingMinors,
     bracket,
     builtin_graph_data,
     liftability_matrix,
+    lifting_polynomials,
 )
 from pavingideals.matroids import builtin_matroid, builtin_matroid_names
 from pavingideals.polymatrix import MinorEngine
@@ -124,11 +127,32 @@ def test_generate_lifting_qs_symbolic(tmp_path, capsys):
         "--q", "symbolic", "--out", str(out),
     )
     assert code == 0
-    polys = parse_polynomials(out.read_text())
+    records = parse_polynomials(out.read_text())
     # All hyperplane-union submatroids of the quadrilateral give the whole
-    # matroid or undersized minors; the 15 maximal minors must be present.
-    maximal = [p for p in polys if "N=[1, 2, 3, 4, 5, 6]" in p.label]
-    assert len(maximal) == 15
+    # matroid or undersized minors; the whole matroid's record yields
+    # exactly its 15 maximal minors.
+    maximal = [r for r in records if "N=[1, 2, 3, 4, 5, 6]" in r.label]
+    assert len(maximal) == 1 and isinstance(maximal[0], LiftingMinors)
+    expected = lifting_polynomials(builtin_matroid("qs"), ExtraVector.symbolic("q"))
+    assert len(expected) == 15
+    assert maximal[0].minors() == expected
+
+
+def test_symbolic_lifting_generate_expands_no_minor(tmp_path, capsys, monkeypatch):
+    calls = 0
+    minor = MinorEngine.minor
+
+    def counted(self, rows, cols):
+        nonlocal calls
+        calls += 1
+        return minor(self, rows, cols)
+
+    monkeypatch.setattr(MinorEngine, "minor", counted)
+    out = tmp_path / "lift.txt"
+    code, _, _ = run_cli(capsys, "generate", "--matroid", "qs", "--which", "lifting", "--out", str(out))
+    assert code == 0
+    assert calls == 0
+    assert len(out.read_bytes()) < 1024
 
 
 def test_generate_graph_qs_and_grid(tmp_path, capsys):
@@ -203,7 +227,7 @@ def test_generate_rejects_bad_graph_data(tmp_path, capsys, text, code, prefix):
 # sha256 of `generate` output for the worked examples, so that any change in
 # the written bytes shows up here, not only run-to-run differences.
 GOLDEN_DIGESTS = [
-    (("qs", "all", "symbolic"), "33816c2919139db72a1117a4213e804ea58ff5732b282efde86c0c1d7e2fd480"),
+    (("qs", "all", "symbolic"), "0af086f00436ee7625de62f4a2be7c98c0b6b9c865b5218ede8e7ffd0509d047"),
     (("qs", "all", "canonical"), "f0430be60fb5a415567c25d75f77be118264191c7034c49012eddd6e7da38d2f"),
     (("concurrent3", "all", "symbolic"), "8240ef5882c400dd8d84c5502ee9a2d2955cd1535d8108c33f5abfb571cd8dd4"),
     (("concurrent3", "all", "canonical"), "8240ef5882c400dd8d84c5502ee9a2d2955cd1535d8108c33f5abfb571cd8dd4"),
@@ -213,7 +237,7 @@ GOLDEN_DIGESTS = [
     (("fig2c", "all", "canonical"), "1df780921e04e3d3e3b13c997c94e7b8a72c355fd6b84b87e7b746acd7a2842e"),
     (("pascal", "graph", "symbolic"), "32c65f766ec6759251286fec5d587430bd35eb003f56546ad2fda70c5379a1fe"),
     (("grid3x4", "graph", "symbolic"), "32bdef853b4896f7f5a2f7e01bd907079284ffdfdfe8a4c333a640cf9a6a0ec9"),
-    (("grid3x4", "lifting", "symbolic"), "af9a2d1e062fada9a1466bb104383e673dfc480044d4e312bae1efb1e1f2cc64"),
+    (("grid3x4", "lifting", "symbolic"), "e3ef9a35de0dfd0432f5f8c5e1edab5f22427bf33a86769376217202e174552b"),
     (("pascal", "all", "symbolic"), "3cfad8e7d2780de1e87d752e8de5d2be390ac057a255f2195ee8a8f84f01ea9e"),
     (("paving4_9", "all", "symbolic"), "3cd5f686e83fa22eb212987d59eb2297da57ca778e072b5a37e3d2b98fd499c5"),
     (("grid3x3", "all", "symbolic"), "8c872c863ef54e31b18998db30939ffeff0c2c6de4cee8009c93c6beb9f2839e"),
@@ -233,6 +257,28 @@ def test_generate_matches_recorded_digest(tmp_path, capsys, run, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the files with minors records before records were written: the
+# same files with each record expanded back into its minors.
+EXPANDED_DIGESTS = [
+    (("qs", "all", "symbolic"), "33816c2919139db72a1117a4213e804ea58ff5732b282efde86c0c1d7e2fd480"),
+    (("grid3x4", "lifting", "symbolic"), "af9a2d1e062fada9a1466bb104383e673dfc480044d4e312bae1efb1e1f2cc64"),
+]
+
+
+@pytest.mark.parametrize(
+    "run, digest", EXPANDED_DIGESTS, ids=["-".join(run) for run, _ in EXPANDED_DIGESTS]
+)
+def test_records_expand_to_the_recorded_expanded_digest(tmp_path, capsys, run, digest):
+    matroid, which, q = run
+    out = tmp_path / "polys.txt"
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", matroid, "--which", which, "--q", q, "--out", str(out)
+    )
+    assert code == 0
+    assert "# form: minors " in out.read_text()
+    assert hashlib.sha256(expand_records(out.read_text()).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("run", [run for run, _ in GOLDEN_DIGESTS], ids="-".join)
 def test_generated_polynomials_parse_back_equal(tmp_path, capsys, monkeypatch, run):
     matroid, which, q = run
@@ -249,18 +295,16 @@ def test_generated_polynomials_parse_back_equal(tmp_path, capsys, monkeypatch, r
     )
     assert code == 0
     assert rendered
-    for labeled in rendered:
-        poly = labeled.polynomial
-        assert type(poly).from_text(poly.to_text()) == poly, labeled.label
+    for item in rendered:
+        if isinstance(item, LiftingMinors):
+            assert parse_polynomials(render_polynomials([item])) == [item], item.label
+            continue
+        poly = item.polynomial
+        assert type(poly).from_text(poly.to_text()) == poly, item.label
 
 
-def test_parsing_names_each_distinct_factor_once_per_line(tmp_path, capsys, monkeypatch):
-    polys = tmp_path / "qs_lifting.txt"
-    code, _, _ = run_cli(
-        capsys, "generate", "--matroid", "qs", "--which", "lifting", "--out", str(polys)
-    )
-    assert code == 0
-    text = polys.read_text()
+def test_parsing_names_each_distinct_factor_once_per_line(monkeypatch):
+    text = render_polynomials(lifting_polynomials(builtin_matroid("qs"), ExtraVector.symbolic("q")))
     distinct = occurrences = 0
     for line in text.splitlines():
         if not line or line.startswith("#"):
@@ -459,6 +503,34 @@ def test_numerals_that_are_not_ascii_are_parse_errors_in_every_input(tmp_path, c
     _assert_parse_error(
         *run_cli(capsys, "generate", "--matroid", "qs", "--which", "graph", "--graph-data", str(data))
     )
+
+
+@pytest.mark.parametrize("number", ["1_0", "\u0664"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--family", "qs", "--seed"],
+        ["generate", "--matroid", "qs", "--budget-minor"],
+        ["gc", "meet", "1,2", "3,4", "--dim"],
+    ],
+    ids=["seed", "budget-minor", "dim"],
+)
+def test_integer_options_are_ascii_digits(capsys, argv, number):
+    code, out, err = run_cli(capsys, *argv, number)
+    assert code == 1
+    assert out == ""
+    assert argv[-1] in err and repr(number) in err
+    assert "Traceback" not in err
+
+
+def test_realization_point_ids_are_ascii_digits(tmp_path, capsys):
+    real = sample_qs(tmp_path, capsys)
+    payload = json.loads(real.read_text())
+    payload["points"]["\u0661"] = payload["points"].pop("1")
+    real.write_text(json.dumps(payload))
+    polys = tmp_path / "polys.txt"
+    polys.write_text("# source: ok\n1 * x[1,1] * x[2,q]\n")
+    _assert_parse_error(*run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real)))
 
 
 BAD_REALIZATION = '{"matroid": "qs", "points": '

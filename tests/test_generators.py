@@ -10,9 +10,13 @@ from math import factorial
 import pytest
 
 from oracles import (
+    cycle_identity_value,
     dependency_digraph_from_vectors,
+    graph_polynomial_via_cycles,
     identity_minus_weights,
+    numeric_graph,
     random_weighted_digraph,
+    rename_labels,
 )
 from displays import (
     ALL_DISPLAYS,
@@ -32,12 +36,10 @@ from pavingideals.generators import (
     builtin_graph_data,
     builtin_graph_data_names,
     circuit_polynomials,
-    cycle_identity_value,
     finite_generating_family,
     graph_matrix_brackets,
     graph_polynomial,
     graph_polynomial_brackets,
-    graph_polynomial_via_cycles,
     graph_polynomial_via_cycles_brackets,
     liftability_matrix,
     liftability_matrix_at,
@@ -250,7 +252,7 @@ def test_numeric_weights_from_actual_dependencies():
     realization = sample_family("qs", seed=3)
     data = builtin_graph_data("qs")
     basis = {f"q{i}": tuple(1 if j == i else 0 for j in (1, 2, 3)) for i in (1, 2, 3)}
-    g = build_graph(data, vectors=realization.vectors, extra_values=basis)
+    g = numeric_graph(data, vectors=realization.vectors, extra_values=basis)
     assert set(g.edges) <= {(2, 3), (3, 4), (4, 2)}
     assert all(isinstance(w, (int, Fraction)) for w in g.weights.values())
     assert cycle_identity_value(g) == 0
@@ -446,7 +448,7 @@ def test_rnc_reduces_to_the_hexagon_cycle_shape():
     mapping = {"x1": 7, "x2": 8, "x3": 9,
                "r1_1": "q6", "r2_1": "q5", "r3_1": "q4",
                "q1": "q3", "q2": "q2", "q3": "q1"}
-    renamed = form.rename_labels(mapping)
+    renamed = rename_labels(form, mapping)
     assert equal_up_to_sign(renamed, ALL_DISPLAYS["pascal"]())
 
 
@@ -456,7 +458,7 @@ def test_rnc_cyclic_shift_is_equal_up_to_sign():
     mapping = {"x1": "x2", "x2": "x3", "x3": "x1",
                "r1_1": "r2_1", "r2_1": "r3_1", "r3_1": "q1",
                "q1": "q2", "q2": "q3", "q3": "r1_1"}
-    relabeled = shifted.rename_labels(mapping)
+    relabeled = rename_labels(shifted, mapping)
     assert equal_up_to_sign(relabeled, base)
 
 

@@ -19,6 +19,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +28,14 @@ from hypothesis import strategies as st
 from pavingideals import brackets, verify
 from pavingideals import poly as poly_module
 from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
+from oracles import expand_records
 from pavingideals.cli import main
-from pavingideals.generators import LabeledPolynomial, bracket
-from pavingideals.linalg import echelon
+from pavingideals.generators import ExtraVector, LabeledPolynomial, bracket, lifting_polynomials
+from pavingideals.linalg import bareiss_determinant, echelon
+from pavingideals.matroids import builtin_matroid
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.poly import Polynomial, UnboundVariable, read_point_residual
+from pavingideals.polyfiles import render_polynomials
 from pavingideals.realizations import Realization
 from pavingideals.samplers import sample_family
 from pavingideals.scalars import format_rational
@@ -321,21 +325,41 @@ COORDINATE_VERIFY_DIGESTS = {
     "qs --which lifting": ("7b21a8c2d6d49febbf3a3ddfd4d25fe919b947d9d479838bee38653059f199cc", 45),
     "qs --which all": ("f33ee39277c1d9dc87ff05d4a84baa36dab0e6800cfc501bbc230ee79368a057", 76),
     "fig2r --which all": ("28d4d9e55e4f2e88e67042ed6ef3a425868c3a5e6f370309a676b67b876f1884", 86),
-    "grid3x4 --which lifting": ("6c1e3574af92d9ab45c6d16172f71c45263ec1183a9d56a59269f95bae9bbe6d", 900),
+    "grid3x4 --which lifting": ("5a1bac96084fea02cac37cf2a062d8ad496ff68f345d03441063ded89c466044", 2700),
     "qs --which lifting --q canonical": ("37fc37a685d156419ee7abad6219a087562fb073b7e184902bdd94c5fb2e0799", 45),
 }
 
 
-@pytest.mark.parametrize("generate", sorted(COORDINATE_VERIFY_DIGESTS))
-def test_canonical_sweep_of_coordinate_polynomials_matches_recorded_digest(tmp_path, generate):
+# The same for files whose minors records are expanded into their minors:
+# grid3x4's were 900 lines of `0`, each one check naming no extra vector,
+# where its records give one check per minor and basis vector.
+EXPANDED_VERIFY_DIGESTS = {
+    "grid3x4 --which lifting": ("6c1e3574af92d9ab45c6d16172f71c45263ec1183a9d56a59269f95bae9bbe6d", 900),
+}
+
+
+def verify_generated_sweep(tmp_path, generate: str, expand: bool = False) -> bytes:
     family, *rest = generate.split()
     polys, real, out = (tmp_path / name for name in ("polys.txt", "real.json", "checks.jsonl"))
     assert main(["generate", "--matroid", family, *rest, "--out", str(polys)]) == 0
+    if expand:
+        polys.write_text(expand_records(polys.read_text()))
     assert main(["sample", "--family", family, "--seed", "7", "--out", str(real)]) == 0
     argv = ["verify", "--polys", str(polys), "--realization", str(real), "--q", "canonical"]
     assert main(argv + ["--out", str(out)]) == 0
-    text = out.read_bytes()
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("generate", sorted(COORDINATE_VERIFY_DIGESTS))
+def test_canonical_sweep_of_coordinate_polynomials_matches_recorded_digest(tmp_path, generate):
+    text = verify_generated_sweep(tmp_path, generate)
     assert (hashlib.sha256(text).hexdigest(), text.count(b"\n")) == COORDINATE_VERIFY_DIGESTS[generate]
+
+
+@pytest.mark.parametrize("generate", sorted(EXPANDED_VERIFY_DIGESTS))
+def test_canonical_sweep_of_expanded_records_matches_recorded_digest(tmp_path, generate):
+    text = verify_generated_sweep(tmp_path, generate, expand=True)
+    assert (hashlib.sha256(text).hexdigest(), text.count(b"\n")) == EXPANDED_VERIFY_DIGESTS[generate]
 
 
 def test_canonical_sweep_computes_each_bracket_once(tmp_path, monkeypatch):
@@ -639,3 +663,108 @@ def test_a_missing_extra_vector_is_reported_before_other_bracket_faults(text):
             value(poly, {"q1": (1, 0, 0), "q2": (0, 1, 0)})
         got = unbound_list(lambda: evaluate_poly(poly, realization, {"q1": (1, 0, 0)}, brackets=value))
         assert got == want
+
+
+# -- minors records ------------------------------------------------------------------
+
+QS_LIFTING = render_polynomials(lifting_polynomials(builtin_matroid("qs"), ExtraVector.symbolic("q")))
+
+
+def qs_record(tmp_path) -> Path:
+    record = tmp_path / "record.txt"
+    assert main(["generate", "--matroid", "qs", "--which", "lifting", "--out", str(record)]) == 0
+    assert expand_records(record.read_text()) == QS_LIFTING
+    return record
+
+
+def collinear_qs(path: Path) -> None:
+    """Six distinct points of qs on one line, in a plane that holds no basis
+    vector, so no maximal lifting minor vanishes at any of them."""
+    xs = (3, -1, 4, 7, -5, 2)
+    path.write_text(json.dumps({"matroid": "qs", "points": {str(p): [x, 1, x + 2] for p, x in enumerate(xs, 1)}}))
+
+
+def verify_bytes(tmp_path, polys: Path, real: Path, *extra: str) -> tuple[int, bytes]:
+    out = tmp_path / "checks.jsonl"
+    code = main(["verify", "--polys", str(polys), "--realization", str(real), *extra, "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("expect", ["zero", "nonzero"])
+@pytest.mark.parametrize("q", ["canonical", "0,0,1"])
+@pytest.mark.parametrize("where", ["sample", "collinear"])
+def test_a_record_verifies_byte_identical_to_its_expanded_minors(tmp_path, monkeypatch, where, q, expect):
+    record, expanded, real = qs_record(tmp_path), tmp_path / "expanded.txt", tmp_path / "real.json"
+    expanded.write_text(QS_LIFTING)
+    if where == "sample":
+        assert main(["sample", "--family", "qs", "--seed", "7", "--out", str(real)]) == 0
+    else:
+        collinear_qs(real)
+    determinants = []
+    monkeypatch.setattr(verify, "bareiss_determinant", lambda rows: determinants.append(rows) or bareiss_determinant(rows))
+    argv = ["--q", q, "--expect", expect]
+    got = verify_bytes(tmp_path, record, real, *argv)
+    assert len(determinants) == (0 if where == "sample" else 15 * (3 if q == "canonical" else 1))
+    assert got == verify_bytes(tmp_path, expanded, real, *argv)
+    lines = got[1].count(b"\n")
+    assert lines == (45 if q == "canonical" else 15)
+    passes = (where == "sample") == (expect == "zero")
+    assert got[1].count(b'"pass": true') == (lines if passes else 0)
+    assert got[0] == (0 if passes else 3)
+
+
+def malformed(text: str, old: str, new: str) -> str:
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+NARROW_RECORD = "# source: lifting N=[1] rows=[[1, 2, 3], [1, 2, 3]] q=q\n# form: minors 2\n1<2 3 q>; 1<2 3 q>\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: malformed(t, ", 0; ", "; "),
+        lambda t: malformed(t, "minors 4", "minors 0"),
+        lambda t: malformed(t, "minors 4", "minors -1"),
+        lambda t: malformed(t, "minors 4", "minors 5"),
+        lambda t: NARROW_RECORD,
+        lambda t: malformed(t, "minors 4", "minors 2.5"),
+        lambda t: malformed(t, "minors 4", "minors \u0664"),
+        lambda t: malformed(t, "minors 4", "minors"),
+        lambda t: malformed(t, "1<2 3 q>", "1 * x[1,1]"),
+        lambda t: malformed(t, "lifting N=", "lifting M="),
+    ],
+    ids=[
+        "ragged-row", "k-zero", "k-negative", "k-above-rows", "k-above-columns",
+        "k-fraction", "k-arabic-indic", "k-missing", "coordinate-entry", "bad-source",
+    ],
+)
+def test_a_malformed_record_is_a_parse_error(tmp_path, capsys, edit):
+    record, real = qs_record(tmp_path), tmp_path / "real.json"
+    assert main(["sample", "--family", "qs", "--seed", "7", "--out", str(real)]) == 0
+    if edit(record.read_text()) == NARROW_RECORD:
+        # With k within its one column, the same record parses.
+        record.write_text(NARROW_RECORD.replace("minors 2", "minors 1"))
+        assert verify_bytes(tmp_path, record, real, "--q", "canonical")[0] == 3
+    record.write_text(edit(qs_record(tmp_path).read_text()))
+    capsys.readouterr()
+    code = main(["verify", "--polys", str(record), "--realization", str(real), "--q", "canonical"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: "), captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("family", ["uniform(4,6)", "uniform(3,5)"], ids=["wrong-dimension", "missing-point"])
+def test_a_record_on_a_realization_it_does_not_fit_is_an_error(tmp_path, capsys, family):
+    record, real = qs_record(tmp_path), tmp_path / "real.json"
+    assert main(["sample", "--family", family, "--seed", "1", "--out", str(real)]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--polys", str(record), "--realization", str(real), "--q", "canonical"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
