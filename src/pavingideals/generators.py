@@ -242,13 +242,16 @@ class LiftingMinors:
 
     def index_sets(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(rows, columns) of each minor: row sets outer, both ascending."""
-        return product(combinations(range(len(self.circuits)), self.k), combinations(range(len(self.points)), self.k))
+        k = self.k
+        return product(combinations(range(len(self.circuits)), k), combinations(range(len(self.points)), k))
 
-    def minor_label(self, rows: Sequence[int], cols: Sequence[int]) -> str:
-        return (
-            f"lifting-minor N={list(self.points)} rows={[list(self.circuits[i]) for i in rows]} "
-            f"cols={[self.points[j] for j in cols]} q={self.q.label()}"
-        )
+    def minor_labels(self) -> list[str]:
+        """The label of each minor, in ``index_sets`` order."""
+        k, circuits, points = self.k, self.circuits, self.points
+        rows = [str([list(circuits[i]) for i in r]) for r in combinations(range(len(circuits)), k)]
+        cols = [str([points[j] for j in c]) for c in combinations(range(len(points)), k)]
+        head, tail = f"lifting-minor N={list(self.points)} rows=", f" q={self.q.label()}"
+        return [f"{head}{r} cols={c}{tail}" for r in rows for c in cols]
 
     def minors(self) -> list[LabeledPolynomial]:
         """Each minor expanded into coordinates, through one MinorEngine."""
@@ -256,7 +259,8 @@ class LiftingMinors:
         if not index_sets:
             return []
         engine = MinorEngine(_expanded(self.matrix, self.q, len(self.circuits[0])))
-        return [LabeledPolynomial(self.minor_label(r, c), engine.minor(r, c)) for r, c in index_sets]
+        labels = self.minor_labels()
+        return [LabeledPolynomial(label, engine.minor(*ij)) for label, ij in zip(labels, index_sets)]
 
 
 def lifting_minors(submatroid: PavingMatroid, q: ExtraVector) -> LiftingMinors:

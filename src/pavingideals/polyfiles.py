@@ -29,7 +29,6 @@ from .generators import ExtraVector, LabeledPolynomial, LiftingMinors
 from .matroids import is_point_list
 from .poly import Polynomial, Scalar, Variable, read_point_residual
 from .scalars import parse_integer
-from .variables import is_extra_id
 
 _RECORD_LABEL = re.compile(r"lifting N=(\[[^]]*\]) rows=(\[.*\]) q=(\S+)")
 
@@ -58,15 +57,14 @@ def _parse_record(label: str | None, k_text: str, line: str) -> LiftingMinors:
     points, circuits = json.loads(got[1]), json.loads(got[2])
     if not (is_point_list(points) and isinstance(circuits, list) and all(map(is_point_list, circuits))):
         raise ValueError(f"minors record source names no point lists: {label!r}")
-    if not is_extra_id(got[3]):
-        raise ValueError(f"minors record: bad extra vector name {got[3]!r}")
+    q = ExtraVector.from_json_dict({"symbolic": got[3]})
     k = parse_integer(k_text)
     matrix = [[BracketPolynomial.from_text(e) for e in row.split(",")] for row in line.split(";")]
     if len(matrix) != len(circuits) or any(len(row) != len(points) for row in matrix):
         raise ValueError(f"minors record: the matrix is not {len(circuits)}x{len(points)}")
     if not 0 < k <= min(len(circuits), len(points)):
         raise ValueError(f"minors record: k = {k} is outside 1..{min(len(circuits), len(points))}")
-    return LiftingMinors(tuple(points), tuple(map(tuple, circuits)), ExtraVector.symbolic(got[3]), k, matrix)
+    return LiftingMinors(tuple(points), tuple(map(tuple, circuits)), q, k, matrix)
 
 
 def parse_polynomials(

@@ -217,9 +217,10 @@ def verify_vanishing(
         if isinstance(labeled, LiftingMinors):
             assigns = assignments(extra_names(labeled))
             columns = [_minor_values(labeled, realization, extra, brackets) for _, extra in assigns]
-            for (rows, cols), values in zip(labeled.index_sets(), zip(*columns)):
-                label = labeled.minor_label(rows, cols)
-                checks.extend(VanishingCheck(label, key, v, (v == 0) == zero) for (key, _), v in zip(assigns, values))
+            for label, values in zip(labeled.minor_labels(), zip(*columns)):
+                checks.extend(
+                    VanishingCheck(label, key, v, (v == 0) == zero) for (key, _), v in zip(assigns, values)
+                )
             continue
         poly = labeled.polynomial
         if isinstance(poly, BracketPolynomial):

@@ -734,20 +734,22 @@ NARROW_RECORD = "# source: lifting N=[1] rows=[[1, 2, 3], [1, 2, 3]] q=q\n# form
         lambda t: malformed(t, "minors 4", "minors"),
         lambda t: malformed(t, "1<2 3 q>", "1 * x[1,1]"),
         lambda t: malformed(t, "lifting N=", "lifting M="),
+        lambda t: malformed(t, "q=q", "q=1q"),
     ],
     ids=[
         "ragged-row", "k-zero", "k-negative", "k-above-rows", "k-above-columns",
-        "k-fraction", "k-arabic-indic", "k-missing", "coordinate-entry", "bad-source",
+        "k-fraction", "k-arabic-indic", "k-missing", "coordinate-entry", "bad-source", "bad-q",
     ],
 )
 def test_a_malformed_record_is_a_parse_error(tmp_path, capsys, edit):
     record, real = qs_record(tmp_path), tmp_path / "real.json"
     assert main(["sample", "--family", "qs", "--seed", "7", "--out", str(real)]) == 0
-    if edit(record.read_text()) == NARROW_RECORD:
+    text = edit(record.read_text())
+    if text == NARROW_RECORD:
         # With k within its one column, the same record parses.
         record.write_text(NARROW_RECORD.replace("minors 2", "minors 1"))
         assert verify_bytes(tmp_path, record, real, "--q", "canonical")[0] == 3
-    record.write_text(edit(qs_record(tmp_path).read_text()))
+    record.write_text(text)
     capsys.readouterr()
     code = main(["verify", "--polys", str(record), "--realization", str(real), "--q", "canonical"])
     captured = capsys.readouterr()
