@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from .generators import LabeledPolynomial, LiftingMinors
@@ -204,18 +204,20 @@ def verify_vanishing(
     zero = expect == "zero"
     checks: list[VanishingCheck] = []
 
-    def assignments(names: tuple[str, ...]) -> list[tuple[tuple, Mapping[str, Sequence[Scalar]]]]:
+    def assignments(names: tuple[str, ...]) -> Iterator[tuple[tuple, Mapping[str, Sequence[Scalar]]]]:
+        """(check key, assignment) pairs, made one at a time: a sweep's dicts
+        are then freed as they go, which keeps the collector quiet."""
         if sweep:
             # The names are sorted, so each sweep's pairs are already a check's key.
-            return [(pairs, dict(pairs)) for pairs in _basis_pairs(names, dim)]
-        return [
+            return ((pairs, dict(pairs)) for pairs in _basis_pairs(names, dim))
+        return (
             (tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names)), extra)
             for extra in (extra_assignments if extra_assignments is not None else [{}])
-        ]
+        )
 
     for labeled in polynomials:
         if isinstance(labeled, LiftingMinors):
-            assigns = assignments(extra_names(labeled))
+            assigns = list(assignments(extra_names(labeled)))
             columns = [_minor_values(labeled, realization, extra, brackets) for _, extra in assigns]
             for label, values in zip(labeled.minor_labels(), zip(*columns)):
                 checks.extend(
