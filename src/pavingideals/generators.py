@@ -501,25 +501,18 @@ def graph_polynomial_brackets(data: GraphData) -> BracketPolynomial:
 def graph_polynomial_via_cycles_brackets(
     data: GraphData, dedupe_denominators: bool = False
 ) -> BracketPolynomial:
-    """Cycle route at the bracket level.
+    """Cycle route at the bracket level: the cycle identity expanded in the
+    bracket quotients of the graph matrix, denominators cleared with its
+    diagonal brackets.
 
     With ``dedupe_denominators`` the identity is cleared by each distinct
     diagonal bracket once instead of once per row, which is the minimal
     polynomial form when parallel rows share a dependency denominator; a
     collection that would consume a shared denominator twice is rejected.
     """
-    return _cycle_route(
-        data, graph_matrix_brackets(data), dedupe_denominators, CYCLE_MAX_POINTS_BRACKETS
-    )
-
-
-def _cycle_route(
-    data: GraphData, matrix: BracketRows, dedupe_denominators: bool, budget: int
-) -> BracketPolynomial:
-    """Expand the cycle identity in the bracket quotients of the graph
-    matrix and clear denominators with its diagonal brackets."""
-    if data.k > budget:
-        raise TooLarge(f"cycle expansion budget is {budget} points, got {data.k}")
+    matrix = graph_matrix_brackets(data)
+    if data.k > CYCLE_MAX_POINTS_BRACKETS:
+        raise TooLarge(f"cycle expansion budget is {CYCLE_MAX_POINTS_BRACKETS} points, got {data.k}")
     index = {p: i for i, p in enumerate(data.points)}
     diag = [matrix[i][i] for i in range(data.k)]
     # Group rows whose diagonal brackets agree up to sign; each class is
