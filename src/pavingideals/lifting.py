@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .generators import liftability_matrix_at
-from .linalg import kernel_basis, matrix_rank, solve_particular
+from .linalg import clear_denominators, kernel_basis, matrix_rank, solve_particular
 from .matroids import PavingMatroid
 from .realizations import Realization
 from .scalars import Scalar, normalize_scalar
@@ -109,33 +109,40 @@ def lift(
     liftability matrix has kernel dimension at least n, and None when only
     degenerate (single-hyperplane) lifts exist.  ``scale`` shrinks the
     kernel direction, so lifts can be made arbitrarily close to the input.
+
+    The checks and eliminations run on integers: the vectors are scaled
+    once by the lcm of all their denominators (lambda), and the center by
+    the lcm of its own (mu).  A uniform scale changes no rank, no kernel and
+    no coordinates in a basis, and it multiplies every liftability entry by
+    lambda^(n-1) mu, so the kernel is the one of the original matrix.  The
+    lift itself is built from the original vectors and center.
     """
     matroid = matroid or flat.matroid
-    vectors = flat.vectors
     points = list(matroid.points)
     dim = len(center)
     if matroid.rank not in (dim, dim - 1):
         raise ValueError(
             f"rank-{matroid.rank} matroid cannot be lifted in ambient dimension {dim}"
         )
-    span_rank = matrix_rank([vectors[p] for p in points])
+    vectors = dict(zip(points, clear_denominators(flat.vectors[p] for p in points)))
+    (q,) = clear_denominators([center])
+    span_rank = matrix_rank(vectors.values())
     if span_rank != dim - 1:
         raise RankDefect(f"configuration spans rank {span_rank}, expected {dim - 1}")
-    stacked = [list(vectors[p]) for p in points] + [list(center)]
-    if matrix_rank(stacked) != dim:
+    if matrix_rank([*vectors.values(), q]) != dim:
         raise CenterOnHyperplane("center lies in the span of the configuration")
 
-    evaluated = liftability_matrix_at(matroid, vectors, tuple(center))
+    evaluated = liftability_matrix_at(matroid, vectors, q)
     kernel = kernel_basis(evaluated, len(points))
     degenerate = degenerate_lift_subspace(vectors, points, dim)
     if len(kernel) <= len(degenerate):
         return None
+    # Each row cleared of its own denominators: a row's scale changes no rank.
+    degenerate = [clear_denominators([row])[0] for row in degenerate]
     base_rank = matrix_rank(degenerate)
-    chosen = None
-    for z in kernel:
-        if matrix_rank(degenerate + [list(z)]) > base_rank:
-            chosen = z
-            break
+    chosen = next(
+        (z for z in kernel if matrix_rank(degenerate + clear_denominators([z])) > base_rank), None
+    )
     if chosen is None:
         return None
     scale = normalize_scalar(scale)
@@ -143,7 +150,7 @@ def lift(
     for idx, p in enumerate(points):
         shift = scale * chosen[idx]
         lifted[p] = tuple(
-            normalize_scalar(v + shift * c) for v, c in zip(vectors[p], center)
+            normalize_scalar(v + shift * c) for v, c in zip(flat.vectors[p], center)
         )
     return Realization(matroid, lifted, flat.seed)
 

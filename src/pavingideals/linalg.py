@@ -3,13 +3,16 @@
 One elimination routine, ``echelon``, does fraction-free Gaussian elimination
 (Bareiss, Math. Comp. 22, 1968): every update divides exactly by the
 previous pivot, so integer matrices stay integer throughout and Fraction
-matrices divide exactly.  Determinant, rank, kernel and solving all read
-that echelon form; matrices are plain lists (or tuples) of rows.
+matrices divide exactly.  Rank, kernel and solving read that echelon form;
+so do determinants beyond 3x3, while smaller ones (every bracket and
+certification minor of a rank-3 matroid) are expanded by cofactors
+directly.  Matrices are plain lists (or tuples) of rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .scalars import Scalar, normalize_scalar
@@ -64,12 +67,35 @@ def echelon(rows: Rows) -> tuple[list[list[Scalar]], list[int], int]:
 
 
 def bareiss_determinant(rows: Rows) -> Scalar:
-    """Determinant of a square matrix, read off its echelon form."""
-    m, _, sign = echelon(rows)
+    """Determinant of a square matrix: by cofactors up to 3x3, else read off
+    its echelon form."""
+    m = list(rows)
     n = len(m)
-    if any(len(row) != n for row in m):
+    if not all(map(n.__eq__, map(len, m))):
         raise NonSquare(f"{n}x{len(m[0])} matrix has no determinant")
-    return normalize_scalar(sign * m[-1][-1]) if m else 1
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    elif n > 3:
+        m, _, sign = echelon(m)
+        det = sign * m[-1][-1]
+    elif n == 2:
+        (a, b), (c, d) = m
+        det = a * d - b * c
+    else:
+        det = m[0][0] if m else 1
+    return det if type(det) is int else normalize_scalar(det)
+
+
+def clear_denominators(rows: Rows) -> list[tuple[int, ...]]:
+    """The rows times the lcm of all their entries' denominators.
+
+    One scale for the whole matrix changes no rank and no kernel, and lets
+    ``echelon`` run on integers.
+    """
+    m = [tuple(row) for row in rows]
+    scale = lcm(*(c.denominator for row in m for c in row))
+    return [tuple(c.numerator * (scale // c.denominator) for c in row) for row in m]
 
 
 def matrix_rank(rows: Rows) -> int:

@@ -2,9 +2,10 @@
 
 A realization assigns an exact vector of length n to every point.  Two
 membership tests matter: the circuit variety (every hyperplane's vectors
-span at most n-1 dimensions) and the realization space itself (dependencies
-are exactly the matroid's: hyperplane subsets degenerate, everything else
-in general position).  Both are decided by exact rank computations.
+span at most n-1 dimensions), decided by exact rank, and the realization
+space itself (dependencies are exactly the matroid's: hyperplane subsets
+degenerate, everything else in general position), decided by the zero
+pattern of the exact n x n determinants.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .linalg import matrix_rank
+from .linalg import bareiss_determinant, matrix_rank
 from .matroids import MatroidError, PavingMatroid, builtin_matroid
 from .scalars import Scalar, as_scalar, format_rational, parse_integer
 from .variables import Variable, entry_var
@@ -100,11 +101,7 @@ class Realization:
         vectors = {
             parse_integer(p): tuple(as_scalar(c) for c in vec) for p, vec in data["points"].items()
         }
-        for p, vec in sorted(vectors.items()):
-            if len(vec) != matroid.rank:
-                raise IndexMismatch(
-                    f"point {p} has {len(vec)} coordinates, the matroid has rank {matroid.rank}"
-                )
+        _check_lengths(vectors, matroid.rank)
         return Realization(matroid, vectors, data.get("seed"))
 
     @staticmethod
@@ -115,6 +112,12 @@ class Realization:
 def _check_indexing(vectors: Mapping[int, Sequence[Scalar]], matroid: PavingMatroid):
     if set(vectors) != set(matroid.points):
         raise IndexMismatch("vectors are not indexed by the matroid's points")
+
+
+def _check_lengths(vectors: Mapping[int, Sequence[Scalar]], rank: int):
+    for p, vec in sorted(vectors.items()):
+        if len(vec) != rank:
+            raise IndexMismatch(f"point {p} has {len(vec)} coordinates, the matroid has rank {rank}")
 
 
 def in_circuit_variety(vectors: Mapping[int, Sequence[Scalar]], matroid: PavingMatroid) -> bool:
@@ -128,20 +131,20 @@ def in_circuit_variety(vectors: Mapping[int, Sequence[Scalar]], matroid: PavingM
 
 
 def in_realization_space(vectors: Mapping[int, Sequence[Scalar]], matroid: PavingMatroid) -> bool:
-    """True when the vectors realize exactly the matroid's dependencies.
+    """True when the vectors realize exactly the matroid's dependencies:
+    an n-subset's determinant is zero exactly when it is a circuit.
 
-    Checks every (n-1)-subset is independent and every n-subset has rank
-    n-1 or n according to whether it is a circuit; larger subsets follow.
+    That is the whole test.  Every (n-1)-set must be independent too, but in
+    a paving matroid it lies in at most one hyperplane, which is not the
+    whole ground set, so a point off that hyperplane extends it to a basis,
+    whose determinant is checked to be nonzero.  Larger sets follow.
+    Vectors of a length other than n raise IndexMismatch.
     """
     _check_indexing(vectors, matroid)
     n = matroid.rank
-    points = matroid.points
-    for combo in combinations(points, n - 1):
-        if matrix_rank([vectors[p] for p in combo]) != n - 1:
-            return False
+    _check_lengths(vectors, n)
     circuits = set(matroid.circuits_n())
-    for combo in combinations(points, n):
-        expected = n - 1 if combo in circuits else n
-        if matrix_rank([vectors[p] for p in combo]) != expected:
-            return False
-    return True
+    return all(
+        (bareiss_determinant(map(vectors.__getitem__, combo)) == 0) == (combo in circuits)
+        for combo in combinations(matroid.points, n)
+    )

@@ -4,9 +4,10 @@ One construction serves every matroid.  Its points are placed in an order
 in which each new point lies on at most n-1 hyperplanes that already hold
 n-1 placed points, so the point is free, on the span of one such
 hyperplane, or on the intersection of several.  Incidences come out exact
-by construction; general position is certified with the full set of exact
-rank checks, and failed attempts resample deterministically, so a
-(matroid, seed) pair always produces the same realization.
+by construction; general position is certified by the exact n x n
+determinants (``in_realization_space``), and failed attempts resample
+deterministically, so a (matroid, seed) pair always produces the same
+realization.
 
 This is the inductive construction behind the realizability of solvable
 configurations (Liwski-Mohammadi).  Pascal's configuration has such an
@@ -19,10 +20,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-from .linalg import kernel_basis, matrix_rank
+from .linalg import clear_denominators, kernel_basis, matrix_rank
 from .matroids import MatroidError, PavingMatroid, builtin_matroid
 from .realizations import Realization, in_realization_space
 from .scalars import Scalar
@@ -60,8 +61,7 @@ def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[Scalar]]) -> tupl
 
 def _primitive(vec: Sequence[Scalar]) -> tuple[int, ...]:
     """The integer multiple of a nonzero rational vector with coprime entries."""
-    scale = lcm(*(c.denominator for c in vec))
-    integral = [int(c * scale) for c in vec]
+    (integral,) = clear_denominators([vec])
     divisor = gcd(*integral)
     return tuple(c // divisor for c in integral)
 

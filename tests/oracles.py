@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from pavingideals.brackets import BracketPolynomial, evaluator
 from pavingideals.generators import (
@@ -16,7 +17,7 @@ from pavingideals.generators import (
     graph_polynomial_via_cycles_brackets,
 )
 from pavingideals.lifting import Hyperplane
-from pavingideals.linalg import NonSquare, solve_particular
+from pavingideals.linalg import NonSquare, matrix_rank, solve_particular
 from pavingideals.poly import Monomial, Polynomial
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.scalars import Scalar, format_rational, normalize_scalar
@@ -273,6 +274,28 @@ def rref_solve(m: list[list[Scalar]], b) -> list[Scalar] | None:
     for r, c in enumerate(pivots):
         x[c] = normalize_scalar(reduced[r][n_cols])
     return x
+
+
+# -- realization oracles ---------------------------------------------------------
+
+
+def rank_in_realization_space(vectors, matroid) -> bool:
+    """Membership in the realization space by exact rank: every (n-1)-subset
+    is independent and every n-subset has rank n-1 or n as it is a circuit
+    or not.  The reference for the determinant test of
+    ``realizations.in_realization_space``, which drops the (n-1)-subsets.
+    """
+    n = matroid.rank
+    points = matroid.points
+    for combo in combinations(points, n - 1):
+        if matrix_rank([vectors[p] for p in combo]) != n - 1:
+            return False
+    circuits = set(matroid.circuits_n())
+    for combo in combinations(points, n):
+        expected = n - 1 if combo in circuits else n
+        if matrix_rank([vectors[p] for p in combo]) != expected:
+            return False
+    return True
 
 
 # -- polynomial oracles -----------------------------------------------------------

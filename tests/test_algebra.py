@@ -30,7 +30,7 @@ from pavingideals.linalg import (
 )
 from pavingideals.poly import Polynomial, UnboundVariable
 from pavingideals.polymatrix import MinorEngine
-from pavingideals.scalars import NotRational, format_rational, parse_rational
+from pavingideals.scalars import NotRational, format_rational, normalize_scalar, parse_rational
 from pavingideals.variables import entry_var, extra_var
 
 
@@ -282,7 +282,56 @@ def test_fraction_matrix_determinant():
 def test_scalar_determinant_needs_a_square_matrix():
     with pytest.raises(NonSquare):
         bareiss_determinant([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(NonSquare):
+        bareiss_determinant([[1, 2], [3, 4], [5, 6]])
     assert bareiss_determinant([]) == 1
+
+
+def _eliminated_determinant(rows):
+    reduced, _, sign = echelon(rows)
+    return normalize_scalar(sign * reduced[-1][-1])
+
+
+def test_small_determinants_by_cofactors_equal_elimination():
+    """Up to 3x3 the determinant is a cofactor expansion; it equals the
+    echelon form's in value and type, singular matrices included."""
+    rng = random.Random(1968)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            # Singular: the last row is a combination of the others.
+            a, b = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            others = rows[:-1] or [[0] * n]
+            rows[-1] = [a * u + b * v for u, v in zip(others[0], others[-1])]
+        det = bareiss_determinant(rows)
+        singular += det == 0
+        assert _typed([det]) == _typed([_eliminated_determinant(rows)]), rows
+    assert singular >= 100
+
+
+def test_determinant_reads_rows_from_an_iterator():
+    columns = [(2, 0, 1), (1, 3, 0), (0, 1, 4)]
+    assert bareiss_determinant(zip(*columns)) == bareiss_determinant(columns) == 25
+    assert bareiss_determinant(iter([(5,)])) == 5
+
+
+@pytest.mark.parametrize(
+    "rows, value",
+    (
+        ([[Fraction(6, 3)]], 2),
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(4)]], 1),
+        ([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0], [1, 1, Fraction(3)]], 1),
+        ([[Fraction(1, 2), 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]], 1),
+    ),
+)
+def test_integral_fraction_determinants_are_ints(rows, value):
+    det = bareiss_determinant(rows)
+    assert det == value and type(det) is int
 
 
 def test_echelon_keeps_integers_and_its_input():

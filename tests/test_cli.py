@@ -56,6 +56,45 @@ def test_cli_import_pulls_in_no_networkx():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_builds_no_parser():
+    proc = run_fresh("-c", (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import pavingideals.cli\n"
+        "print(len(built))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_reusing_the_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    """Call sequences through the shared parser give the same exit codes and
+    output as through a parser built afresh for every call."""
+    polys = tmp_path / "qs_lifting.txt"
+    assert main(["generate", "--matroid", "qs", "--which", "lifting", "--out", str(polys)]) == 0
+    real = sample_qs(tmp_path, capsys)
+    verify = ["verify", "--polys", str(polys), "--realization", str(real)]
+    meet = ["gc", "meet", "1,2", "3,4", "--dim", "3"]
+    sequences = (
+        (["generate", "--matroid", "qs", "--which", "bogus"], ["generate", "--matroid", "qs", "--which", "circuits"]),
+        (meet + ["--join", "5,6"], meet),
+        (verify + ["--q", "0,0,1"], verify + ["--q", "canonical"]),
+    )
+    codes = []
+    for sequence in sequences:
+        shared = [run_cli(capsys, *argv) for argv in sequence]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_shared_parser", cli.build_parser)
+            fresh = [run_cli(capsys, *argv) for argv in sequence]
+        assert shared == fresh, sequence
+        assert shared[0] != shared[1], sequence
+        codes.append([code for code, _, _ in shared])
+    assert codes == [[1, 0], [0, 0], [0, 0]]
+    assert cli._shared_parser.cache_info().currsize == 1
+
+
 # -- validate ----------------------------------------------------------------
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import rank_in_realization_space
+from pavingideals import linalg
 from pavingideals.generators import ExtraVector, liftability_matrix_at, lifting_polynomials
 from pavingideals.lifting import (
     CenterOnHyperplane,
@@ -30,6 +33,7 @@ from pavingideals.samplers import (
     sample_collinear_points,
     sample_family,
 )
+from pavingideals.scalars import format_rational
 
 QS = builtin_matroid("qs")
 
@@ -111,6 +115,79 @@ def test_collinear_points_are_degenerate_qs():
     assert not in_realization_space(vectors, QS)
 
 
+PERTURBATIONS = ("none", "zero", "parallel", "nudge", "rescale", "random")
+
+
+def _perturbed(rng: random.Random, vectors: dict, kind: str) -> dict:
+    out = dict(vectors)
+    n = len(next(iter(out.values())))
+    p, q = rng.sample(sorted(out), 2)
+    if kind == "zero":
+        out[p] = (0,) * n
+    elif kind == "parallel":
+        out[p] = tuple(rng.choice((-2, -1, 2, 3)) * c for c in out[q])
+    elif kind == "nudge":
+        i = rng.randrange(n)
+        out[p] = tuple(c + rng.choice((-1, 1)) * (j == i) for j, c in enumerate(out[p]))
+    elif kind == "rescale":
+        factor = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+        out[p] = tuple(factor * c for c in out[p])
+    elif kind == "random":
+        out = {x: tuple(rng.randint(-3, 3) for _ in range(n)) for x in out}
+    return out
+
+
+# (family, seeds, configurations drawn per seed)
+MEMBERSHIP_DRAWS = (
+    ("uniform(2,6)", range(6), 60),
+    ("qs", range(6), 50),
+    ("pascal", range(5), 40),
+    ("grid3x4", range(4), 30),
+    ("paving4_9", range(2), 30),
+    ("grid4x6", range(1), 4),
+)
+
+
+def test_determinant_membership_agrees_with_the_rank_oracle():
+    """Sampled realizations, unperturbed or with a zero vector, a parallel
+    pair, a +-1 nudge, one point rescaled by a Fraction, or all vectors
+    random and small: the determinant test and the rank oracle agree."""
+    rng = random.Random(16)
+    verdicts = {True: 0, False: 0}
+    kinds = set()
+    for family, seeds, draws in MEMBERSHIP_DRAWS:
+        for seed in seeds:
+            r = sample_family(family, seed)
+            for i in range(draws):
+                kind = PERTURBATIONS[i % len(PERTURBATIONS)]
+                vectors = _perturbed(rng, r.vectors, kind)
+                got = in_realization_space(vectors, r.matroid)
+                assert got == rank_in_realization_space(vectors, r.matroid), (family, seed, kind)
+                verdicts[got] += 1
+                kinds.add(kind)
+    assert sum(verdicts.values()) >= 1000
+    assert min(verdicts.values()) >= 200, verdicts
+    assert kinds == set(PERTURBATIONS)
+
+
+@pytest.mark.parametrize("length", (2, 4))
+def test_membership_rejects_vectors_of_the_wrong_length(length):
+    r = sample_family("qs", 0)
+    vectors = dict(r.vectors)
+    vectors[4] = (vectors[4] + (1, 1))[:length]
+    with pytest.raises(IndexMismatch, match="point 4 has"):
+        in_realization_space(vectors, QS)
+
+
+def test_certifying_a_sample_runs_no_elimination(monkeypatch):
+    r = sample_family("grid3x6", 0)
+    calls = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda rows: calls.append(rows) or echelon(rows))
+    assert in_realization_space(r.vectors, r.matroid)
+    assert calls == []
+
+
 # -- projection ---------------------------------------------------------------
 
 
@@ -177,6 +254,61 @@ def test_lift_scale_moves_arbitrarily_close():
     for p in QS.points:
         drift = [a - b for a, b in zip(tiny.vectors[p], flat.vectors[p])]
         assert all(abs(Fraction(d)) < Fraction(1, 1000) for d in drift)
+
+
+def _projected(family: str, seed: int):
+    """A sample projected from a center drawn off its family and seed."""
+    r = sample_family(family, seed)
+    rng = random.Random(f"{family}:{seed}")
+    while True:
+        h, center = random_hyperplane_and_center(rng)
+        try:
+            return project(r, h, center), center
+        except PointThroughCenter:
+            continue
+
+
+# sha256 of the lifted vectors for seeds 0 and 1, each at scale 1 and -2/3,
+# recorded when lift still ran its eliminations on the projected Fractions.
+LIFT_DIGESTS = {
+    "qs": "a173b6c2677c93abf7864b8ecf204aa1b243db989f9b54c0dae981c3ead86f8a",
+    "fig2r": "8a09d1ff1a6bb9e661fafaaf35579c8da9ee6c64afa55c0b78891a0a606658bd",
+    "fig2c": "8a16edf33e27eb5343c7a07d8cad6ef27afe54b63965b9dc384275c7b54b469a",
+    "pascal": "e63f5a2cc91307a65865d0e6cd36861b6a94bf6990d835b18b822ce413ca1829",
+    "concurrent3": "e3da971b6579cff2d2f6b8324437f501d68ef68fc3be519380751af54cbd9e5c",
+    "grid3x4": "434288806e8eeb1fb0f7c0802ea1b632610f6ea7b20bf51493539cf8bc5119f9",
+    "grid3x5": "0620c917ee02ca04af72343715d7afde7e3113951501e0a4216df5d90410f493",
+    "grid3x6": "497bf4e8aa73792b5789d78ae3b740a331ecb2a7a1582f963f45839af08316af",
+}
+
+
+@pytest.mark.parametrize("family", sorted(LIFT_DIGESTS))
+def test_lift_matches_the_recorded_digest(family):
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        flat, center = _projected(family, seed)
+        for scale in (1, Fraction(-2, 3)):
+            lifted = lift(flat, center, scale=scale)
+            assert lifted is not None, (family, seed, scale)
+            lines = [f"{p}:{','.join(map(format_rational, v))}" for p, v in sorted(lifted.vectors.items())]
+            digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == LIFT_DIGESTS[family]
+
+
+def test_lift_of_a_projected_configuration_eliminates_on_integers(monkeypatch):
+    flat, center = _projected("grid3x4", 0)
+    assert any(isinstance(c, Fraction) for v in flat.vectors.values() for c in v)
+    matrices = []
+    echelon = linalg.echelon
+
+    def recorded(rows):
+        matrices.append([list(row) for row in rows])
+        return echelon(matrices[-1])
+
+    monkeypatch.setattr(linalg, "echelon", recorded)
+    assert lift(flat, center) is not None
+    assert matrices
+    assert all(type(c) is int for m in matrices for row in m for c in row)
 
 
 def test_generic_collinear_points_do_not_lift():
