@@ -197,12 +197,12 @@ def liftability_matrix(
     dim = ambient if ambient is not None else matroid.rank
     if q.coords is not None and len(q.coords) != dim:
         raise ValueError("extra vector dimension disagrees with the ambient dimension")
-    return _expanded(_liftability_brackets(matroid, q.label(), dim), q, dim)
+    return _expanded(_liftability_brackets(matroid, q.label(), dim), _coordinates([q], dim))
 
 
-def _expanded(matrix: BracketRows, q: ExtraVector, dim: int) -> list[list[Polynomial]]:
-    """The matrix in coordinates, in one expansion call: one MinorEngine."""
-    entries = iter(_coordinates([q], dim)([e for row in matrix for e in row]))
+def _expanded(matrix: BracketRows, expand) -> list[list[Polynomial]]:
+    """The matrix in coordinates, in one call of a ``_coordinates`` expander."""
+    entries = iter(expand([e for row in matrix for e in row]))
     return [[next(entries) for _ in row] for row in matrix]
 
 
@@ -258,7 +258,7 @@ class LiftingMinors:
         index_sets = list(self.index_sets())
         if not index_sets:
             return []
-        engine = MinorEngine(_expanded(self.matrix, self.q, len(self.circuits[0])))
+        engine = MinorEngine(_expanded(self.matrix, _coordinates([self.q], len(self.circuits[0]))))
         labels = self.minor_labels()
         return [LabeledPolynomial(label, engine.minor(*ij)) for label, ij in zip(labels, index_sets)]
 
@@ -574,6 +574,36 @@ class GeneratingFamily:
     truncated: bool
 
 
+def _family_tuples(matroid: PavingMatroid) -> tuple[list[tuple], bool]:
+    """Per anchor set the family sweeps, in sweep order: (anchor, threaded
+    points, circuit tuples) under the anchor, point and tuple caps; and
+    whether a cap cut."""
+    circuits = matroid.circuits_n()
+    sweeps = []
+    truncated = False
+    for anchor in matroid.closed_sets(max_size=FAMILY_MAX_ANCHOR):
+        points = tuple(p for p in matroid.points if p not in anchor)
+        if not points or len(points) > FAMILY_MAX_POINTS:
+            if points:
+                truncated = True
+            continue
+        allowed = anchor | set(points)
+        choices = [[c for c in circuits if p in c and set(c) <= allowed] for p in points]
+        if any(not c for c in choices):
+            continue
+        combos = []
+        for combo in product(*choices):
+            if len(set(combo)) != len(combo):
+                continue
+            if len(combos) == FAMILY_MAX_CIRCUIT_TUPLES:
+                truncated = True
+                break
+            combos.append(combo)
+        if combos:
+            sweeps.append((anchor, points, combos))
+    return sweeps, truncated
+
+
 def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
     """Circuit polynomials plus canonical-basis graph polynomials.
 
@@ -582,6 +612,15 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
     extra vectors sweep the canonical basis one circuit at a time.  The
     enumeration respects the FAMILY_MAX_* caps and reports truncation; polynomials are
     deduplicated up to sign.
+
+    Setting q_i = e_b picks the e_b row of circuit c_i, so every candidate
+    of an anchor set is a minor of one stacked matrix: a row per
+    (circuit, e_b) for the circuits its capped tuples use, a column per
+    threaded point, expanded into coordinates through one expander shared
+    by the whole call.  One MinorEngine per anchor set reads each candidate
+    off it on rows (c_1, b_1), ..., (c_k, b_k), so the matrix is packed
+    once per anchor set rather than once per candidate, and the engine's
+    memo is dropped with its anchor set.
     """
     if matroid.max_degree() > 2:
         warnings.warn(
@@ -598,40 +637,26 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
             seen.add(normal)
             emitted.append(labeled)
 
+    sweeps, truncated = _family_tuples(matroid)
     n = matroid.rank
-    circuits = matroid.circuits_n()
-    # Every candidate's extra vectors are basis vectors: one expander serves them all.
-    expand = _coordinates([ExtraVector.basis(b, n) for b in range(1, n + 1)], n)
-    for anchor in matroid.closed_sets(max_size=FAMILY_MAX_ANCHOR):
-        points = tuple(p for p in matroid.points if p not in anchor)
-        if not points or len(points) > FAMILY_MAX_POINTS:
-            if points:
-                truncated = True
-            continue
-        allowed = anchor | set(points)
-        choices = []
-        for p in points:
-            cands = [c for c in circuits if p in c and set(c) <= allowed]
-            choices.append(cands)
-        if any(not c for c in choices):
-            continue
-        tuple_count = 0
-        for combo in product(*choices):
-            if len(set(combo)) != len(combo):
-                continue
-            tuple_count += 1
-            if tuple_count > FAMILY_MAX_CIRCUIT_TUPLES:
-                truncated = True
-                break
+    basis = [ExtraVector.basis(b, n) for b in range(1, n + 1)]
+    expand = _coordinates(basis, n)
+    for anchor, points, combos in sweeps:
+        used = dict.fromkeys(c for combo in combos for c in combo)
+        row_of = {cb: i for i, cb in enumerate(product(used, range(1, n + 1)))}
+        stacked = bracket_matrix(((c, basis[b - 1].label()) for c, b in row_of), points)
+        engine = MinorEngine(_expanded(stacked, expand))
+        cols = tuple(range(len(points)))
+        for combo in combos:
+            # Basis vectors all have length n: one check covers every assignment.
+            GraphData(matroid, anchor, points, combo, (basis[0],) * len(points)).validate()
             assignments = 0
             for basis_pick in product(range(1, n + 1), repeat=len(points)):
                 assignments += 1
                 if assignments > FAMILY_MAX_BASIS_ASSIGNMENTS:
                     truncated = True
                     break
-                extras = tuple(ExtraVector.basis(b, n) for b in basis_pick)
-                data = GraphData(matroid, anchor, points, combo, extras)
-                poly = expand([MinorEngine(_graph_brackets(data)).determinant()])[0]
+                poly = engine.minor([row_of[cb] for cb in zip(combo, basis_pick)], cols)
                 if poly.is_zero():
                     continue
                 normal, _ = poly.normalized_sign()

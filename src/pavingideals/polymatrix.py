@@ -68,6 +68,9 @@ class MinorEngine:
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Packed] = {}
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+        """Determinant of the submatrix on these rows and columns, in the order
+        given: they need not ascend, and a permutation of either flips the
+        sign by its parity.  The memo is keyed on the order given too."""
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise NonSquare(f"minor on {len(rows)} rows and {len(cols)} columns")

@@ -14,6 +14,7 @@ from oracles import (
     TupleMergeMinors,
     gaussian_pivot_product,
     lex_key,
+    perm_parity,
     render_polynomial,
     rref_kernel_basis,
     rref_rank,
@@ -534,3 +535,21 @@ def test_minor_engine_matches_the_tuple_merge_oracle():
     a, b = Polynomial({((entry_var(1, 1), 200),): 1}), x(1, 2)
     rows = [[a, b], [b, a]]
     assert MinorEngine(rows).determinant() == TupleMergeMinors(rows).determinant() == a * a - b * b
+
+
+def test_minor_engine_reads_rows_and_columns_in_the_order_given():
+    rng = random.Random(1776)
+    flipped = 0
+    for entry in (random_coordinate_entry, random_bracket_entry):
+        rows = [[entry(rng) for _ in range(4)] for _ in range(6)]
+        engine, oracle = MinorEngine(rows), TupleMergeMinors(rows)
+        for k in (2, 3, 4) * 8:
+            row_idx, col_idx = rng.sample(range(6), k), rng.sample(range(4), k)
+            got = engine.minor(row_idx, col_idx)
+            sub = [[rows[r][c] for c in col_idx] for r in row_idx]
+            assert got == MinorEngine(sub).determinant(), (row_idx, col_idx)
+            sign = perm_parity(row_idx) * perm_parity(col_idx)
+            assert got == oracle.minor(sorted(row_idx), sorted(col_idx)).scale(sign), (row_idx, col_idx)
+            flipped += sign < 0 and not got.is_zero()
+    assert flipped
+

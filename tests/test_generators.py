@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -24,6 +27,7 @@ from displays import (
     equal_up_to_sign,
     equal_up_to_unit,
 )
+from pavingideals import generators
 from pavingideals.brackets import BracketPolynomial
 from pavingideals.generators import (
     BadIndexSet,
@@ -51,6 +55,7 @@ from pavingideals.generators import (
 from pavingideals.linalg import bareiss_determinant, solve_particular
 from pavingideals.matroids import PavingMatroid, builtin_matroid, builtin_matroid_names
 from pavingideals.poly import Polynomial
+from pavingideals.polymatrix import MinorEngine
 from pavingideals.variables import Variable, entry_var, extra_var
 
 QS = builtin_matroid("qs")
@@ -413,9 +418,18 @@ def test_qs_family_contains_circuits_and_graph_polys():
 
 # sha256 over "label\ntext\n" of every family member, so that a change in
 # any member's bytes shows up here; the CLI digests do not cover the family.
+# Each builtin maps to (members, truncated, that sha256).
 FAMILY_DIGESTS = {
-    "qs": (106, "b719cf2ea5460b1d64a9c7ca7a13082a550699ee337b48c393f00201cc1ae291"),
-    "fig2r": (84, "70dc30e4fa7b82a7665e82a16af60234b3d59689f46fb1aba84865739bee3a56"),
+    "qs": (106, True, "b719cf2ea5460b1d64a9c7ca7a13082a550699ee337b48c393f00201cc1ae291"),
+    "concurrent3": (3, True, "46b1ff42d45571a7e9e2eff18f09d35cd991f63d615c7578dd7dc64339768fe0"),
+    "pascal": (7, True, "18b6e3c37bb90cfe11f9b15860f29baf64348a23fe447584815ad8d06c18673b"),
+    "fig2c": (6, True, "3ce12208ccde7442e2e168278935550e9202e6f3b89233f26503c65f989532ce"),
+    "fig2r": (84, True, "70dc30e4fa7b82a7665e82a16af60234b3d59689f46fb1aba84865739bee3a56"),
+    "grid3x3": (6, True, "bc15370dbd0dcb901be25acac025d3867f77beeb7def1fd40bdce6fd9520a15f"),
+    "grid3x4": (16, True, "abb911455f3d89955afe3423519c8ab31dab4fbc1f8a12c79ec524901e42cf7b"),
+    "grid3x5": (35, True, "5084e9781f492f823bdf38963110705ea82a0ba892d705fd46f3cefae15acf2c"),
+    "grid3x6": (66, True, "d54ada5e86ac6cc2deb13f2f5d95c71df9113e879aed64e9819d192a080a196a"),
+    "paving4_9": (6, True, "d16dcf1b982f415d45dcc2de9deb5a98bd86b4e55ea9395614cc860d1fd7651d"),
 }
 
 
@@ -424,7 +438,53 @@ FAMILY_DIGESTS = {
 def test_family_matches_recorded_digest(name):
     family = finite_generating_family(builtin_matroid(name))
     text = "".join(f"{p.label}\n{p.polynomial.to_text()}\n" for p in family.polynomials)
-    assert (len(family.polynomials), hashlib.sha256(text.encode()).hexdigest()) == FAMILY_DIGESTS[name]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(family.polynomials), family.truncated, digest) == FAMILY_DIGESTS[name]
+
+
+GRAPH_LABEL = re.compile(r"graph J=(\[.*?\]) P=(\[.*?\]) C=(\[.*\]) q=(\[.*?\])")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["qs", "fig2r"])
+def test_family_members_are_their_graph_polynomials(name):
+    # Each member is read off the family's stacked matrix; rebuild it here
+    # from its label through the per-assignment determinant route.
+    matroid = builtin_matroid(name)
+    members = [p for p in finite_generating_family(matroid).polynomials if p.label.startswith("graph ")]
+    assert members
+    for member in members:
+        anchor, points, circuits, q = map(ast.literal_eval, GRAPH_LABEL.fullmatch(member.label).groups())
+        extras = tuple(ExtraVector.basis(int(e.removeprefix("e")), matroid.rank) for e in q)
+        data = GraphData(matroid, frozenset(anchor), tuple(points), tuple(map(tuple, circuits)), extras)
+        assert equal_up_to_sign(graph_polynomial(data), member.polynomial), member.label
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_family_builds_engines_and_validates_per_tuple_not_per_assignment(monkeypatch):
+    counts = Counter()
+    for cls, name in ((MinorEngine, "__init__"), (GraphData, "validate")):
+
+        def counted(*args, _original=getattr(cls, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    runs = {}
+    for cap in (1, generators.FAMILY_MAX_BASIS_ASSIGNMENTS):
+        monkeypatch.setattr(generators, "FAMILY_MAX_BASIS_ASSIGNMENTS", cap)
+        counts.clear()
+        family = finite_generating_family(QS)
+        runs[cap] = (counts.copy(), family)
+    (few, small), (many, full) = runs.values()
+    assert len(small.polynomials) < len(full.polynomials)
+    assert few == many
+    tuples = {p.label.split(" q=")[0] for p in full.polynomials if p.label.startswith("graph ")}
+    assert many["validate"] == len(tuples)
+    # A circuit's bracket, then per anchor set its stacked matrix and at
+    # most one expansion of the brackets new to it.
+    anchors = {t.split(" P=")[0] for t in tuples}
+    assert many["__init__"] <= len(circuit_polynomials(QS)) + 2 * len(anchors)
 
 
 def test_family_warns_on_high_degree():
