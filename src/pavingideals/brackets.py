@@ -10,6 +10,10 @@ meet/join output readable — the printer emits ⟨i j k⟩ notation — while
 ``expand`` turns everything into an honest coordinate polynomial and
 ``evaluate`` plugs in exact vectors directly.
 
+Expansion (``expander``) reads each bracket as a maximal minor of one
+coordinate matrix through ``MinorEngine`` and multiplies the brackets of a
+term as coordinate polynomials.
+
 Numeric evaluation (``evaluator``) writes each vector once as integers over
 the lcm of its denominators, takes a bracket as an integer determinant over
 the product of those denominators, and memoizes it by its columns, so one
@@ -28,14 +32,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 from math import lcm, prod
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
-from .poly import ExponentPacking, Polynomial, _split_terms
-from .polymatrix import MinorEngine, Packed, _add_product
+from .poly import Polynomial, _split_terms
+from .polymatrix import MinorEngine
 from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
 from .variables import entry_var, extra_var, is_extra_id
 
@@ -198,7 +202,8 @@ class BracketPolynomial(Polynomial):
     # -- expansion and evaluation ---------------------------------------------
 
     def expand(self, dim: int, column: Callable[[Label], Sequence[Polynomial]] | None = None) -> Polynomial:
-        """Replace each bracket by its determinant polynomial.
+        """Replace each bracket by its determinant polynomial and multiply
+        out each term.
 
         The default column map sends integer labels to matrix-entry columns
         and string labels to extra-vector columns.
@@ -218,14 +223,11 @@ def expander(
 
     The brackets a call meets first, in all its polynomials, are maximal
     minors of one matrix, whose columns are their labels' columns, so they
-    share one MinorEngine.  Where terms multiply brackets, the expansions are
-    multiplied on packed exponent vectors (``ExponentPacking``) over the
-    variables they hold: no exponent of a product of m brackets exceeds m
-    times the largest exponent in one bracket, so fields sized for the
-    longest bracket monomial never carry, and each polynomial is unpacked
-    once.  A call whose terms hold at most one bracket each, such as a
-    matrix of brackets, is a linear combination of expansions and packs
-    nothing.
+    share one MinorEngine.  A term of one bracket is its cached expansion
+    scaled by the coefficient; a term of several brackets is the ring
+    product of their cached expansions.  The coordinate generators expand
+    matrices of single brackets and read their polynomials off as minors;
+    of the library, only ``pascal_gc_quartic`` expands bracket products.
     """
     column = column or (lambda label: symbolic_column(label, dim))
     cache: dict[BracketKey, Polynomial] = {}
@@ -242,46 +244,13 @@ def expander(
         for key in keys:
             cache[key] = engine.minor(rows, tuple(at[label] for label in key))
 
-    def combine(terms) -> Polynomial:
-        """Terms of at most one bracket each: a linear combination of expansions."""
-        total = Polynomial.zero()
-        for mono, coeff in terms:
-            total = total + (cache[mono[0]].scale(coeff) if mono else Polynomial.constant(coeff))
-        return total
-
-    def expand_one(terms, packed: dict[BracketKey, Packed]) -> Packed:
-        total: Packed = {}
-        for mono, coeff in terms:
-            factors = [packed[key] for key in mono] or [{0: 1}]
-            product: Packed = {0: coeff}
-            for factor in factors[:-1]:
-                step: Packed = {}
-                _add_product(step, product, factor, 1)
-                product = step
-            _add_product(total, product, factors[-1], 1)
-        return total
-
-    # One packing for every call, rebuilt only when a call brings a variable
-    # or an exponent bound it lacks, so its unpacking tables stay warm.
-    packing = ExponentPacking(Polynomial, (), 0)
-    packing_pairs: set[tuple] = set()
-    packing_bound = 0
-    packed: dict[BracketKey, Packed] = {}
-
-    def pack_brackets(keys: Iterable[BracketKey], longest: int) -> None:
-        nonlocal packing, packing_bound
-        fresh = [key for key in keys if key not in packed]
-        pairs = set(chain.from_iterable(chain.from_iterable(cache[key].terms for key in fresh)))
-        bound = longest * max((e for _, e in pairs | packing_pairs), default=0)
-        if not pairs <= packing_pairs or bound > packing_bound:
-            packing_pairs.update(pairs)
-            packing_bound = max(bound, packing_bound)
-            packing = ExponentPacking(Polynomial, packing_pairs, packing_bound)
-            packed.clear()
-            fresh = list(keys)
-        for key in fresh:
-            terms = cache[key].terms
-            packed[key] = dict(zip(map(packing.pack, terms), terms.values()))
+    def expand_term(mono: BracketMonomial, coeff: Scalar) -> Polynomial:
+        if not mono:
+            return Polynomial.constant(coeff)
+        product = cache[mono[0]].scale(coeff)
+        for key in mono[1:]:
+            product = product * cache[key]
+        return product
 
     def expand(polys: Sequence[BracketPolynomial]) -> list[Polynomial]:
         terms = [poly.sorted_terms() for poly in polys]
@@ -289,14 +258,12 @@ def expander(
         new = [key for key in keys if key not in cache]
         if new:
             expand_brackets(new)
-        longest = max((len(mono) for each in terms for mono, _ in each), default=0)
-        if longest <= 1:
-            return [combine(each) for each in terms]
-        pack_brackets(keys, longest)
         out = []
         for each in terms:
-            total = expand_one(each, packed)
-            out.append(Polynomial._from_clean(dict(zip(packing.unpack(total.keys()), total.values()))))
+            total = Polynomial.zero()
+            for mono, coeff in each:
+                total = total + expand_term(mono, coeff)
+            out.append(total)
         return out
 
     return expand

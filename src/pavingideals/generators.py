@@ -15,9 +15,11 @@ Graph polynomials come from collections of circuits threaded through a set
 of points outside the closure of an anchor set J: the signed sum over
 disjoint cycle collections of a dependency digraph, which equals the
 determinant of the circuit/point bracket matrix after clearing
-denominators.  Both routes work on the bracket matrix; the determinant is
-the production path and the coordinate form is its expansion, while the
-cycle expansion is kept at the bracket level as an independent oracle.
+denominators.  Both routes work on the bracket matrix.  The determinant
+is the production path: the coordinate form is the determinant of the
+entrywise-expanded matrix, just as each lifting polynomial is a minor of
+one, and the bracket form the determinant of the bracket matrix itself.
+The cycle expansion is kept at the bracket level as an independent oracle.
 
 Sign conventions: circuit elements are always listed ascending by point id
 when forming brackets, so every emitted polynomial is canonical; agreement
@@ -118,11 +120,6 @@ class ExtraVector:
             if isinstance(data.get("concrete"), list):
                 return ExtraVector.concrete(data["concrete"])
         raise GraphDataSchemaError(f"malformed extra vector {data!r}")
-
-
-def bracket(labels: Sequence[Label], dim: int) -> Polynomial:
-    """Determinant of the named columns, in the order given."""
-    return BracketPolynomial.bracket(labels).expand(dim)
 
 
 # -- the signed-bracket matrix ------------------------------------------------
@@ -446,9 +443,6 @@ def build_graph(data: GraphData) -> DependencyDigraph:
 
 
 # -- graph polynomials ----------------------------------------------------------
-#
-# Both routes work at the bracket level; the coordinate forms are their
-# expansions, with a concrete extra vector expanded to its constant column.
 
 
 def _graph_brackets(data: GraphData) -> BracketRows:
@@ -458,13 +452,11 @@ def _graph_brackets(data: GraphData) -> BracketRows:
     return bracket_matrix(zip(data.circuits, (e.label() for e in data.extras)), data.points)
 
 
-def _in_graph_coordinates(data: GraphData, poly: BracketPolynomial) -> Polynomial:
-    return _coordinates(data.extras, data.matroid.rank)([poly])[0]
-
-
 def graph_polynomial(data: GraphData) -> Polynomial:
-    """Determinant route, expanded into coordinates."""
-    return _in_graph_coordinates(data, MinorEngine(_graph_brackets(data)).determinant())
+    """Determinant of the graph matrix expanded into coordinates, a concrete
+    extra vector as its constant column."""
+    expand = _coordinates(data.extras, data.matroid.rank)
+    return MinorEngine(_expanded(_graph_brackets(data), expand)).determinant()
 
 
 def emitted_graph_polynomial(data: GraphData) -> Polynomial | BracketPolynomial:

@@ -82,7 +82,10 @@ class Realization:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Realization":
-        """Read ``{"matroid", "points": {id: [rationals]}, "seed"?}``."""
+        """Read ``{"matroid", "points": {id: [rationals]}, "seed"?}``.
+
+        Ids are read as integers, so two keys naming one point ("1" and
+        "01") are rejected; the seed is an integer, null or absent."""
         if not isinstance(data, dict):
             raise RealizationSchemaError("a realization must be a JSON object")
         missing = [key for key in ("matroid", "points") if key not in data]
@@ -98,11 +101,17 @@ class Realization:
             matroid = builtin_matroid(matroid_field)
         else:
             matroid = PavingMatroid.from_json_dict(matroid_field)
-        vectors = {
-            parse_integer(p): tuple(as_scalar(c) for c in vec) for p, vec in data["points"].items()
-        }
+        seed = data.get("seed")
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+            raise RealizationSchemaError(f"seed must be an integer or null, got {seed!r}")
+        vectors = {}
+        for p, vec in data["points"].items():
+            point = parse_integer(p)
+            if point in vectors:
+                raise RealizationSchemaError(f"point {point} is given twice")
+            vectors[point] = tuple(as_scalar(c) for c in vec)
         _check_lengths(vectors, matroid.rank)
-        return Realization(matroid, vectors, data.get("seed"))
+        return Realization(matroid, vectors, seed)
 
     @staticmethod
     def from_json(text: str) -> "Realization":

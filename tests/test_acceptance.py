@@ -43,7 +43,6 @@ from pavingideals.generators import (
     ExtraVector,
     GraphData,
     LabeledPolynomial,
-    bracket,
     builtin_graph_data,
     circuit_polynomials,
     emitted_graph_polynomial,
@@ -296,9 +295,7 @@ def test_criterion_5_pascal_non_membership_witness():
     matroid = builtin_matroid("pascal")
     flat = Realization(matroid, {p: vectors[p] for p in matroid.points})
     assert evaluate_poly(quartic, flat, {}) == 0
-    gc3 = bracket([1, 2, 3], 3) * bracket([4, 5, 6], 3) - bracket([1, 2, 4], 3) * bracket(
-        [3, 5, 6], 3
-    )
+    gc3 = BracketPolynomial.from_text("<1 2 3><4 5 6> - <1 2 4><3 5 6>").expand(3)
     assert evaluate_poly(gc3, flat, {}) == 0
     # The hexagon-cycle polynomial does not vanish with every extra = e3.
     poly = graph_polynomial_brackets(builtin_graph_data("pascal"))

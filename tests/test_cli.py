@@ -23,7 +23,6 @@ from pavingideals.generators import (
     ExtraVector,
     LabeledPolynomial,
     LiftingMinors,
-    bracket,
     builtin_graph_data,
     liftability_matrix,
     lifting_polynomials,
@@ -32,6 +31,10 @@ from pavingideals.matroids import builtin_matroid, builtin_matroid_names
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.brackets import BracketPolynomial
 from pavingideals.variables import parse_variable
+
+
+# The circuit polynomial <1 2 3> in coordinates, which vanishes on qs samples.
+C123 = BracketPolynomial.bracket([1, 2, 3]).expand(3)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -138,7 +141,7 @@ def test_verify_realization_with_malformed_matroid_is_usage_error(tmp_path, caps
         "points": {str(p): ["1", "2", str(p)] for p in range(1, 7)},
     }))
     polys = tmp_path / "polys.txt"
-    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", C123)]))
     code, _, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
     assert code == 1
     assert err.startswith("parse error: ")
@@ -156,7 +159,7 @@ def test_generate_circuits_qs(tmp_path, capsys):
     assert code == 0
     polys = parse_polynomials(out.read_text())
     assert len(polys) == 4
-    assert polys[0].polynomial == bracket([1, 2, 3], 3)
+    assert polys[0].polynomial == C123
 
 
 def test_generate_lifting_qs_symbolic(tmp_path, capsys):
@@ -294,6 +297,27 @@ def test_generate_matches_recorded_digest(tmp_path, capsys, run, digest):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+
+# sha256 and line count of `generate --which graph` on qs's builtin graph data
+# with the concrete extra vectors e1, e2, e3, which is always written in
+# coordinates.
+CONCRETE_GRAPH_DIGEST = ("7dd7b67df308390b7e682e554ea3391e5dc8856010bf79c40a7d2895dd4eb176", 2)
+
+
+def test_concrete_extra_graph_data_matches_recorded_digest(tmp_path, capsys):
+    payload = builtin_graph_data("qs").to_json_dict()
+    payload["extra"] = [ExtraVector.basis(b, 3).to_json_dict() for b in (1, 2, 3)]
+    gd = tmp_path / "data.json"
+    gd.write_text(json.dumps(payload))
+    out = tmp_path / "graph.txt"
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", "qs", "--which", "graph", "--graph-data", str(gd), "--out", str(out)
+    )
+    assert code == 0
+    text = out.read_bytes()
+    assert (hashlib.sha256(text).hexdigest(), text.count(b"\n")) == CONCRETE_GRAPH_DIGEST
 
 
 # sha256 of the files with minors records before records were written: the
@@ -441,7 +465,7 @@ def test_verify_rejects_vectors_longer_than_the_rank(tmp_path, capsys):
         vec.append("5")
     real.write_text(json.dumps(payload))
     polys = tmp_path / "polys.txt"
-    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", C123)]))
     code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
     assert code == 1
     assert out == ""
@@ -455,7 +479,7 @@ def test_verify_rejects_coordinates_that_are_not_rationals(tmp_path, capsys, coo
     payload["points"]["1"][0] = coordinate
     real.write_text(json.dumps(payload))
     polys = tmp_path / "polys.txt"
-    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", C123)]))
     code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
     assert code == 1
     assert out == ""
@@ -620,12 +644,47 @@ def test_verify_rejects_realizations_of_the_wrong_shape(tmp_path, capsys, reshap
     real = sample_qs(tmp_path, capsys)
     real.write_text(json.dumps(reshape(json.loads(real.read_text()))))
     polys = tmp_path / "polys.txt"
-    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", C123)]))
     code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
     assert code == 1
     assert out == ""
     assert err.startswith("parse error: ")
     assert "Traceback" not in err
+
+
+
+def _verify_c123(tmp_path, capsys, payload) -> tuple[int, str, str]:
+    real = tmp_path / "edited.json"
+    real.write_text(json.dumps(payload))
+    polys = tmp_path / "polys.txt"
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", C123)]))
+    return run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+
+
+def test_verify_rejects_a_realization_that_names_a_point_twice(tmp_path, capsys):
+    payload = json.loads(sample_qs(tmp_path, capsys).read_text())
+    payload["points"]["01"] = ["0", "0", "1"]
+    assert _verify_c123(tmp_path, capsys, payload) == (1, "", "parse error: point 1 is given twice\n")
+
+
+@pytest.mark.parametrize("seed", ["7", [7], True, 7.0], ids=["string", "list", "bool", "float"])
+def test_verify_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys, seed):
+    payload = json.loads(sample_qs(tmp_path, capsys).read_text())
+    payload["seed"] = seed
+    assert _verify_c123(tmp_path, capsys, payload) == (
+        1, "", f"parse error: seed must be an integer or null, got {seed!r}\n"
+    )
+
+
+@pytest.mark.parametrize("seed", [None, "absent"], ids=["null", "absent"])
+def test_verify_accepts_a_null_or_absent_seed(tmp_path, capsys, seed):
+    payload = json.loads(sample_qs(tmp_path, capsys).read_text())
+    if seed == "absent":
+        del payload["seed"]
+    else:
+        payload["seed"] = seed
+    code, out, err = _verify_c123(tmp_path, capsys, payload)
+    assert (code, err) == (0, "")
 
 
 def test_verify_rejects_brackets_of_the_wrong_size(tmp_path, capsys):
@@ -710,7 +769,7 @@ def test_verify_expect_nonzero(tmp_path, capsys):
     payload["points"]["3"] = ["0", "0", "1"]
     real.write_text(json.dumps(payload))
     polys = tmp_path / "polys.txt"
-    polys.write_text(render_polynomials([LabeledPolynomial("c123", bracket([1, 2, 3], 3))]))
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", C123)]))
     code, _, _ = run_cli(
         capsys, "verify", "--polys", str(polys), "--realization", str(real),
         "--expect", "nonzero",
@@ -946,7 +1005,7 @@ def test_liftcheck_grid_and_qs(capsys):
 
 def test_polyfile_round_trip_both_forms():
     items = [
-        LabeledPolynomial("expanded", bracket([1, 2, "q1"], 3)),
+        LabeledPolynomial("expanded", BracketPolynomial.bracket([1, 2, "q1"]).expand(3)),
         LabeledPolynomial("bracketed", BracketPolynomial.bracket((1, 2, "q1"))
                           * BracketPolynomial.bracket((3, 4, "q2"))),
     ]

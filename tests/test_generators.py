@@ -28,14 +28,13 @@ from displays import (
     equal_up_to_unit,
 )
 from pavingideals import generators
-from pavingideals.brackets import BracketPolynomial
+from pavingideals.brackets import BracketPolynomial, symbolic_column
 from pavingideals.generators import (
     BadIndexSet,
     DependencyDigraph,
     ExtraVector,
     GraphData,
     HypothesisViolation,
-    bracket,
     build_graph,
     builtin_graph_data,
     builtin_graph_data_names,
@@ -73,7 +72,7 @@ def evaluated(matrix, assignment):
 def test_qs_circuit_polynomials():
     polys = circuit_polynomials(QS)
     assert len(polys) == 4
-    expected = bracket([1, 2, 3], 3)
+    expected = BracketPolynomial.bracket([1, 2, 3]).expand(3)
     assert polys[0].polynomial == expected
 
 
@@ -89,9 +88,9 @@ def test_qs_liftability_matrix_pattern():
     assert len(m) == 4 and all(len(row) == 6 for row in m)
     assert QS.circuits_n()[0] == (1, 2, 3)
     row = m[0]
-    assert row[0] == bracket([2, 3, "q"], 3)
-    assert row[1] == -bracket([1, 3, "q"], 3)
-    assert row[2] == bracket([1, 2, "q"], 3)
+    assert row[0] == BracketPolynomial.bracket([2, 3, "q"]).expand(3)
+    assert row[1] == -BracketPolynomial.bracket([1, 3, "q"]).expand(3)
+    assert row[2] == BracketPolynomial.bracket([1, 2, "q"]).expand(3)
     assert all(row[j].is_zero() for j in (3, 4, 5))
 
 
@@ -311,10 +310,23 @@ def test_qs_graph_polynomial_matches_display():
 
 
 def test_bracket_route_expands_to_coordinate_route():
+    """The bracket determinant, expanded term by term, equals the determinant
+    of the entrywise-expanded matrix, with symbolic extras and with e1, e2,
+    e3 in place of qs's q1, q2, q3."""
     for name in ("qs", "fig2c", "fig2r", "concurrent3"):
         data = builtin_graph_data(name)
         expanded = graph_polynomial_brackets(data).expand(data.matroid.rank)
         assert expanded == graph_polynomial(data)
+    data = builtin_graph_data("qs")
+    basis = {f"q{b}": ExtraVector.basis(b, 3) for b in (1, 2, 3)}
+    concrete = GraphData(data.matroid, data.anchor, data.points, data.circuits, tuple(basis.values()))
+
+    def column(label):
+        return basis[label].column(3) if label in basis else symbolic_column(label, 3)
+
+    expanded = graph_polynomial_brackets(data).expand(3, column)
+    assert not expanded.is_zero()
+    assert expanded == graph_polynomial(concrete)
 
 
 def test_duplicate_circuits_with_equal_extras_vanish():

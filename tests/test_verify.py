@@ -30,7 +30,7 @@ from pavingideals import poly as poly_module
 from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from oracles import expand_records
 from pavingideals.cli import main
-from pavingideals.generators import ExtraVector, LabeledPolynomial, bracket, lifting_polynomials
+from pavingideals.generators import ExtraVector, LabeledPolynomial, lifting_polynomials
 from pavingideals.linalg import bareiss_determinant, echelon
 from pavingideals.matroids import builtin_matroid
 from pavingideals.polymatrix import MinorEngine
@@ -76,7 +76,7 @@ def random_polynomials(rng: random.Random, realization: Realization, with_extras
         if i % 2:
             # A circuit times anything vanishes on every realization,
             # whatever the extra vectors are.
-            circuit = bracket(rng.sample(rng.choice(lines), dim), dim)
+            circuit = BracketPolynomial.bracket(rng.sample(rng.choice(lines), dim)).expand(dim)
             poly = circuit * poly
         out.append(LabeledPolynomial(f"p{i}", poly))
     return out
@@ -156,7 +156,7 @@ def unbound_list(fn) -> list:
 def test_unbound_extra_is_reported_even_when_the_residual_vanishes():
     realization = sample_family("qs", 3)
     line = sorted(next(h for h in realization.matroid.hyperplanes if len(h) >= 3))[:3]
-    circuit = bracket(line, 3)
+    circuit = BracketPolynomial.bracket(line).expand(3)
     q1, q2 = extra_var(1, "q1"), extra_var(2, "q2")
     poly = circuit * (var(q1) + var(q2)) + var(q1) * var(entry_var(1, 1))
     labeled = [LabeledPolynomial("p", poly)]
@@ -451,8 +451,8 @@ def test_expansion_rejects_a_bracket_of_the_wrong_size():
 
 
 def squared_column(label) -> list[Polynomial]:
-    """Column entries with exponents up to 2, so products of brackets need
-    fields wider than their bracket count."""
+    """Column entries of degree 2 with constant terms, so each bracket expands
+    to many terms and the products of several brackets collect and cancel."""
     x = [var(entry_var(r, label)) for r in (1, 2, 3)]
     return [x[0] * x[0], x[1] + 2, x[2] * x[0] - 1]
 
