@@ -18,9 +18,9 @@ import sys
 from pavingideals.generators import liftability_matrix_at
 from pavingideals.lifting import Hyperplane, lift, project
 from pavingideals.linalg import kernel_basis, matrix_rank
-from pavingideals.matroids import builtin_matroid
+from pavingideals.matroids import PavingMatroid, builtin_matroid
 from pavingideals.realizations import in_circuit_variety
-from pavingideals.samplers import sample_collinear_points, sample_family
+from pavingideals.samplers import sample_family, sample_realization
 
 
 def random_setup(rng: random.Random, dim: int = 3):
@@ -56,8 +56,11 @@ def main() -> int:
           f"in circuit variety: {in_circuit_variety(lifted.vectors, matroid)}")
 
     if args.family in ("qs", "quadrilateral"):
-        vectors = sample_collinear_points(6, seed=args.seed + 1)
-        hyperplane, center = random_setup(rng, 3)
+        line = sample_realization(PavingMatroid.uniform(2, 6), args.seed + 1)
+        vectors = {p: (*v, 0) for p, v in line.vectors.items()}
+        center = (0, 0, 0)
+        while center[2] == 0:  # off the plane z = 0 of the points
+            _, center = random_setup(rng, 3)
         evaluated = liftability_matrix_at(matroid, vectors, center)
         print(f"generic collinear six points: kernel dimension "
               f"{len(kernel_basis(evaluated, matroid.size))} (degenerate lifts only)")

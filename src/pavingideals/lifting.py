@@ -4,11 +4,11 @@ Projecting a configuration from a center q onto a hyperplane H sends each
 vector along its line through q into H.  The reverse direction is governed
 by the kernel of the evaluated liftability matrix: a kernel vector z turns
 the flattened configuration gamma into gamma_p + z_p * q, which satisfies
-every circuit dependency; the lifts staying inside one hyperplane form an
-(n-1)-dimensional kernel subspace spanned by the coordinates of the
-configuration in any basis of its span.  A non-degenerate lift therefore
-exists exactly when the kernel is larger, and any kernel vector outside the
-degenerate subspace produces one.
+every circuit dependency.  The lifts staying inside one hyperplane are the
+z_p = l(gamma_p) for linear functionals l: an (n-1)-dimensional kernel
+subspace spanned by the rows of the configuration's coordinate matrix.  A
+non-degenerate lift therefore exists exactly when the kernel is larger, and
+any kernel vector outside the degenerate subspace produces one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .generators import liftability_matrix_at
-from .linalg import clear_denominators, kernel_basis, matrix_rank, solve_particular
+from .linalg import clear_denominators, kernel_basis, matrix_rank
 from .matroids import PavingMatroid
 from .realizations import Realization
 from .scalars import Scalar, normalize_scalar
@@ -75,26 +75,14 @@ def project(realization: Realization, hyperplane: Hyperplane, center: Sequence[S
 def degenerate_lift_subspace(
     vectors: Mapping[int, Sequence[Scalar]], points: Sequence[int], dim: int
 ) -> list[tuple[Scalar, ...]]:
-    """Basis of the kernel vectors whose lifts stay inside one hyperplane.
+    """Rows spanning the kernel vectors whose lifts stay inside one hyperplane.
 
-    Pick a maximal independent subset of the flattened vectors; writing
-    every vector in that basis, the coordinate rows are exactly the
-    degenerate kernel directions.
+    Such a lift has z_p = l(gamma_p) for a linear functional l, so these
+    kernel vectors are the row space of the dim x |P| matrix whose columns
+    are the vectors.  Its ``dim`` rows are returned as they are; their rank
+    is the rank of the configuration.
     """
-    basis_points: list[int] = []
-    for p in points:
-        if matrix_rank([vectors[q] for q in basis_points + [p]]) > len(basis_points):
-            basis_points.append(p)
-        if len(basis_points) == dim - 1:
-            break
-    coords: dict[int, list[Scalar]] = {}
-    columns = [[vectors[b][i] for b in basis_points] for i in range(dim)]
-    for p in points:
-        sol = solve_particular(columns, list(vectors[p]))
-        if sol is None:
-            raise RankDefect(f"point {p} is outside the span of the configuration")
-        coords[p] = sol
-    return [tuple(coords[p][i] for p in points) for i in range(len(basis_points))]
+    return [tuple(vectors[p][i] for p in points) for i in range(dim)]
 
 
 def lift(
@@ -113,9 +101,9 @@ def lift(
     The checks and eliminations run on integers: the vectors are scaled
     once by the lcm of all their denominators (lambda), and the center by
     the lcm of its own (mu).  A uniform scale changes no rank, no kernel and
-    no coordinates in a basis, and it multiplies every liftability entry by
-    lambda^(n-1) mu, so the kernel is the one of the original matrix.  The
-    lift itself is built from the original vectors and center.
+    no row space of the coordinates, and it multiplies every liftability
+    entry by lambda^(n-1) mu, so the kernel is the one of the original
+    matrix.  The lift itself is built from the original vectors and center.
     """
     matroid = matroid or flat.matroid
     points = list(matroid.points)
@@ -134,14 +122,11 @@ def lift(
 
     evaluated = liftability_matrix_at(matroid, vectors, q)
     kernel = kernel_basis(evaluated, len(points))
-    degenerate = degenerate_lift_subspace(vectors, points, dim)
-    if len(kernel) <= len(degenerate):
+    if len(kernel) <= span_rank:
         return None
-    # Each row cleared of its own denominators: a row's scale changes no rank.
-    degenerate = [clear_denominators([row])[0] for row in degenerate]
-    base_rank = matrix_rank(degenerate)
+    degenerate = degenerate_lift_subspace(vectors, points, dim)
     chosen = next(
-        (z for z in kernel if matrix_rank(degenerate + clear_denominators([z])) > base_rank), None
+        (z for z in kernel if matrix_rank(degenerate + clear_denominators([z])) > span_rank), None
     )
     if chosen is None:
         return None

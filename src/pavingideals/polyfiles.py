@@ -12,10 +12,12 @@ expansion would be impractically large, the exact bracket text form
 The k-minors of a restriction's liftability matrix with a symbolic q are
 one ``LiftingMinors`` record: the source names N's points, its circuits
 and q, ``# form: minors <k>`` follows, and one line holds the bracket
-matrix, entries separated by ``,`` and rows by ``;``.  All forms parse
-back losslessly.  Given a realization's point coordinates, a coordinate
-line is read straight into its point residual (``poly.read_point_residual``),
-which is what ``verify`` evaluates; the full expansion is then never built.
+matrix, entries separated by ``,`` and rows by ``;``; a record is read
+back only if k and the matrix are the ones its source names.  All forms
+parse back losslessly.  Given a realization's point coordinates, a
+coordinate line is read straight into its point residual
+(``poly.read_point_residual``), which is what ``verify`` evaluates; the full
+expansion is then never built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 from typing import Iterable, Mapping
 
 from .brackets import BracketPolynomial
-from .generators import ExtraVector, LabeledPolynomial, LiftingMinors
+from .generators import ExtraVector, LabeledPolynomial, LiftingMinors, bracket_matrix
 from .matroids import is_point_list
 from .poly import Polynomial, Scalar, Variable, read_point_residual
 from .scalars import parse_integer
@@ -64,6 +66,13 @@ def _parse_record(label: str | None, k_text: str, line: str) -> LiftingMinors:
         raise ValueError(f"minors record: the matrix is not {len(circuits)}x{len(points)}")
     if not 0 < k <= min(len(circuits), len(points)):
         raise ValueError(f"minors record: k = {k} is outside 1..{min(len(circuits), len(points))}")
+    n = len(circuits[0])
+    if not all(len(c) == n and set(c) <= set(points) for c in circuits):
+        raise ValueError(f"minors record: its rows are not {n}-circuits within N = {points}")
+    if k != len(points) - n + 1:
+        raise ValueError(f"minors record: k = {k} is not |N| - n + 1 = {len(points) - n + 1}")
+    if matrix != bracket_matrix(((c, q.label()) for c in circuits), points):
+        raise ValueError(f"minors record: the matrix is not the bracket matrix of {label!r}")
     return LiftingMinors(tuple(points), tuple(map(tuple, circuits)), q, k, matrix)
 
 

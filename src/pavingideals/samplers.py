@@ -18,12 +18,10 @@ puts the hexagon on a conic by Braikenridge-Maclaurin.  Pappus's has none.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .linalg import clear_denominators, kernel_basis, matrix_rank
+from .linalg import clear_denominators, kernel_basis
 from .matroids import MatroidError, PavingMatroid, builtin_matroid
 from .realizations import Realization, in_realization_space
 from .scalars import Scalar
@@ -40,14 +38,14 @@ class ResamplingExhausted(RuntimeError):
 MAX_ATTEMPTS = 64
 
 
-def _nonzero_vector(rng: random.Random, dim: int, bound: int = 9) -> tuple[int, ...]:
+def _nonzero_vector(rng: random.Random, dim: int, bound: int) -> tuple[int, ...]:
     while True:
         v = tuple(rng.randint(-bound, bound) for _ in range(dim))
         if any(v):
             return v
 
 
-def _nonzero_int(rng: random.Random, bound: int = 9) -> int:
+def _nonzero_int(rng: random.Random, bound: int) -> int:
     while True:
         x = rng.randint(-bound, bound)
         if x:
@@ -93,17 +91,17 @@ def constructible_order(matroid: PavingMatroid) -> tuple[int, ...] | None:
     return tuple(reversed(removed))
 
 
-def _place(rng: random.Random, matroid: PavingMatroid, order: Sequence[int]):
+def _place(rng: random.Random, matroid: PavingMatroid, order: Sequence[int], bound: int):
     """One attempt at placing every point along the order; None on a
     degenerate draw.
 
     A point on no pinning hyperplane (one already holding n-1 placed
-    points) is drawn at random; on one, it is a random combination of that
-    hyperplane's placed points, all of them, because a few small
-    coefficients on n-1 of them often land in a smaller flat; on several,
-    it is a random point of the kernel of their normals.  Every vector is
-    divided by the gcd of its entries, which keeps the heights of nested
-    intersections down.
+    points) is drawn at random with entries in [-bound, bound]; on one, it
+    is a random combination of that hyperplane's placed points, all of
+    them, because a few small coefficients on n-1 of them often land in a
+    smaller flat; on several, it is a random point of the kernel of their
+    normals.  Every vector is divided by the gcd of its entries, which
+    keeps the heights of nested intersections down.
     """
     n = matroid.rank
     placed: dict[int, tuple[int, ...]] = {}
@@ -113,7 +111,7 @@ def _place(rng: random.Random, matroid: PavingMatroid, order: Sequence[int]):
         ]
         spans = [span for span in spans if len(span) >= n - 1]
         if not spans:
-            point = _nonzero_vector(rng, n)
+            point = _nonzero_vector(rng, n, bound)
         elif len(spans) == 1:
             point = _combine([_nonzero_int(rng, 5) for _ in spans[0]], spans[0])
         else:
@@ -134,6 +132,8 @@ def sample_realization(matroid: PavingMatroid, seed: int = 0) -> Realization:
     Points are placed in ``constructible_order`` and general position is
     certified exactly; pathological seeds resample, and a matroid with no
     constructible order or a persistent failure raises ResamplingExhausted.
+    The free-point entries are drawn from [-9, 9], a range that doubles
+    every 16 attempts, so that many points still find distinct directions.
     """
     label = matroid.name or f"rank-{matroid.rank} matroid on {matroid.size} points"
     order = constructible_order(matroid)
@@ -144,7 +144,7 @@ def sample_realization(matroid: PavingMatroid, seed: int = 0) -> Realization:
         )
     for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(seed * 100_003 + attempt)
-        vectors = _place(rng, matroid, order)
+        vectors = _place(rng, matroid, order, 9 << (attempt // 16))
         if vectors is not None and in_realization_space(vectors, matroid):
             return Realization(matroid, vectors, seed)
     raise ResamplingExhausted(f"no valid {label} realization after {MAX_ATTEMPTS} tries (seed {seed})")
@@ -161,37 +161,3 @@ def sample_family(family: str, seed: int = 0) -> Realization:
     except MatroidError as exc:
         raise UnknownFamily(f"unknown realization family: {family!r} ({exc})") from exc
     return sample_realization(matroid, seed)
-
-
-def sample_collinear_points(
-    count: int, seed: int = 0, dim: int = 3
-) -> dict[int, tuple[int, ...]]:
-    """Distinct nonzero points on one line through the origin's complement.
-
-    Used for rank-(n-1) degenerations: all vectors lie in a 2-dimensional
-    subspace of C^dim, pairwise independent.
-    """
-    for attempt in range(MAX_ATTEMPTS):
-        rng = random.Random(seed * 91_193 + attempt)
-        a = _nonzero_vector(rng, dim)
-        b = _nonzero_vector(rng, dim)
-        vectors = {}
-        ok = True
-        seen_ratios = set()
-        for p in range(1, count + 1):
-            c1, c2 = _nonzero_int(rng, 9), _nonzero_int(rng, 9)
-            ratio = Fraction(c1, c2)
-            if ratio in seen_ratios:
-                ok = False
-                break
-            seen_ratios.add(ratio)
-            vectors[p] = _combine([c1, c2], [a, b])
-        if not ok:
-            continue
-        if matrix_rank(list(vectors.values())) != 2:
-            continue
-        if any(matrix_rank([vectors[p], vectors[q]]) != 2
-               for p, q in combinations(vectors, 2)):
-            continue
-        return vectors
-    raise ResamplingExhausted(f"no collinear sample after {MAX_ATTEMPTS} tries (seed {seed})")

@@ -50,19 +50,16 @@ def parse_integer(text: str) -> int:
 
 def parse_rational(text: str) -> Scalar:
     """Parse 'n' or 'p/q' into an exact scalar: ASCII digits, with a leading
-    '-' allowed on n and p only; q = 0 raises NotRational."""
+    '-' allowed on n and p only.  A q that reads 0 is named a zero
+    denominator; any other text is checked for that shape before int()
+    sees it.  Both raise NotRational."""
     text = text.strip()
     num, slash, den = text.partition("/")
-    if slash:
-        denominator = int(den)
-        if denominator == 0:
-            raise NotRational(f"zero denominator: {text!r}")
-        value = normalize_scalar(Fraction(int(num), denominator))
-    else:
-        value = int(num)
+    if slash and den.strip().isdecimal() and int(den) == 0:
+        raise NotRational(f"zero denominator: {text!r}")
     if not (_is_integer(num) and (den.isascii() and den.isdigit() or not slash)):
         raise NotRational(f"not an ASCII rational: {text!r}")
-    return value
+    return normalize_scalar(Fraction(int(num), int(den))) if slash else int(num)
 
 
 def format_rational(value: Scalar) -> str:

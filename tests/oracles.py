@@ -18,9 +18,17 @@ from pavingideals.generators import (
 )
 from pavingideals.lifting import Hyperplane
 from pavingideals.linalg import NonSquare, matrix_rank, solve_particular
+from pavingideals.matroids import PavingMatroid
 from pavingideals.poly import Monomial, Polynomial
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
+from pavingideals.samplers import sample_realization
 from pavingideals.scalars import Scalar, format_rational, normalize_scalar
+
+
+def collinear_points(count: int, seed: int = 0) -> dict[int, tuple[int, ...]]:
+    """``count`` pairwise independent points in the plane z = 0 of Q^3."""
+    r = sample_realization(PavingMatroid.uniform(2, count), seed)
+    return {p: (*v, 0) for p, v in r.vectors.items()}
 
 
 def random_weighted_digraph(rng: random.Random, max_vertices: int = 7) -> DependencyDigraph:

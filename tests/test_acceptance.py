@@ -29,6 +29,7 @@ from displays import (
     equal_up_to_unit,
 )
 from oracles import (
+    collinear_points,
     cycle_identity_value,
     dependency_digraph_from_vectors,
     graph_polynomial_via_cycles,
@@ -59,7 +60,7 @@ from pavingideals.linalg import bareiss_determinant, kernel_basis, matrix_rank
 from pavingideals.matroids import PavingMatroid, builtin_matroid, grid_matroid
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.realizations import Realization, in_circuit_variety, in_realization_space
-from pavingideals.samplers import sample_collinear_points, sample_family
+from pavingideals.samplers import sample_family
 from pavingideals.verify import evaluate_poly, verify_vanishing
 
 FAMILIES = ("qs", "grid3x4", "pascal", "concurrent3", "fig2c", "fig2r")
@@ -342,7 +343,7 @@ def test_criterion_6_lifting_round_trip():
     seed = 0
     while accepted < 50:
         seed += 1
-        vectors = sample_collinear_points(6, seed=seed)
+        vectors = collinear_points(6, seed=seed)
         h, center = random_hyperplane_and_center(rng)
         if matrix_rank([list(v) for v in vectors.values()] + [list(center)]) != 3:
             continue

@@ -544,6 +544,16 @@ def test_verify_rejects_numerals_that_are_not_ascii_in_polynomials(tmp_path, cap
         )
 
 
+def test_a_term_without_a_coefficient_is_named_as_not_a_rational(tmp_path, capsys):
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    polys.write_text("# source: bad\nx[1,7]\n")
+    for q in ([], ["--q", "canonical"]):
+        assert run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real), *q) == (
+            1, "", "parse error: not an ASCII rational: 'x[1,7]'\n"
+        )
+
+
 @pytest.mark.parametrize("coordinate", ["1_0", "+1", "\u0661"], ids=["underscore", "plus", "arabic-indic"])
 def test_numerals_that_are_not_ascii_are_parse_errors_in_every_input(tmp_path, capsys, coordinate):
     real = sample_qs(tmp_path, capsys)
@@ -808,6 +818,17 @@ def test_sample_family_and_matroid_spell_one_option(tmp_path, capsys, name):
     r = Realization.from_json(outputs[0])
     assert r.matroid == builtin_matroid(name)
     assert in_realization_space(r.vectors, r.matroid)
+
+
+@pytest.mark.parametrize("family", ["uniform(2,24)", "uniform(2,40)"])
+def test_sample_finds_many_points_on_a_line_at_every_seed(tmp_path, capsys, family):
+    # A draw bound fixed at 9 ran out of distinct directions on most seeds.
+    real = tmp_path / "real.json"
+    for seed in range(10):
+        code, _, err = run_cli(capsys, "sample", "--family", family, "--seed", str(seed), "--out", str(real))
+        assert (code, err) == (0, ""), seed
+        r = Realization.from_json(real.read_text())
+        assert in_realization_space(r.vectors, r.matroid), seed
 
 
 # Not a builtin: point 8 lies on three lines, every other point on one or two.

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import find_sdr, random_hyperplane_and_center
+from oracles import collinear_points, find_sdr, random_hyperplane_and_center
 from pavingideals.cli import main
 from pavingideals.generators import (
     ExtraVector,
@@ -26,7 +26,6 @@ from pavingideals.realizations import Realization, in_realization_space
 from pavingideals.samplers import (
     ResamplingExhausted,
     constructible_order,
-    sample_collinear_points,
     sample_family,
     sample_realization,
 )
@@ -130,7 +129,7 @@ def test_cli_verify_quartic_expected_nonzero_fails_on_collinear_witness(tmp_path
     # The meet-expansion quartic vanishes on every collinear configuration,
     # so expecting it to be nonzero there must exit with the verification
     # failure code.
-    vectors = {p: v for p, v in sample_collinear_points(9, seed=2).items()}
+    vectors = {p: v for p, v in collinear_points(9, seed=2).items()}
     matroid = builtin_matroid("pascal")
     flat = Realization(matroid, vectors)
     real = tmp_path / "collinear.json"

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rank_in_realization_space
+from oracles import collinear_points, rank_in_realization_space
 from pavingideals import linalg
 from pavingideals.generators import ExtraVector, liftability_matrix_at, lifting_polynomials
 from pavingideals.lifting import (
@@ -16,6 +16,7 @@ from pavingideals.lifting import (
     Hyperplane,
     PointThroughCenter,
     RankDefect,
+    degenerate_lift_subspace,
     lift,
     project,
 )
@@ -30,7 +31,6 @@ from pavingideals.realizations import (
 from pavingideals.samplers import (
     ResamplingExhausted,
     UnknownFamily,
-    sample_collinear_points,
     sample_family,
 )
 from pavingideals.scalars import format_rational
@@ -110,7 +110,7 @@ def test_zero_vectors_are_in_circuit_variety_only():
 
 
 def test_collinear_points_are_degenerate_qs():
-    vectors = sample_collinear_points(6, seed=3)
+    vectors = collinear_points(6, seed=3)
     assert in_circuit_variety(vectors, QS)
     assert not in_realization_space(vectors, QS)
 
@@ -311,13 +311,23 @@ def test_lift_of_a_projected_configuration_eliminates_on_integers(monkeypatch):
     assert all(type(c) is int for m in matrices for row in m for c in row)
 
 
+@pytest.mark.parametrize("family", ["qs", "pascal", "grid3x6"])
+def test_degenerate_lifts_are_kernel_rows_of_rank_n_minus_1(family):
+    for seed in (0, 1):
+        flat, center = _projected(family, seed)
+        rows = degenerate_lift_subspace(flat.vectors, flat.matroid.points, len(center))
+        evaluated = liftability_matrix_at(flat.matroid, flat.vectors, center)
+        assert all(sum(a * z for a, z in zip(e, row)) == 0 for e in evaluated for row in rows)
+        assert matrix_rank(rows) == flat.matroid.rank - 1
+
+
 def test_generic_collinear_points_do_not_lift():
     rng = random.Random(31)
     found = 0
     seed = 0
     while found < 5:
         seed += 1
-        vectors = sample_collinear_points(6, seed=seed)
+        vectors = collinear_points(6, seed=seed)
         flat = Realization(QS, vectors)
         h, center = random_hyperplane_and_center(rng)
         if any(sum(a * b for a, b in zip(vectors[p], center)) is None for p in vectors):
@@ -431,7 +441,7 @@ def test_sampled_qs_is_regular_with_zero_lifting_number():
 
 
 def test_collinear_qs_has_maximal_lifting_number():
-    vectors = sample_collinear_points(6, seed=1)
+    vectors = collinear_points(6, seed=1)
     assert len(regular_hyperplanes(vectors, QS)) == 4
     assert lifting_number(vectors, QS) == 12  # all ordered pairs of 4 lines
 
@@ -452,7 +462,7 @@ def test_circuit_variety_sample_dichotomy():
     cases = []
     for seed in range(3):
         cases.append(sample_family("qs", seed).vectors)  # true realizations
-        cases.append(sample_collinear_points(6, seed=seed))  # rank-2 branch
+        cases.append(collinear_points(6, seed=seed))  # rank-2 branch
         r = sample_family("qs", seed)
         h, center = random_hyperplane_and_center(rng)
         flat = project(r, h, center)

@@ -719,6 +719,7 @@ def malformed(text: str, old: str, new: str) -> str:
 
 
 NARROW_RECORD = "# source: lifting N=[1] rows=[[1, 2, 3], [1, 2, 3]] q=q\n# form: minors 2\n1<2 3 q>; 1<2 3 q>\n"
+OUTSIDE_RECORD = "# source: lifting N=[1, 2] rows=[[1, 2, 3]] q=q\n# form: minors 1\n1<2 3 q>, -1<1 3 q>\n"
 
 
 @pytest.mark.parametrize(
@@ -735,10 +736,16 @@ NARROW_RECORD = "# source: lifting N=[1] rows=[[1, 2, 3], [1, 2, 3]] q=q\n# form
         lambda t: malformed(t, "1<2 3 q>", "1 * x[1,1]"),
         lambda t: malformed(t, "lifting N=", "lifting M="),
         lambda t: malformed(t, "q=q", "q=1q"),
+        # Well-shaped records that disagree with their source line.
+        lambda t: malformed(t, "1<2 3 q>, ", "-1<2 3 q>, "),
+        lambda t: OUTSIDE_RECORD,
+        lambda t: malformed(t, "-1<1 3 q>", "-1<1 3 p>"),
+        lambda t: malformed(t, "minors 4", "minors 3"),
     ],
     ids=[
         "ragged-row", "k-zero", "k-negative", "k-above-rows", "k-above-columns",
         "k-fraction", "k-arabic-indic", "k-missing", "coordinate-entry", "bad-source", "bad-q",
+        "flipped-sign", "circuit-outside-N", "foreign-label", "k-not-from-N",
     ],
 )
 def test_a_malformed_record_is_a_parse_error(tmp_path, capsys, edit):
@@ -746,9 +753,10 @@ def test_a_malformed_record_is_a_parse_error(tmp_path, capsys, edit):
     assert main(["sample", "--family", "qs", "--seed", "7", "--out", str(real)]) == 0
     text = edit(record.read_text())
     if text == NARROW_RECORD:
-        # With k within its one column, the same record parses.
+        # Its rows name points outside N, so with k within its one column
+        # the record is still a parse error.
         record.write_text(NARROW_RECORD.replace("minors 2", "minors 1"))
-        assert verify_bytes(tmp_path, record, real, "--q", "canonical")[0] == 3
+        assert main(["verify", "--polys", str(record), "--realization", str(real), "--q", "canonical"]) == 1
     record.write_text(text)
     capsys.readouterr()
     code = main(["verify", "--polys", str(record), "--realization", str(real), "--q", "canonical"])
