@@ -5,7 +5,8 @@ UTF-8 JSON or plain text on files or stdio, and output is byte-identical
 for identical inputs, seeds and budgets.
 
 Exit codes: 0 success, 1 usage/parse error, 2 validation failure,
-3 verification failure.
+3 verification failure.  A subcommand that fails raises ``_Exit``; ``main``
+is the one place that prints its single stderr line and returns its code.
 """
 
 from __future__ import annotations
@@ -52,18 +53,42 @@ EXIT_VERIFY = 3
 MATROID_PARSE_ERRORS = (json.JSONDecodeError, OSError, MatroidSchemaError)
 
 
-def _load_matroid(spec: str) -> PavingMatroid:
+class _Exit(Exception):
+    """A failed subcommand: its exit code, and as its message the one line
+    ``main`` prints to stderr."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+
+
+def _load_matroid(spec: str, invalid: str, family: bool = False) -> PavingMatroid:
+    """The matroid a ``--matroid`` spec names: the JSON file at that path, else
+    the builtin of that name.
+
+    A spec that does not parse exits 1 with ``parse error:``, an invalid
+    matroid exits 2 with ``<invalid>:``.  With ``family`` (``sample``), a
+    name that is no file and no valid builtin exits 1 as an unknown family.
+    """
     path = Path(spec)
-    if path.exists():
-        return PavingMatroid.from_json(path.read_text())
-    return builtin_matroid(spec)
+    try:
+        return PavingMatroid.from_json(path.read_text()) if path.exists() else builtin_matroid(spec)
+    except MATROID_PARSE_ERRORS as exc:
+        raise _Exit(EXIT_USAGE, f"parse error: {exc}")
+    except MatroidError as exc:
+        if family and not path.exists():
+            raise _Exit(EXIT_USAGE, f"error: unknown realization family: {spec!r} ({exc})")
+        raise _Exit(EXIT_VALIDATION, f"{invalid}: {exc}")
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"error: cannot write {out}: {exc.strerror}")
 
 
 def _parse_coords(text: str, dim: int) -> tuple:
@@ -85,14 +110,7 @@ def _parse_q(q: str, dim: int) -> list[ExtraVector]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        matroid = _load_matroid(args.matroid)
-    except MATROID_PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatroidError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    matroid = _load_matroid(args.matroid, "invalid")
     print(
         f"valid {matroid.rank}-paving matroid on {matroid.size} points, "
         f"{len(matroid.hyperplanes)} hyperplanes"
@@ -134,14 +152,7 @@ def _generate_graph(data: GraphData) -> list[LabeledPolynomial]:
 
 
 def cmd_generate(args) -> int:
-    try:
-        matroid = _load_matroid(args.matroid)
-    except MATROID_PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatroidError as exc:
-        print(f"invalid matroid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    matroid = _load_matroid(args.matroid, "invalid matroid")
     graph = args.which in ("graph", "all")
     data = None
     try:
@@ -152,21 +163,18 @@ def cmd_generate(args) -> int:
             payload = json.loads(Path(args.graph_data).read_text())
             data = GraphData.from_json_dict(matroid, payload)
     except (OSError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"parse error: {exc}")
     if data is not None:
         try:
             data.validate()
         except HypothesisViolation as exc:
-            print(f"invalid graph data: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise _Exit(EXIT_VALIDATION, f"invalid graph data: {exc}")
     elif graph:
         data = _builtin_graph_data(matroid)
         if data is None:
             missing = f"no worked-example graph data for --matroid {args.matroid!r}"
             if args.which == "graph":
-                print(f"error: {missing}; pass --graph-data", file=sys.stderr)
-                return EXIT_VALIDATION
+                raise _Exit(EXIT_VALIDATION, f"error: {missing}; pass --graph-data")
             print(f"note: {missing}; graph polynomials skipped", file=sys.stderr)
     items: list[LabeledPolynomial] = []
     if args.which in ("circuits", "all"):
@@ -180,22 +188,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    try:
-        matroid = _load_matroid(args.matroid)
-    except MATROID_PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatroidError as exc:
-        if Path(args.matroid).exists():
-            print(f"invalid matroid: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        print(f"error: unknown realization family: {args.matroid!r} ({exc})", file=sys.stderr)
-        return EXIT_USAGE
+    matroid = _load_matroid(args.matroid, "invalid matroid", family=True)
     try:
         realization = sample_realization(matroid, args.seed)
     except ResamplingExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Exit(EXIT_VALIDATION, f"error: {exc}")
     _write_out(realization.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -216,16 +213,14 @@ def cmd_verify(args) -> int:
         if bad_realization is not None:
             raise bad_realization
     except parse_errors as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"parse error: {exc}")
     sweep = args.q == "canonical"
     extra_assignments = None
     if args.q and args.q != "canonical":
         try:
             coords = _parse_coords(args.q, realization.dim)
         except ValueError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, f"parse error: {exc}")
         names = {name for item in polys for name in extra_names(item)}
         extra_assignments = [{name: coords for name in sorted(names)}]
     try:
@@ -237,8 +232,7 @@ def cmd_verify(args) -> int:
             expect=args.expect,
         )
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: {exc}")
     _write_out(report.to_json_lines() + "\n", args.out)
     return EXIT_OK if report.all_pass else EXIT_VERIFY
 
@@ -267,8 +261,7 @@ def cmd_gc(args) -> int:
                 result, LabeledExtensor.points(_parse_point_list(labels), args.dim)
             )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: {exc}")
     if result.grade == args.dim:
         print(to_bracket_polynomial(result).pretty())
     elif result.is_zero():
@@ -283,14 +276,7 @@ def cmd_gc(args) -> int:
 
 
 def cmd_liftcheck(args) -> int:
-    try:
-        matroid = _load_matroid(args.matroid)
-    except MATROID_PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatroidError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    matroid = _load_matroid(args.matroid, "invalid")
     k = len(matroid.circuits_n())
     n = matroid.rank
     if matroid.liftable_sufficient():
@@ -368,7 +354,11 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

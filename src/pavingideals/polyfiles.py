@@ -69,6 +69,8 @@ def _parse_record(label: str | None, k_text: str, line: str) -> LiftingMinors:
     n = len(circuits[0])
     if not all(len(c) == n and set(c) <= set(points) for c in circuits):
         raise ValueError(f"minors record: its rows are not {n}-circuits within N = {points}")
+    if len(set(map(frozenset, circuits))) != len(circuits):
+        raise ValueError(f"minors record: it repeats a row of {circuits}")
     if k != len(points) - n + 1:
         raise ValueError(f"minors record: k = {k} is not |N| - n + 1 = {len(points) - n + 1}")
     if matrix != bracket_matrix(((c, q.label()) for c in circuits), points):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -57,6 +58,17 @@ def test_cli_import_pulls_in_no_networkx():
     proc = run_fresh("-c", "import sys, pavingideals.cli; print('networkx' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_the_package_root_imports_no_module_and_the_cli_no_lifting():
+    proc = run_fresh("-c", (
+        "import sys, pavingideals\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pavingideals.')))\n"
+        "import pavingideals.cli\n"
+        "print('pavingideals.lifting' in sys.modules)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "False", ""]
 
 
 def test_cli_import_builds_no_parser():
@@ -134,6 +146,36 @@ def test_validate_malformed_json(tmp_path, capsys):
             assert "Traceback" not in err
 
 
+NOT_JSON = "parse error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+OVERLAP = "hyperplanes (1, 2, 3) and (1, 2, 4) share more than 1 points"
+UNKNOWN = "unknown matroid name: 'widget'"
+LOADER_EXITS = {
+    "validate": [(1, NOT_JSON), (2, f"invalid: {OVERLAP}"), (2, f"invalid: {UNKNOWN}")],
+    "generate": [
+        (1, NOT_JSON), (2, f"invalid matroid: {OVERLAP}"), (2, f"invalid matroid: {UNKNOWN}"),
+    ],
+    "liftcheck": [(1, NOT_JSON), (2, f"invalid: {OVERLAP}"), (2, f"invalid: {UNKNOWN}")],
+    "sample": [
+        (1, NOT_JSON),
+        (2, f"invalid matroid: {OVERLAP}"),
+        (1, f"error: unknown realization family: 'widget' ({UNKNOWN})"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADER_EXITS))
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["not-json", "overlap", "unknown-name"])
+def test_every_matroid_load_failure_exits_with_one_stderr_line(tmp_path, capsys, command, case):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{not json")
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(json.dumps({"rank": 3, "ground_set": 6, "hyperplanes": [[1, 2, 3], [1, 2, 4]]}))
+    spec = [str(not_json), str(overlap), "widget"][case]
+    code, out, err = run_cli(capsys, command, "--matroid", spec)
+    assert (code, err) == (LOADER_EXITS[command][case][0], LOADER_EXITS[command][case][1] + "\n")
+    assert out == ""
+
+
 def test_verify_realization_with_malformed_matroid_is_usage_error(tmp_path, capsys):
     real = tmp_path / "real.json"
     real.write_text(json.dumps({
@@ -146,6 +188,24 @@ def test_verify_realization_with_malformed_matroid_is_usage_error(tmp_path, caps
     assert code == 1
     assert err.startswith("parse error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("command", ["generate", "sample", "verify"])
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, command, where):
+    polys, real = tmp_path / "polys.txt", tmp_path / "real.json"
+    polys.write_text(render_polynomials([LabeledPolynomial("c123", C123)]))
+    assert main(["sample", "--family", "qs", "--seed", "7", "--out", str(real)]) == 0
+    argv = {
+        "generate": ["generate", "--matroid", "qs", "--which", "circuits"],
+        "sample": ["sample", "--family", "qs"],
+        "verify": ["verify", "--polys", str(polys), "--realization", str(real)],
+    }[command]
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    reason = os.strerror(errno.EISDIR if where == "directory" else errno.ENOENT)
+    capsys.readouterr()
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: cannot write {out}: {reason}\n")
 
 
 # -- generate ----------------------------------------------------------------

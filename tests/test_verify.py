@@ -720,6 +720,10 @@ def malformed(text: str, old: str, new: str) -> str:
 
 NARROW_RECORD = "# source: lifting N=[1] rows=[[1, 2, 3], [1, 2, 3]] q=q\n# form: minors 2\n1<2 3 q>; 1<2 3 q>\n"
 OUTSIDE_RECORD = "# source: lifting N=[1, 2] rows=[[1, 2, 3]] q=q\n# form: minors 1\n1<2 3 q>, -1<1 3 q>\n"
+REPEATED_RECORD = (
+    "# source: lifting N=[1, 2, 3, 4] rows=[[1, 2, 3], [1, 2, 3]] q=q\n# form: minors 2\n"
+    "1<2 3 q>, -1<1 3 q>, 1<1 2 q>, 0; 1<2 3 q>, -1<1 3 q>, 1<1 2 q>, 0\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -741,11 +745,15 @@ OUTSIDE_RECORD = "# source: lifting N=[1, 2] rows=[[1, 2, 3]] q=q\n# form: minor
         lambda t: OUTSIDE_RECORD,
         lambda t: malformed(t, "-1<1 3 q>", "-1<1 3 p>"),
         lambda t: malformed(t, "minors 4", "minors 3"),
+        # Every minor of a matrix with two equal rows is identically zero.
+        lambda t: REPEATED_RECORD,
+        lambda t: REPEATED_RECORD.replace("[[1, 2, 3], [1, 2, 3]]", "[[1, 2, 3], [2, 1, 3]]"),
     ],
     ids=[
         "ragged-row", "k-zero", "k-negative", "k-above-rows", "k-above-columns",
         "k-fraction", "k-arabic-indic", "k-missing", "coordinate-entry", "bad-source", "bad-q",
         "flipped-sign", "circuit-outside-N", "foreign-label", "k-not-from-N",
+        "repeated-row", "reordered-repeated-row",
     ],
 )
 def test_a_malformed_record_is_a_parse_error(tmp_path, capsys, edit):
