@@ -14,13 +14,13 @@ Expansion (``expander``) reads each bracket as a maximal minor of one
 coordinate matrix through ``MinorEngine`` and multiplies the brackets of a
 term as coordinate polynomials.
 
-Numeric evaluation (``evaluator``) writes each vector once as integers over
-the lcm of its denominators, takes a bracket as an integer determinant over
-the product of those denominators, and memoizes it by its columns, so one
-``verify`` run computes each bracket once per distinct vector assignment.
-A polynomial evaluated more than once is compiled into a plan of per-bracket
-value tables and index tuples, so each further evaluation is lookups and a
-sum of products.
+Numeric evaluation writes each vector once as integers over the lcm of its
+denominators and takes a bracket as an integer determinant over the product
+of those denominators (``bracket_value``).  ``evaluator``, which serves
+bracket-form lines, memoizes brackets by their columns, so one ``verify``
+run computes each bracket once per distinct vector assignment, and compiles
+each polynomial into a plan of per-bracket value tables and index tuples,
+so each further evaluation is lookups and a sum of products.
 
 The labeled wedge here is the algebra of formal points: joins concatenate
 labels with the sorting sign, meets follow the shuffle sum with formal
@@ -275,27 +275,45 @@ def _integer_column(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (scale // c.denominator) for c in vector), scale
 
 
+def integer_columns(vectors: Mapping[Label, Sequence[Scalar]]) -> dict[Label, tuple[tuple[int, ...], int]]:
+    return {label: _integer_column(vec) for label, vec in vectors.items()}
+
+
+def bracket_value(key: BracketKey, bound: Mapping[Label, tuple[tuple[int, ...], int]]) -> Scalar:
+    """Exact value of a bracket whose labels ``bound`` maps to integer columns:
+    their integer determinant over the product of their denominators."""
+    try:
+        cols = [bound[label] for label in key]
+    except KeyError as exc:
+        text = " ".join(map(str, key))
+        raise UnboundLabel(f"bracket <{text}> has no vector for label {exc.args[0]}") from None
+    lengths = {len(ints) for ints, _ in cols}
+    if lengths != {len(key)}:
+        raise DimensionMismatch(f"bracket {key} on vectors of length {sorted(lengths)}")
+    got = bareiss_determinant(zip(*(ints for ints, _ in cols)))
+    scale = prod(den for _, den in cols)
+    return got if scale == 1 else normalize_scalar(Fraction(got, scale))
+
+
 def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]:
     """``value(poly, extra=None)``: exact value with each label bound to its
     vector in ``extra``, else in ``points``; bracket values are shared by all calls.
 
-    A polynomial's first call is evaluated term by term, so one-shot callers
-    (a matrix evaluated entry by entry) build nothing more.  Its second call
-    compiles it into a plan (``_Plan``): its distinct brackets in term order,
-    one value table per bracket keyed by the vectors ``extra`` gives that
-    bracket's labels (None for a label left to ``points``), and its terms as
-    coefficients and bracket indices.  A call whose vectors every table has
-    seen is then a few lookups and ``sum(coeff * prod(values))``; a bracket
-    missing from its table is computed and checked in term order, so errors
-    name the same first bad bracket as term-by-term evaluation does.
+    A polynomial's first call compiles it into a plan (``_Plan``): its
+    distinct brackets in term order, one value table per bracket keyed by the
+    vectors ``extra`` gives that bracket's labels (None for a label left to
+    ``points``), and its terms as coefficients and bracket indices.  A call
+    whose vectors every table has seen is then a few lookups and
+    ``sum(coeff * prod(values))``; a bracket missing from its table is
+    computed and checked in term order, so errors name the first bad
+    bracket of the polynomial's terms.
     """
-    columns = {label: _integer_column(vec) for label, vec in points.items()}
+    columns = integer_columns(points)
     # The extra vectors of a sweep are a few distinct ones, met on every call.
     extra_columns: dict[tuple[Scalar, ...], tuple[tuple[int, ...], int]] = {}
     memo: dict[tuple, Scalar] = {}
-    # id(poly) -> (poly, plan, or None after one call); holding the poly keeps
-    # its id from being reused.
-    plans: dict[int, tuple[BracketPolynomial, _Plan | None]] = {}
+    # id(poly) -> (poly, plan); holding the poly keeps its id from being reused.
+    plans: dict[int, tuple[BracketPolynomial, _Plan]] = {}
 
     def extra_column(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
         vector = tuple(vector)
@@ -304,42 +322,18 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
             got = extra_columns[vector] = _integer_column(vector)
         return got
 
-    def bracket_value(key: BracketKey, bound: Mapping[Label, tuple]) -> Scalar:
-        try:
-            cols = tuple(bound[label] for label in key)
-        except KeyError as exc:
-            text = " ".join(map(str, key))
-            raise UnboundLabel(f"bracket <{text}> has no vector for label {exc.args[0]}") from None
+    def memo_value(key: BracketKey, bound: Mapping[Label, tuple]) -> Scalar:
+        # An unbound label reads as None here, and bracket_value raises on it.
+        cols = tuple(map(bound.get, key))
         got = memo.get(cols)
         if got is None:
-            lengths = {len(ints) for ints, _ in cols}
-            if lengths != {len(key)}:
-                raise DimensionMismatch(f"bracket {key} on vectors of length {sorted(lengths)}")
-            got = bareiss_determinant(zip(*(ints for ints, _ in cols)))
-            scale = prod(den for _, den in cols)
-            if scale != 1:
-                got = normalize_scalar(Fraction(got, scale))
-            memo[cols] = got
+            got = memo[cols] = bracket_value(key, bound)
         return got
 
     def bind(extra: Mapping[Label, Sequence[Scalar]] | None) -> Mapping[Label, tuple]:
         if not extra:
             return columns
         return {**columns, **{label: extra_column(vec) for label, vec in extra.items()}}
-
-    def term_by_term(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None) -> Scalar:
-        bound = bind(extra)
-        at: dict[BracketKey, Scalar] = {}
-        total: Scalar = 0
-        for mono, coeff in poly.terms.items():
-            val: Scalar = coeff
-            for key in mono:
-                got = at.get(key)
-                if got is None:
-                    got = at[key] = bracket_value(key, bound)
-                val = val * got
-            total = total + val
-        return total
 
     def fill(plan: _Plan, extra: Mapping[Label, Sequence[Scalar]]) -> list[Scalar]:
         """Bracket values of a call that missed a table, computed in term order."""
@@ -351,22 +345,15 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
             at = table_key(vectors)
             got = table.get(at)
             if got is None:
-                got = table[at] = bracket_value(key, bound)
+                got = table[at] = memo_value(key, bound)
             values.append(got)
         return values
 
     def value(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None = None) -> Scalar:
-        if not poly.terms:
-            # A bracket matrix shares one zero polynomial among its entries.
-            return 0
         entry = plans.get(id(poly))
         if entry is None or entry[0] is not poly:
-            plans[id(poly)] = (poly, None)
-            return term_by_term(poly, extra)
+            entry = plans[id(poly)] = (poly, _Plan(poly))
         plan = entry[1]
-        if plan is None:
-            plan = _Plan(poly)
-            plans[id(poly)] = (poly, plan)
         extra = extra or {}
         # A list, not a tuple: tuple() of an iterator resizes its result, and
         # a sweep's worth of such tuples stays on CPython's tuple free list.

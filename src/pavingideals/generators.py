@@ -6,20 +6,19 @@ and at the circuit's i-th point the bracket of the other circuit points
 followed by q, with sign (-1)^i.  Coordinate, numeric and bracket-level
 forms are all read off that matrix.
 
-Circuit polynomials are the maximal minors of the generic coordinate matrix
-on the columns of a size-n circuit, i.e. single brackets.  Lifting
+Circuit polynomials are its single brackets: the maximal minors of the
+generic coordinate matrix on the columns of a size-n circuit.  Lifting
 polynomials are the (|N|-n+1)-minors of the liftability matrix of a
-full-rank restriction N: the bracket matrix on its size-n circuits, kept
-whole as a ``LiftingMinors`` record and expanded minor by minor on demand.
-Graph polynomials come from collections of circuits threaded through a set
-of points outside the closure of an anchor set J: the signed sum over
-disjoint cycle collections of a dependency digraph, which equals the
-determinant of the circuit/point bracket matrix after clearing
-denominators.  Both routes work on the bracket matrix.  The determinant
-is the production path: the coordinate form is the determinant of the
-entrywise-expanded matrix, just as each lifting polynomial is a minor of
-one, and the bracket form the determinant of the bracket matrix itself.
-The cycle expansion is kept at the bracket level as an independent oracle.
+full-rank restriction N, the bracket matrix on its size-n circuits.  A
+``LiftingMinors`` record is that matrix, named by N, its circuits and q:
+it evaluates the matrix at exact vectors from integer bracket
+determinants and expands its minors on demand.  Graph polynomials thread
+circuits through points outside the closure of an anchor set J: the
+determinant of their circuit/point bracket matrix, entrywise expanded into
+coordinates or kept in brackets.  The signed sum over disjoint cycle
+collections of the dependency digraph, which equals that determinant after
+clearing denominators, is kept at the bracket level as an independent
+oracle.
 
 Sign conventions: circuit elements are always listed ascending by point id
 when forming brackets, so every emitted polynomial is canonical; agreement
@@ -30,11 +29,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .brackets import BracketPolynomial, Label, evaluator, expander, meet_then_join, symbolic_column
+from .brackets import (
+    BracketPolynomial, Label, bracket_value, expander, integer_columns, meet_then_join, symbolic_column,
+)
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
 from .poly import PointResidual, Polynomial
 from .polymatrix import MinorEngine
@@ -131,14 +133,14 @@ def bracket_matrix(rows: Iterable[tuple[Sequence[int], Label]], columns: Sequenc
     The circuit is listed ascending; the entry at its i-th point (from 0) is
     (-1)^i times the bracket of the other points followed by the label, and
     points outside the circuit get 0.  Point ids are ints and labels are
-    strings, so each bracket is already in sorted normal form.
+    strings, so each bracket is already in sorted normal form, stored as built.
     """
     zero = BracketPolynomial.zero()
     entries = []
     for circuit, label in rows:
         circuit = tuple(sorted(circuit))
         signed = {
-            p: BracketPolynomial({(circuit[:i] + circuit[i + 1 :] + (label,),): (-1) ** i})
+            p: BracketPolynomial._from_clean({(circuit[:i] + circuit[i + 1 :] + (label,),): (-1) ** i})
             for i, p in enumerate(circuit)
         }
         entries.append([signed.get(p, zero) for p in columns])
@@ -167,19 +169,12 @@ class LabeledPolynomial(NamedTuple):
 
 def circuit_polynomials(matroid: PavingMatroid) -> list[LabeledPolynomial]:
     """One generic-matrix minor per size-n circuit, columns ascending."""
-    out = []
-    for circuit in matroid.circuits_n():
-        poly = BracketPolynomial.bracket(circuit).expand(matroid.rank)
-        out.append(LabeledPolynomial(f"circuit B={list(circuit)}", poly))
-    return out
+    circuits = matroid.circuits_n()
+    polys = expander(matroid.rank)([BracketPolynomial.bracket(c) for c in circuits])
+    return [LabeledPolynomial(f"circuit B={list(c)}", poly) for c, poly in zip(circuits, polys)]
 
 
 # -- liftability matrices ----------------------------------------------------
-
-
-def _liftability_brackets(matroid, label: Label, dim: int) -> BracketRows:
-    circuits = matroid.circuits_of_size(dim)
-    return bracket_matrix(((c, label) for c in circuits), matroid.points)
 
 
 def liftability_matrix(
@@ -194,7 +189,8 @@ def liftability_matrix(
     dim = ambient if ambient is not None else matroid.rank
     if q.coords is not None and len(q.coords) != dim:
         raise ValueError("extra vector dimension disagrees with the ambient dimension")
-    return _expanded(_liftability_brackets(matroid, q.label(), dim), _coordinates([q], dim))
+    record = LiftingMinors(matroid.points, matroid.circuits_of_size(dim), q)
+    return _expanded(record.matrix, _coordinates([q], dim))
 
 
 def _expanded(matrix: BracketRows, expand) -> list[list[Polynomial]]:
@@ -204,38 +200,55 @@ def _expanded(matrix: BracketRows, expand) -> list[list[Polynomial]]:
 
 
 def liftability_matrix_at(
-    matroid: PavingMatroid,
-    vectors: Mapping[int, Sequence[Scalar]],
-    q: Sequence[Scalar],
+    matroid: PavingMatroid, vectors: Mapping[int, Sequence[Scalar]], q: Sequence[Scalar]
 ) -> list[list[Scalar]]:
     """Liftability matrix evaluated at concrete vectors (numeric brackets).
 
     The ambient dimension is the length of q.
     """
-    extra = ExtraVector.concrete(q)
-    value = evaluator({**vectors, extra.label(): extra.coords})
-    return [[value(e) for e in row] for row in _liftability_brackets(matroid, extra.label(), len(q))]
+    record = LiftingMinors(matroid.points, matroid.circuits_of_size(len(q)), ExtraVector.concrete(q))
+    return record.matrix_at(vectors, q)
 
 
 @dataclass(frozen=True)
 class LiftingMinors:
-    """Every k-minor of the bracket matrix of a restriction N: its lifting
-    polynomials, kept as the matrix they are read off.
+    """The liftability matrix of a point set N, and every k-minor of it: the
+    lifting polynomials of N, kept as the matrix they are read off.
 
-    Rows are N's size-n circuits with the extra vector q, columns N's
-    points, and k = |N| - n + 1.  The minors vanish at a point exactly when
-    the evaluated matrix has rank below k.
+    Rows are the given size-n circuits with the extra vector q, columns N's
+    points, and k = |N| - n + 1; a record without rows takes n = 0, so k
+    exceeds both sides and it has no minors.  The minors vanish at a point
+    exactly when the evaluated matrix has rank below k.
     """
 
     points: tuple[int, ...]
     circuits: tuple[tuple[int, ...], ...]
     q: ExtraVector
-    k: int
-    matrix: BracketRows
+
+    @property
+    def k(self) -> int:
+        return len(self.points) - (len(self.circuits[0]) if self.circuits else 0) + 1
+
+    @cached_property
+    def matrix(self) -> BracketRows:
+        label = self.q.label()
+        return bracket_matrix(((c, label) for c in self.circuits), self.points)
 
     @property
     def label(self) -> str:
         return f"lifting N={list(self.points)} rows={[list(c) for c in self.circuits]} q={self.q.label()}"
+
+    def matrix_at(self, vectors: Mapping[int, Sequence[Scalar]], q: Sequence[Scalar]) -> list[list[Scalar]]:
+        """The matrix with each point bound to its vector and q to ``q``: each
+        signed bracket is one exact integer determinant (``bracket_value``)."""
+        bound = integer_columns({**vectors, self.q.label(): q})
+        value = cache(lambda key: bracket_value(key, bound))
+
+        def entry(e: BracketPolynomial) -> Scalar:
+            [((key,), sign)] = e.terms.items()
+            return sign * value(key)
+
+        return [[entry(e) if e.terms else 0 for e in row] for row in self.matrix]
 
     def index_sets(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(rows, columns) of each minor: row sets outer, both ascending."""
@@ -263,14 +276,7 @@ class LiftingMinors:
 def lifting_minors(submatroid: PavingMatroid, q: ExtraVector) -> LiftingMinors:
     """The (|N|-n+1)-minor record of N, a paving matroid, typically a
     restriction of a larger one; with fewer circuits than k it has no minors."""
-    rank = submatroid.rank
-    return LiftingMinors(
-        submatroid.points,
-        submatroid.circuits_of_size(rank),
-        q,
-        submatroid.size - rank + 1,
-        _liftability_brackets(submatroid, q.label(), rank),
-    )
+    return LiftingMinors(submatroid.points, submatroid.circuits_of_size(submatroid.rank), q)
 
 
 def lifting_polynomials(submatroid: PavingMatroid, q: ExtraVector) -> list[LabeledPolynomial]:

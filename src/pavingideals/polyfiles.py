@@ -12,12 +12,11 @@ expansion would be impractically large, the exact bracket text form
 The k-minors of a restriction's liftability matrix with a symbolic q are
 one ``LiftingMinors`` record: the source names N's points, its circuits
 and q, ``# form: minors <k>`` follows, and one line holds the bracket
-matrix, entries separated by ``,`` and rows by ``;``; a record is read
-back only if k and the matrix are the ones its source names.  All forms
-parse back losslessly.  Given a realization's point coordinates, a
-coordinate line is read straight into its point residual
-(``poly.read_point_residual``), which is what ``verify`` evaluates; the full
-expansion is then never built.
+matrix, entries separated by ``,`` and rows by ``;``.  The record is read
+off its source line, and k and the matrix line must be exactly the ones
+written for it.  Given a realization's point coordinates, a coordinate
+line is read straight into its point residual (``poly.read_point_residual``),
+which is what ``verify`` evaluates; the full expansion is then never built.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import re
 from typing import Iterable, Mapping
 
 from .brackets import BracketPolynomial
-from .generators import ExtraVector, LabeledPolynomial, LiftingMinors, bracket_matrix
+from .generators import ExtraVector, LabeledPolynomial, LiftingMinors
 from .matroids import is_point_list
 from .poly import Polynomial, Scalar, Variable, read_point_residual
 from .scalars import parse_integer
@@ -43,7 +42,7 @@ def render_polynomials(items: Iterable[LabeledPolynomial | LiftingMinors]) -> st
             if not item.q.is_symbolic:
                 raise ValueError("a minors record names a symbolic extra vector")
             lines.append(f"# form: minors {item.k}")
-            lines.append("; ".join(", ".join(e.to_text() for e in row) for row in item.matrix))
+            lines.append(_matrix_line(item))
         elif isinstance(item.polynomial, BracketPolynomial):
             lines.append("# form: bracket")
             lines.append(item.polynomial.to_text())
@@ -52,30 +51,34 @@ def render_polynomials(items: Iterable[LabeledPolynomial | LiftingMinors]) -> st
     return "\n".join(lines) + "\n"
 
 
+def _matrix_line(record: LiftingMinors) -> str:
+    return "; ".join(", ".join(e.to_text() for e in row) for row in record.matrix)
+
+
 def _parse_record(label: str | None, k_text: str, line: str) -> LiftingMinors:
+    """The record its source line names, once k and the matrix line are the
+    ones ``render_polynomials`` writes for it."""
     got = _RECORD_LABEL.fullmatch(label or "")
     if not got:
         raise ValueError(f"minors record without a 'lifting N=... rows=... q=...' source: {label!r}")
     points, circuits = json.loads(got[1]), json.loads(got[2])
     if not (is_point_list(points) and isinstance(circuits, list) and all(map(is_point_list, circuits))):
         raise ValueError(f"minors record source names no point lists: {label!r}")
-    q = ExtraVector.from_json_dict({"symbolic": got[3]})
-    k = parse_integer(k_text)
-    matrix = [[BracketPolynomial.from_text(e) for e in row.split(",")] for row in line.split(";")]
-    if len(matrix) != len(circuits) or any(len(row) != len(points) for row in matrix):
-        raise ValueError(f"minors record: the matrix is not {len(circuits)}x{len(points)}")
-    if not 0 < k <= min(len(circuits), len(points)):
-        raise ValueError(f"minors record: k = {k} is outside 1..{min(len(circuits), len(points))}")
-    n = len(circuits[0])
-    if not all(len(c) == n and set(c) <= set(points) for c in circuits):
-        raise ValueError(f"minors record: its rows are not {n}-circuits within N = {points}")
+    if len(set(points)) != len(points):
+        raise ValueError(f"minors record: N = {points} repeats a point")
+    n = len(circuits[0]) if circuits else 0
+    if not (n and all(len(c) == len(set(c)) == n and set(c) <= set(points) for c in circuits)):
+        raise ValueError(f"minors record: its rows are not n > 0 distinct points each, within N = {points}")
     if len(set(map(frozenset, circuits))) != len(circuits):
         raise ValueError(f"minors record: it repeats a row of {circuits}")
-    if k != len(points) - n + 1:
-        raise ValueError(f"minors record: k = {k} is not |N| - n + 1 = {len(points) - n + 1}")
-    if matrix != bracket_matrix(((c, q.label()) for c in circuits), points):
+    q = ExtraVector.from_json_dict({"symbolic": got[3]})
+    record = LiftingMinors(tuple(points), tuple(map(tuple, circuits)), q)
+    k = parse_integer(k_text)
+    if k != record.k or k > len(circuits):
+        raise ValueError(f"minors record: k = {k}, not |N| - n + 1 = {record.k} within {len(circuits)} rows")
+    if line != _matrix_line(record):
         raise ValueError(f"minors record: the matrix is not the bracket matrix of {label!r}")
-    return LiftingMinors(tuple(points), tuple(map(tuple, circuits)), q, k, matrix)
+    return record
 
 
 def parse_polynomials(

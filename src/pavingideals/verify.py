@@ -10,18 +10,17 @@ Coordinate polynomials take the realization's point coordinates once and
 evaluate the residual per assignment.  A ``PointResidual``, which
 ``polyfiles.parse_polynomials`` reads straight from a line given the point
 coordinates, is that residual with the support of its polynomial; one read
-against other points is refused.  Bracket-form polynomials share one
+against other points is refused.  Bracket-form lines share one
 ``brackets.evaluator`` per run, which computes each bracket once per
-distinct tuple of columns and compiles a polynomial checked more than once
-into per-bracket value tables, so a sweep check is a few lookups and a sum
-of products.  The sweep yields each check's (name, vector) key directly,
-and the report writes each polynomial id and vector once.
+distinct tuple of columns and compiles each polynomial into per-bracket
+value tables, so a sweep check is a few lookups and a sum of products.
+The report writes each polynomial id and vector once.
 
 A ``LiftingMinors`` record is checked minor by minor without expanding
-anything: per assignment its bracket matrix is evaluated once with the
-run's evaluator, every k-minor is 0 when the exact rank is below k, and at
-full rank each is one Bareiss determinant.  The checks carry the ids and
-values its expanded minors would, in the same order.
+anything: per value of its q the record evaluates its own matrix
+(``LiftingMinors.matrix_at``), every k-minor is 0 when the exact rank is
+below k, and at full rank each is one Bareiss determinant.  The checks
+carry the ids and values its expanded minors would, in the same order.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def extra_names(poly) -> tuple[str, ...]:
     if isinstance(poly, LabeledPolynomial):
         return extra_names(poly.polynomial)
     if isinstance(poly, LiftingMinors):
-        return tuple(sorted({name for row in poly.matrix for e in row for name in extra_names(e)}))
+        return (poly.q.name,)
     if isinstance(poly, BracketPolynomial):
         return tuple(sorted(l for l in poly.labels() if isinstance(l, str)))
     return _extra_columns(poly.support if isinstance(poly, PointResidual) else poly.support())
@@ -169,10 +168,13 @@ def _residual_value(
 
 
 def _minor_values(
-    record: LiftingMinors, realization: Realization, extra: Mapping[str, Sequence[Scalar]], brackets
+    record: LiftingMinors, realization: Realization, extra: Mapping[str, Sequence[Scalar]]
 ) -> list[Scalar]:
     """Every k-minor of the record at one assignment, in ``index_sets`` order."""
-    m = [[evaluate_poly(e, realization, extra, brackets=brackets) for e in row] for row in record.matrix]
+    q = extra.get(record.q.name)
+    if q is None:
+        raise UnboundVariable([extra_var(1, record.q.name)])
+    m = record.matrix_at(realization.vectors, q)
     index_sets = list(record.index_sets())
     if matrix_rank(m) < record.k:
         return [0] * len(index_sets)
@@ -218,7 +220,7 @@ def verify_vanishing(
     for labeled in polynomials:
         if isinstance(labeled, LiftingMinors):
             assigns = list(assignments(extra_names(labeled)))
-            columns = [_minor_values(labeled, realization, extra, brackets) for _, extra in assigns]
+            columns = [_minor_values(labeled, realization, extra) for _, extra in assigns]
             for label, values in zip(labeled.minor_labels(), zip(*columns)):
                 checks.extend(
                     VanishingCheck(label, key, v, (v == 0) == zero) for (key, _), v in zip(assigns, values)

@@ -28,13 +28,14 @@ from displays import (
     equal_up_to_unit,
 )
 from pavingideals import generators
-from pavingideals.brackets import BracketPolynomial, symbolic_column
+from pavingideals.brackets import BracketPolynomial, evaluator, symbolic_column
 from pavingideals.generators import (
     BadIndexSet,
     DependencyDigraph,
     ExtraVector,
     GraphData,
     HypothesisViolation,
+    bracket_matrix,
     build_graph,
     builtin_graph_data,
     builtin_graph_data_names,
@@ -138,6 +139,30 @@ def test_symbolic_and_numeric_matrices_commute():
                 symbolic = liftability_matrix(mat, extra, ambient=n)
                 direct = liftability_matrix_at(mat, vectors, q)
                 assert evaluated(symbolic, point) == direct, (name, mat.rank, extra)
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["integer", "fraction"])
+def test_liftability_matrix_at_is_the_evaluated_bracket_matrix(fractions):
+    # The general bracket evaluator is the reference for the record's own
+    # integer-determinant evaluation, for every builtin in ambient n and for
+    # the rank-(n-1) uniform matroid on its points, as lifting uses it.
+    rng = random.Random(3)
+
+    def draw(n):
+        if fractions:
+            return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        return tuple(rng.randint(-9, 9) for _ in range(n))
+
+    for name in builtin_matroid_names():
+        n = builtin_matroid(name).rank
+        for mat in (builtin_matroid(name), PavingMatroid.uniform(n - 1, builtin_matroid(name).size)):
+            vectors = {p: draw(n) for p in mat.points}
+            q = draw(n)
+            value = evaluator({**vectors, "q": q})
+            matrix = bracket_matrix(((c, "q") for c in mat.circuits_of_size(n)), mat.points)
+            assert matrix, (name, mat.rank)
+            expected = [[value(e) for e in row] for row in matrix]
+            assert liftability_matrix_at(mat, vectors, q) == expected, (name, mat.rank)
 
 
 def test_graph_polynomial_is_the_determinant_of_the_numeric_bracket_matrix():

@@ -28,14 +28,15 @@ from hypothesis import strategies as st
 from pavingideals import brackets, verify
 from pavingideals import poly as poly_module
 from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
-from oracles import expand_records
+from oracles import collinear_points, expand_records
 from pavingideals.cli import main
 from pavingideals.generators import ExtraVector, LabeledPolynomial, lifting_polynomials
+from pavingideals.lifting import Hyperplane, project
 from pavingideals.linalg import bareiss_determinant, echelon
 from pavingideals.matroids import builtin_matroid
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.poly import Polynomial, UnboundVariable, read_point_residual
-from pavingideals.polyfiles import render_polynomials
+from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.realizations import Realization
 from pavingideals.samplers import sample_family
 from pavingideals.scalars import format_rational
@@ -684,6 +685,12 @@ def collinear_qs(path: Path) -> None:
     path.write_text(json.dumps({"matroid": "qs", "points": {str(p): [x, 1, x + 2] for p, x in enumerate(xs, 1)}}))
 
 
+def projected(family: str) -> Realization:
+    """A sample projected onto a plane holding no basis vector, from a point
+    off it: Fraction coordinates, on a configuration that lifts."""
+    return project(sample_family(family, 7), Hyperplane((1, 2, 3)), (2, -1, 5))
+
+
 def verify_bytes(tmp_path, polys: Path, real: Path, *extra: str) -> tuple[int, bytes]:
     out = tmp_path / "checks.jsonl"
     code = main(["verify", "--polys", str(polys), "--realization", str(real), *extra, "--out", str(out)])
@@ -692,25 +699,57 @@ def verify_bytes(tmp_path, polys: Path, real: Path, *extra: str) -> tuple[int, b
 
 @pytest.mark.parametrize("expect", ["zero", "nonzero"])
 @pytest.mark.parametrize("q", ["canonical", "0,0,1"])
-@pytest.mark.parametrize("where", ["sample", "collinear"])
+@pytest.mark.parametrize("where", ["sample", "collinear", "projected"])
 def test_a_record_verifies_byte_identical_to_its_expanded_minors(tmp_path, monkeypatch, where, q, expect):
     record, expanded, real = qs_record(tmp_path), tmp_path / "expanded.txt", tmp_path / "real.json"
     expanded.write_text(QS_LIFTING)
     if where == "sample":
         assert main(["sample", "--family", "qs", "--seed", "7", "--out", str(real)]) == 0
-    else:
+    elif where == "collinear":
         collinear_qs(real)
+    else:
+        real.write_text(projected("qs").to_json())
+        assert "/" in real.read_text()
     determinants = []
     monkeypatch.setattr(verify, "bareiss_determinant", lambda rows: determinants.append(rows) or bareiss_determinant(rows))
     argv = ["--q", q, "--expect", expect]
     got = verify_bytes(tmp_path, record, real, *argv)
-    assert len(determinants) == (0 if where == "sample" else 15 * (3 if q == "canonical" else 1))
+    assert len(determinants) == (15 * (3 if q == "canonical" else 1) if where == "collinear" else 0)
     assert got == verify_bytes(tmp_path, expanded, real, *argv)
     lines = got[1].count(b"\n")
     assert lines == (45 if q == "canonical" else 15)
-    passes = (where == "sample") == (expect == "zero")
+    passes = (where != "collinear") == (expect == "zero")
     assert got[1].count(b'"pass": true') == (lines if passes else 0)
     assert got[0] == (0 if passes else 3)
+
+
+@pytest.mark.parametrize("where", ["sample", "collinear", "projected"])
+def test_grid_records_verify_as_their_expanded_minors(tmp_path, where):
+    # grid3x4's lifting minors all expand to 0, so their lines name no q and
+    # a report of them has no assignments; check by check, the records give
+    # the ids, values and verdicts of the expanded minors at their sweep.
+    polys = tmp_path / "grid.txt"
+    assert main(["generate", "--matroid", "grid3x4", "--which", "lifting", "--out", str(polys)]) == 0
+    if where == "sample":
+        realization = sample_family("grid3x4", 7)
+    elif where == "collinear":
+        realization = Realization(builtin_matroid("grid3x4"), collinear_points(12, seed=7))
+    else:
+        realization = projected("grid3x4")
+    records = parse_polynomials(polys.read_text())
+    assert len(records) == 12
+    expected = []
+    for record in records:
+        for minor in record.minors():
+            for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                value = evaluate_poly(minor.polynomial, realization, {"q": e})
+                expected.append((minor.label, (("q", e),), value, value == 0))
+    report = verify_vanishing(records, realization, sweep=True)
+    assert [(c.poly_id, c.assignment, c.value, c.passed) for c in report.checks] == expected
+    assert len(expected) == 2700
+    real = tmp_path / "real.json"
+    real.write_text(realization.to_json())
+    assert verify_bytes(tmp_path, polys, real, "--q", "canonical") == (0, report.to_json_lines().encode() + b"\n")
 
 
 def malformed(text: str, old: str, new: str) -> str:
@@ -723,6 +762,20 @@ OUTSIDE_RECORD = "# source: lifting N=[1, 2] rows=[[1, 2, 3]] q=q\n# form: minor
 REPEATED_RECORD = (
     "# source: lifting N=[1, 2, 3, 4] rows=[[1, 2, 3], [1, 2, 3]] q=q\n# form: minors 2\n"
     "1<2 3 q>, -1<1 3 q>, 1<1 2 q>, 0; 1<2 3 q>, -1<1 3 q>, 1<1 2 q>, 0\n"
+)
+# N's point 3 twice: k = 3 exceeds the rank three rows on four points can
+# reach, so every minor of the matrix bracket_matrix writes for it is zero.
+REPEATED_POINT_RECORD = (
+    "# source: lifting N=[1, 2, 3, 3, 4] rows=[[1, 2, 3], [1, 2, 4], [1, 3, 4]] q=q\n# form: minors 3\n"
+    "1<2 3 q>, -1<1 3 q>, 1<1 2 q>, 1<1 2 q>, 0; 1<2 4 q>, -1<1 4 q>, 0, 0, 1<1 2 q>; "
+    "1<3 4 q>, 0, -1<1 4 q>, -1<1 4 q>, 1<1 3 q>\n"
+)
+# k = |N| - n + 1 = 2, but one row: no 2-minor, so no check at all.
+FEW_ROWS_RECORD = "# source: lifting N=[1, 2, 3, 4] rows=[[1, 2, 3]] q=q\n# form: minors 2\n1<2 3 q>, -1<1 3 q>, 1<1 2 q>, 0\n"
+# The row [1, 1, 2] with the entries bracket_matrix writes for it.
+ROW_REPEATS_A_POINT_RECORD = (
+    "# source: lifting N=[1, 2, 3, 4] rows=[[1, 2, 3], [1, 1, 2]] q=q\n# form: minors 2\n"
+    "1<2 3 q>, -1<1 3 q>, 1<1 2 q>, 0; -1<1 2 q>, 1<1 1 q>, 0, 0\n"
 )
 
 
@@ -748,12 +801,19 @@ REPEATED_RECORD = (
         # Every minor of a matrix with two equal rows is identically zero.
         lambda t: REPEATED_RECORD,
         lambda t: REPEATED_RECORD.replace("[[1, 2, 3], [1, 2, 3]]", "[[1, 2, 3], [2, 1, 3]]"),
+        lambda t: FEW_ROWS_RECORD,
+        lambda t: REPEATED_POINT_RECORD,
+        lambda t: ROW_REPEATS_A_POINT_RECORD,
+        # Equal entries spelled otherwise than the writer spells them.
+        lambda t: malformed(t, "1<2 3 q>", "1 <2 3 q>"),
+        lambda t: malformed(t, "1<2 3 q>", "-1<3 2 q>"),
     ],
     ids=[
         "ragged-row", "k-zero", "k-negative", "k-above-rows", "k-above-columns",
         "k-fraction", "k-arabic-indic", "k-missing", "coordinate-entry", "bad-source", "bad-q",
         "flipped-sign", "circuit-outside-N", "foreign-label", "k-not-from-N",
-        "repeated-row", "reordered-repeated-row",
+        "repeated-row", "reordered-repeated-row", "fewer-rows-than-k", "repeated-point", "row-repeats-a-point",
+        "spaced-entry", "reordered-bracket",
     ],
 )
 def test_a_malformed_record_is_a_parse_error(tmp_path, capsys, edit):
