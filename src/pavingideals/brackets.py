@@ -18,9 +18,11 @@ Numeric evaluation writes each vector once as integers over the lcm of its
 denominators and takes a bracket as an integer determinant over the product
 of those denominators (``bracket_value``).  ``evaluator``, which serves
 bracket-form lines, memoizes brackets by their columns, so one ``verify``
-run computes each bracket once per distinct vector assignment, and compiles
-each polynomial into a plan of per-bracket value tables and index tuples,
-so each further evaluation is lookups and a sum of products.
+run computes each bracket once per distinct vector assignment.  It
+evaluates a polynomial term by term, and its canonical-basis sweep reads
+all dim^k values off one pass over the terms: a bracket holding one extra
+label is linear in that label's vector, so a term is its coefficient times
+an outer product of one length-dim vector per label.
 
 The labeled wedge here is the algebra of formal points: joins concatenate
 labels with the sorting sign, meets follow the shuffle sum with formal
@@ -32,9 +34,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 from math import lcm, prod
-from operator import itemgetter, mul
+from operator import add, mul
 from typing import Callable, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
@@ -297,23 +299,17 @@ def bracket_value(key: BracketKey, bound: Mapping[Label, tuple[tuple[int, ...], 
 
 def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]:
     """``value(poly, extra=None)``: exact value with each label bound to its
-    vector in ``extra``, else in ``points``; bracket values are shared by all calls.
+    vector in ``extra``, else in ``points``.  ``value.sweep(poly, names, dim)``:
+    the values at every canonical-basis assignment of ``names``.  All calls
+    share one memo of bracket values keyed by their integer columns.
 
-    A polynomial's first call compiles it into a plan (``_Plan``): its
-    distinct brackets in term order, one value table per bracket keyed by the
-    vectors ``extra`` gives that bracket's labels (None for a label left to
-    ``points``), and its terms as coefficients and bracket indices.  A call
-    whose vectors every table has seen is then a few lookups and
-    ``sum(coeff * prod(values))``; a bracket missing from its table is
-    computed and checked in term order, so errors name the first bad
-    bracket of the polynomial's terms.
+    Both read a polynomial term by term and evaluate every bracket of a term
+    in order, so an error names the first bad bracket of its terms.
     """
     columns = integer_columns(points)
-    # The extra vectors of a sweep are a few distinct ones, met on every call.
+    # The extra vectors of a run are a few distinct ones, met on every call.
     extra_columns: dict[tuple[Scalar, ...], tuple[tuple[int, ...], int]] = {}
     memo: dict[tuple, Scalar] = {}
-    # id(poly) -> (poly, plan); holding the poly keeps its id from being reused.
-    plans: dict[int, tuple[BracketPolynomial, _Plan]] = {}
 
     def extra_column(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
         vector = tuple(vector)
@@ -330,70 +326,50 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
             got = memo[cols] = bracket_value(key, bound)
         return got
 
-    def bind(extra: Mapping[Label, Sequence[Scalar]] | None) -> Mapping[Label, tuple]:
-        if not extra:
-            return columns
-        return {**columns, **{label: extra_column(vec) for label, vec in extra.items()}}
-
-    def fill(plan: _Plan, extra: Mapping[Label, Sequence[Scalar]]) -> list[Scalar]:
-        """Bracket values of a call that missed a table, computed in term order."""
-        extra = {label: tuple(vec) for label, vec in extra.items()}
-        bound = bind(extra)
-        vectors = list(map(extra.get, plan.labels))
-        values = []
-        for key, table_key, table in zip(plan.brackets, plan.table_keys, plan.tables):
-            at = table_key(vectors)
-            got = table.get(at)
-            if got is None:
-                got = table[at] = memo_value(key, bound)
-            values.append(got)
-        return values
+    def term(mono: BracketMonomial, coeff: Scalar, bound: Mapping[Label, tuple]) -> Scalar:
+        return coeff * prod([memo_value(key, bound) for key in mono])
 
     def value(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None = None) -> Scalar:
-        entry = plans.get(id(poly))
-        if entry is None or entry[0] is not poly:
-            entry = plans[id(poly)] = (poly, _Plan(poly))
-        plan = entry[1]
-        extra = extra or {}
-        # A list, not a tuple: tuple() of an iterator resizes its result, and
-        # a sweep's worth of such tuples stays on CPython's tuple free list.
-        vectors = list(map(extra.get, plan.labels))
-        try:
-            values = [table[key(vectors)] for key, table in zip(plan.table_keys, plan.tables)]
-        except (KeyError, TypeError):  # a new vector, or an unhashable one
-            values = fill(plan, extra)
-        values.append(1)
-        return sum(map(mul, plan.coeffs, map(prod, [factors(values) for factors in plan.factors])))
+        bound = {**columns, **{label: extra_column(vec) for label, vec in extra.items()}} if extra else columns
+        return sum([term(mono, coeff, bound) for mono, coeff in poly.terms.items()])
 
+    def sweep(poly: BracketPolynomial, names: Sequence[str], dim: int) -> list[Scalar]:
+        """The value at each assignment of e_1..e_dim to ``names``, in
+        ``itertools.product`` order (the last name varies fastest).
+
+        A term whose brackets each hold at most one name factors by name:
+        its value at (e_b1, e_b2, ...) is its coefficient, times its other
+        brackets, times one entry per name of the entrywise product of that
+        name's brackets at e_1..e_dim.  A term with a bracket holding two
+        names is evaluated at each assignment.
+        """
+        basis = [extra_column([int(i == j) for i in range(dim)]) for j in range(dim)]
+        swept, ones = set(names), [1] * dim
+        total = [0] * dim ** len(names)
+        for mono, coeff in poly.terms.items():
+            labels = [[label for label in key if label in swept] for key in mono]
+            if any(len(each) > 1 for each in labels):
+                for i, cols in enumerate(product(basis, repeat=len(names))):
+                    total[i] += term(mono, coeff, {**columns, **dict(zip(names, cols))})
+                continue
+            factors: dict[str, list[Scalar]] = {}
+            for key, each in zip(mono, labels):
+                if not each:
+                    coeff *= memo_value(key, columns)
+                    continue
+                (name,) = each
+                got = [memo_value(key, {**columns, name: col}) for col in basis]
+                factors[name] = list(map(mul, factors[name], got)) if name in factors else got
+            if coeff == 0:
+                continue
+            values = [coeff]
+            for name in names:
+                values = [v * w for v in values for w in factors.get(name, ones)]
+            total = list(map(add, total, values))
+        return total
+
+    value.sweep = sweep
     return value
-
-
-class _Plan:
-    """A bracket polynomial compiled for repeated evaluation by one evaluator.
-
-    ``table_keys[i](vectors)`` picks bracket i's labels out of the vectors a
-    call gives the polynomial's ``labels``.  ``factors[t](values)`` picks
-    term t's bracket values; an index one past the last bracket names a
-    trailing 1, which pads every term to at least two factors so that each
-    pick is a tuple.
-    """
-
-    __slots__ = ("labels", "brackets", "table_keys", "tables", "coeffs", "factors")
-
-    def __init__(self, poly: BracketPolynomial):
-        self.brackets: list[BracketKey] = list(dict.fromkeys(key for mono in poly.terms for key in mono))
-        self.labels = tuple(dict.fromkeys(label for key in self.brackets for label in key))
-        at = {label: i for i, label in enumerate(self.labels)}.__getitem__
-        self.table_keys = [itemgetter(*map(at, key)) if key else _no_labels for key in self.brackets]
-        self.tables: list[dict] = [{} for _ in self.brackets]
-        index = {key: i for i, key in enumerate(self.brackets)}.__getitem__
-        one = len(self.brackets)
-        self.coeffs = list(poly.terms.values())
-        self.factors = [itemgetter(*map(index, mono), *(one,) * (2 - len(mono))) for mono in poly.terms]
-
-
-def _no_labels(vectors: list) -> tuple:
-    return ()
 
 
 def symbolic_column(label: Label, dim: int) -> list[Polynomial]:

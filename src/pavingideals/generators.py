@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .brackets import (
-    BracketPolynomial, Label, bracket_value, expander, integer_columns, meet_then_join, symbolic_column,
+    BracketKey, BracketPolynomial, Label, bracket_value, expander, integer_columns, meet_then_join,
+    symbolic_column,
 )
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
 from .poly import PointResidual, Polynomial
@@ -206,8 +207,14 @@ def liftability_matrix_at(
 
     The ambient dimension is the length of q.
     """
-    record = LiftingMinors(matroid.points, matroid.circuits_of_size(len(q)), ExtraVector.concrete(q))
-    return record.matrix_at(vectors, q)
+    return _liftability_record(matroid, len(q)).matrix_at(vectors, q)
+
+
+@lru_cache(maxsize=64)
+def _liftability_record(matroid: PavingMatroid, dim: int) -> LiftingMinors:
+    """One record per matroid and ambient dimension: ``matrix_at`` binds its
+    symbolic q to the vector it is given."""
+    return LiftingMinors(matroid.points, matroid.circuits_of_size(dim), ExtraVector.symbolic("q"))
 
 
 @dataclass(frozen=True)
@@ -231,6 +238,9 @@ class LiftingMinors:
 
     @cached_property
     def matrix(self) -> BracketRows:
+        return self._bracket_matrix()
+
+    def _bracket_matrix(self) -> BracketRows:
         label = self.q.label()
         return bracket_matrix(((c, label) for c in self.circuits), self.points)
 
@@ -238,17 +248,27 @@ class LiftingMinors:
     def label(self) -> str:
         return f"lifting N={list(self.points)} rows={[list(c) for c in self.circuits]} q={self.q.label()}"
 
+    @cached_property
+    def _signed(self) -> list[list[tuple[int, BracketKey, int]]]:
+        """Each row's nonzero entries as (column, bracket, sign).  They are read
+        off ``matrix`` when it is built, and otherwise off one that is not
+        kept, so a record cached for ``lift`` holds only these."""
+        matrix = self.__dict__.get("matrix") or self._bracket_matrix()
+        return [[(j, key, sign) for j, e in enumerate(row) for (key,), sign in e.terms.items()] for row in matrix]
+
     def matrix_at(self, vectors: Mapping[int, Sequence[Scalar]], q: Sequence[Scalar]) -> list[list[Scalar]]:
         """The matrix with each point bound to its vector and q to ``q``: each
         signed bracket is one exact integer determinant (``bracket_value``)."""
         bound = integer_columns({**vectors, self.q.label(): q})
+        # A line of more than n points gives several entries one bracket.
         value = cache(lambda key: bracket_value(key, bound))
-
-        def entry(e: BracketPolynomial) -> Scalar:
-            [((key,), sign)] = e.terms.items()
-            return sign * value(key)
-
-        return [[entry(e) if e.terms else 0 for e in row] for row in self.matrix]
+        out = []
+        for signed in self._signed:
+            row: list[Scalar] = [0] * len(self.points)
+            for j, key, sign in signed:
+                row[j] = sign * value(key)
+            out.append(row)
+        return out
 
     def index_sets(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(rows, columns) of each minor: row sets outer, both ascending."""

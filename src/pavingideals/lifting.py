@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .generators import liftability_matrix_at
-from .linalg import clear_denominators, kernel_basis, matrix_rank
+from .linalg import clear_denominators, kernel_vectors, matrix_rank
 from .matroids import PavingMatroid
 from .realizations import Realization
 from .scalars import Scalar, normalize_scalar
@@ -121,8 +121,8 @@ def lift(
         raise CenterOnHyperplane("center lies in the span of the configuration")
 
     evaluated = liftability_matrix_at(matroid, vectors, q)
-    kernel = kernel_basis(evaluated, len(points))
-    if len(kernel) <= span_rank:
+    size, kernel = kernel_vectors(evaluated, len(points))
+    if size <= span_rank:
         return None
     degenerate = degenerate_lift_subspace(vectors, points, dim)
     chosen = next(

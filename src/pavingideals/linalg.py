@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from operator import floordiv, truediv
+from typing import Iterable, Iterator, Sequence
 
 from .scalars import Scalar, normalize_scalar
 
@@ -32,13 +33,24 @@ def echelon(rows: Rows) -> tuple[list[list[Scalar]], list[int], int]:
     Zero columns are skipped.  The sign is (-1) ** (number of row swaps), so
     a square matrix has determinant ``sign * rows[-1][-1]`` (0 below full
     rank, where the last row is zero).
+
+    A Bareiss step multiplies a row with 0 in the pivot column by
+    pivot / prev and nothing else, so such a row is left as it is: its
+    Bareiss entries are its stored ones times prev / ``since`` (the prev of
+    its last update), and it is rescaled only when a step next needs it.
+    Sparse matrices, such as liftability matrices, skip most row updates.
     """
     m = [list(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     pivots: list[int] = []
     sign = 1
-    prev: Scalar = 1
+    # An integer matrix stays integer and divides by //; any other divides
+    # by Fraction pivots, so no update is an int / int (a float).
+    integral = all(type(x) is int for row in m for x in row)
+    div = floordiv if integral else truediv
+    prev: Scalar = 1 if integral else Fraction(1)
+    since = [prev] * n_rows
     r = 0
     for c in range(n_cols):
         if r == n_rows:
@@ -48,19 +60,26 @@ def echelon(rows: Rows) -> tuple[list[list[Scalar]], list[int], int]:
             continue
         if found != r:
             m[r], m[found] = m[found], m[r]
+            since[r], since[found] = since[found], since[r]
             sign = -sign
         top = m[r]
+        if since[r] != prev:
+            top[c:] = [div(x * prev, since[r]) for x in top[c:]]
         pivot = top[c]
-        int_prev = isinstance(prev, int)
+        tail = top[c + 1 :]
+        next_prev = pivot if integral else Fraction(pivot)
         for i in range(r + 1, n_rows):
             row = m[i]
+            if row[c] == 0:
+                continue
+            if since[i] != prev:
+                row[c:] = [div(x * prev, since[i]) for x in row[c:]]
             lead = row[c]
-            for j in range(c + 1, n_cols):
-                num = row[j] * pivot - lead * top[j]
-                # Exact in Z by Sylvester's identity; Fractions divide exactly too.
-                row[j] = num // prev if int_prev and isinstance(num, int) else num / prev
+            # Exact in Z by Sylvester's identity; Fractions divide exactly too.
+            row[c + 1 :] = [div(x * pivot - lead * t, prev) for x, t in zip(row[c + 1 :], tail)]
             row[c] = 0
-        prev = pivot
+            since[i] = next_prev
+        prev = next_prev
         pivots.append(c)
         r += 1
     return m, pivots, sign
@@ -111,18 +130,27 @@ def _back_substitute(m: list[list[Scalar]], pivots: list[int], x: list[Scalar]) 
     return x
 
 
-def kernel_basis(rows: Rows, n_cols: int) -> list[tuple[Scalar, ...]]:
-    """Basis of the right kernel, one vector per free column, in column order.
+def kernel_vectors(rows: Rows, n_cols: int) -> tuple[int, Iterator[tuple[Scalar, ...]]]:
+    """The dimension of the right kernel, and its basis vectors one at a
+    time, one per free column, in column order.
 
-    The vector of free column f has 1 at f, 0 at every other free column.
+    The vector of free column f has 1 at f, 0 at every other free column;
+    each is back-substituted only when it is drawn.
     """
     m, pivots, _ = echelon(rows)
-    basis = []
-    for f in sorted(set(range(n_cols)) - set(pivots)):
+    free = sorted(set(range(n_cols)) - set(pivots))
+
+    def vector(f: int) -> tuple[Scalar, ...]:
         x: list[Scalar] = [0] * n_cols
         x[f] = 1
-        basis.append(tuple(_back_substitute(m, pivots, x)))
-    return basis
+        return tuple(_back_substitute(m, pivots, x))
+
+    return len(free), map(vector, free)
+
+
+def kernel_basis(rows: Rows, n_cols: int) -> list[tuple[Scalar, ...]]:
+    """Basis of the right kernel, as ``kernel_vectors`` draws it."""
+    return list(kernel_vectors(rows, n_cols)[1])
 
 
 def solve_particular(m: list[list[Scalar]], b: Sequence[Scalar]) -> list[Scalar] | None:

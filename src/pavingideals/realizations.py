@@ -78,7 +78,7 @@ class Realization:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _indented_json(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(data: dict) -> "Realization":
@@ -116,6 +116,20 @@ class Realization:
     @staticmethod
     def from_json(text: str) -> "Realization":
         return Realization.from_json_dict(json.loads(text))
+
+
+def _indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed dicts,
+    lists and scalars.  That call runs the pure-Python encoder, whose
+    closures leave reference cycles behind on every call; this one leaves
+    none."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(key)}: {_indented_json(v, inner)}" for key, v in sorted(value.items())]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join(inner + _indented_json(v, inner) for v in value) + f"\n{indent}]"
+    return json.dumps(value)
 
 
 def _check_indexing(vectors: Mapping[int, Sequence[Scalar]], matroid: PavingMatroid):

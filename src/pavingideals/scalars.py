@@ -31,7 +31,8 @@ def as_scalar(value) -> Scalar:
 
 def normalize_scalar(value: Scalar) -> Scalar:
     """Prefer int over Fraction-with-denominator-one (canonical and faster)."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    # Not isinstance: Fraction's ABC check is slow on the ints that pass here.
+    if type(value) is Fraction and value.denominator == 1:
         return int(value)
     return value
 

@@ -12,8 +12,9 @@ evaluate the residual per assignment.  A ``PointResidual``, which
 coordinates, is that residual with the support of its polynomial; one read
 against other points is refused.  Bracket-form lines share one
 ``brackets.evaluator`` per run, which computes each bracket once per
-distinct tuple of columns and compiles each polynomial into per-bracket
-value tables, so a sweep check is a few lookups and a sum of products.
+distinct tuple of columns.  A canonical-basis sweep of a bracket line is
+one call of its ``sweep``, which reads every value off one pass over the
+terms; its checks share one list of assignment keys per tuple of names.
 The report writes each polynomial id and vector once.
 
 A ``LiftingMinors`` record is checked minor by minor without expanding
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from .generators import LabeledPolynomial, LiftingMinors
@@ -40,8 +41,7 @@ from .scalars import Scalar, format_rational
 from .variables import KIND_EXTRA, Variable, extra_var
 
 
-@dataclass(frozen=True)
-class VanishingCheck:
+class VanishingCheck(NamedTuple):
     poly_id: str
     # (name, vector) pairs sorted by name.
     assignment: tuple[tuple[str, tuple[Scalar, ...]], ...]
@@ -80,15 +80,15 @@ class VanishingReport:
             return text
 
         lines = []
-        for check in self.checks:
-            poly_id = ids.get(check.poly_id)
-            if poly_id is None:
-                poly_id = ids[check.poly_id] = json.dumps(check.poly_id)
-            assignment = ", ".join([pairs.get(pair) or pair_text(pair) for pair in check.assignment])
-            verdict = "true" if check.passed else "false"
-            value = format_rational(check.value)
+        for poly_id, assignment, value, passed in self.checks:
+            poly_text = ids.get(poly_id)
+            if poly_text is None:
+                poly_text = ids[poly_id] = json.dumps(poly_id)
+            assignment = ", ".join([pairs.get(pair) or pair_text(pair) for pair in assignment])
+            verdict = "true" if passed else "false"
+            value = format_rational(value)
             lines.append(
-                f'{{"assignment": {{{assignment}}}, "pass": {verdict}, "poly_id": {poly_id}, "value": "{value}"}}'
+                f'{{"assignment": {{{assignment}}}, "pass": {verdict}, "poly_id": {poly_text}, "value": "{value}"}}'
             )
         return "\n".join(lines)
 
@@ -202,6 +202,8 @@ def verify_vanishing(
     dim = realization.dim
     points = realization.assignment()
     brackets = evaluator(realization.vectors)
+    # The names are sorted, so each sweep's pairs are already a check's key.
+    basis_keys = cache(partial(_basis_pairs, dim=dim))
     read_against = None
     zero = expect == "zero"
     checks: list[VanishingCheck] = []
@@ -210,25 +212,29 @@ def verify_vanishing(
         """(check key, assignment) pairs, made one at a time: a sweep's dicts
         are then freed as they go, which keeps the collector quiet."""
         if sweep:
-            # The names are sorted, so each sweep's pairs are already a check's key.
-            return ((pairs, dict(pairs)) for pairs in _basis_pairs(names, dim))
+            return ((pairs, dict(pairs)) for pairs in basis_keys(names))
         return (
             (tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names)), extra)
             for extra in (extra_assignments if extra_assignments is not None else [{}])
         )
 
+    def check(label: str, keyed: Iterable[tuple[tuple, Scalar]]) -> None:
+        checks.extend(VanishingCheck(label, key, v, (v == 0) == zero) for key, v in keyed)
+
     for labeled in polynomials:
         if isinstance(labeled, LiftingMinors):
             assigns = list(assignments(extra_names(labeled)))
+            keys = [key for key, _ in assigns]
             columns = [_minor_values(labeled, realization, extra) for _, extra in assigns]
             for label, values in zip(labeled.minor_labels(), zip(*columns)):
-                checks.extend(
-                    VanishingCheck(label, key, v, (v == 0) == zero) for (key, _), v in zip(assigns, values)
-                )
+                check(label, zip(keys, values))
             continue
         poly = labeled.polynomial
         if isinstance(poly, BracketPolynomial):
             names = extra_names(poly)
+            if sweep:
+                check(labeled.label, zip(basis_keys(names), brackets.sweep(poly, names, dim)))
+                continue
             value_at = partial(evaluate_poly, poly, realization, brackets=brackets)
         elif isinstance(poly, PointResidual):
             # A file's residuals share one mapping, so it is compared once.
@@ -239,7 +245,5 @@ def verify_vanishing(
             names, value_at = _residual_value(poly.residual, poly.support, points)
         else:
             names, value_at = _residual_value(poly.evaluate_partial(points), poly.support(), points)
-        for key, extra in assignments(names):
-            value = value_at(extra)
-            checks.append(VanishingCheck(labeled.label, key, value, (value == 0) == zero))
+        check(labeled.label, ((key, value_at(extra)) for key, extra in assignments(names)))
     return VanishingReport(tuple(checks), expect)

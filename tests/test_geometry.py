@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import collinear_points, rank_in_realization_space
-from pavingideals import linalg
+from pavingideals import generators, linalg
 from pavingideals.generators import ExtraVector, liftability_matrix_at, lifting_polynomials
 from pavingideals.lifting import (
     CenterOnHyperplane,
@@ -32,6 +34,7 @@ from pavingideals.samplers import (
     ResamplingExhausted,
     UnknownFamily,
     sample_family,
+    sample_realization,
 )
 from pavingideals.scalars import format_rational
 
@@ -93,6 +96,17 @@ def test_realization_json_round_trip():
     assert again.vectors == r.vectors
     assert again.matroid.hyperplanes == r.matroid.hyperplanes
     assert again.seed == 7
+
+
+def test_realization_json_is_indented_json_and_leaves_no_cycles():
+    embedded = Realization(PavingMatroid.validate([[1, 2, 3]], 3, 5), {
+        1: (1, 0, 0), 2: (0, 1, 0), 3: (1, Fraction(-1, 2), 0), 4: (0, 0, 1), 5: (1, 2, 3),
+    })
+    for r in (sample_family("qs", seed=7), sample_family("grid3x4", seed=2), embedded):
+        want = json.dumps(r.to_json_dict(), indent=2, sort_keys=True)
+        gc.collect()
+        assert r.to_json() == want
+        assert gc.collect() == 0
 
 
 def test_index_mismatch():
@@ -309,6 +323,30 @@ def test_lift_of_a_projected_configuration_eliminates_on_integers(monkeypatch):
     assert lift(flat, center) is not None
     assert matrices
     assert all(type(c) is int for m in matrices for row in m for c in row)
+
+
+def test_lift_back_substitutes_kernel_vectors_only_until_one_lifts(monkeypatch):
+    # Each of these kernels has dimension 3; its first vector already lies
+    # outside the degenerate subspace.
+    projected = [_projected("grid3x6", seed) for seed in (0, 1)]
+    drawn = []
+    back_substitute = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute", lambda *args: drawn.append(1) or back_substitute(*args))
+    for flat, center in projected:
+        assert lift(flat, center) is not None
+    assert len(drawn) == 2
+
+
+def test_lifting_one_matroid_builds_its_liftability_matrix_once(monkeypatch):
+    built = []
+    bracket_matrix = generators.bracket_matrix
+    monkeypatch.setattr(generators, "bracket_matrix", lambda *args: built.append(1) or bracket_matrix(*args))
+    matroid = PavingMatroid.validate([[1, 2, 3, 4], [1, 5, 6]], 3, 7)
+    center = (2, -1, 5)
+    flat = project(sample_realization(matroid, 5), Hyperplane((1, 2, 3)), center)
+    for scale in (1, 2, 3):
+        assert lift(flat, center, scale=scale) is not None
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("family", ["qs", "pascal", "grid3x6"])

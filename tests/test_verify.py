@@ -5,15 +5,16 @@ once and evaluates the residual per extra-vector assignment.  The oracle
 here evaluates the original polynomial on the full assignment for every
 check, so any difference in a value, a verdict or an unbound-variable list
 shows up.  Bracket-form polynomials go through one evaluator per run that
-computes each bracket once per distinct tuple of columns, in integers, and
-compiles a polynomial evaluated more than once into per-bracket value
-tables; the tests below pin its output bytes, its determinant count, its
+computes each bracket once per distinct tuple of columns, in integers; a
+canonical-basis sweep reads every value off one pass over a polynomial's
+terms.  The tests below pin its output bytes, its determinant count, its
 checks and its errors.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import random
@@ -30,7 +31,7 @@ from pavingideals import poly as poly_module
 from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from oracles import collinear_points, expand_records
 from pavingideals.cli import main
-from pavingideals.generators import ExtraVector, LabeledPolynomial, lifting_polynomials
+from pavingideals.generators import ExtraVector, LabeledPolynomial, builtin_graph_data_names, lifting_polynomials
 from pavingideals.lifting import Hyperplane, project
 from pavingideals.linalg import bareiss_determinant, echelon
 from pavingideals.matroids import builtin_matroid
@@ -296,13 +297,22 @@ def test_unbound_variables_of_a_point_residual_are_named_at_verification():
 
 # -- numeric brackets --------------------------------------------------------------
 
-# sha256 and line count of `verify --q canonical --out` on the bracket-form
-# graph polynomials of each family, on `sample --family F --seed 7`.
+# sha256 and line count of `verify --q canonical --out` on the graph
+# polynomials of each builtin, on `sample --family F --seed 7`: bracket form
+# for pascal, grid3x4, fig2c and paving4_9, coordinates for the others.
 VERIFY_DIGESTS = {
     "pascal": ("974a78f33a490d1ab6995bb580676aa98240b6d18119f1bd596178761fbbd5b5", 729),
     "grid3x4": ("7f83b6c374239871765b49059df0054dca4a1299d38ff0ad2ee45cf5e7188bee", 729),
     "fig2c": ("0fa4ce28855d2f5460029862b8870e9abfe507a0e27d1f0a3efa63809e96f806", 243),
+    "paving4_9": ("502324101ebab7f31d8e646d5d3ba7d5df9c8c1bd72e681dacae1a12718ac196", 1024),
+    "qs": ("00fc0fb64378929e30bb704d30a987fcbe5a185896362e7945513cef10a45e50", 27),
+    "fig2r": ("8d38364708343f6da44f92283a3d7376046f6d2ea3ccf20ee0e918ec1d4c2d58", 81),
+    "concurrent3": ("fa1e9a2cacde4cc51ddfb4009c7ad558d38f3f01ec67be6e885f4746e87ab7b7", 9),
 }
+
+
+def test_every_builtin_graph_file_has_a_pinned_sweep():
+    assert sorted(VERIFY_DIGESTS) == sorted(builtin_graph_data_names())
 
 
 def verify_graph_sweep(tmp_path, family: str) -> bytes:
@@ -375,6 +385,30 @@ def test_canonical_sweep_computes_each_bracket_once(tmp_path, monkeypatch):
     verify_graph_sweep(tmp_path, "grid3x4")
     # 729 assignments of e1..e3 to six q's, 18 brackets each: only 54 distinct.
     assert 0 < len(calls) <= 54
+
+
+def test_canonical_sweep_makes_no_per_assignment_evaluation(tmp_path, monkeypatch):
+    calls = []
+    make = verify.evaluator
+
+    def counted_evaluator(points):
+        value = make(points)
+
+        @functools.wraps(value)
+        def each(*args, **kwargs):
+            calls.append(args)
+            return value(*args, **kwargs)
+
+        return each
+
+    def counted_evaluate_poly(*args, **kwargs):
+        calls.append(args)
+        return evaluate_poly(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "evaluator", counted_evaluator)
+    monkeypatch.setattr(verify, "evaluate_poly", counted_evaluate_poly)
+    assert verify_graph_sweep(tmp_path, "grid3x4").count(b"\n") == 729
+    assert calls == []
 
 
 def test_canonical_sweep_converts_and_formats_each_vector_once(tmp_path, monkeypatch):
@@ -545,7 +579,7 @@ def test_bracket_verify_matches_the_expanded_oracle(family, seed):
     }
     dim = sampled.dim
     explicit = [{n: random_vector(rng, dim) for n in EXTRAS} for _ in range(3)]
-    # List-valued vectors cannot key a value table; repeat one so a plan meets it twice.
+    # List-valued vectors, one of them repeated, are converted like tuples.
     listed = {n: list(random_vector(rng, dim)) for n in EXTRAS}
     explicit += [listed, explicit[0], dict(listed)]
     for realization in (sampled, Realization(sampled.matroid, scaled)):
@@ -558,6 +592,19 @@ def test_bracket_verify_matches_the_expanded_oracle(family, seed):
             got = verify_vanishing(polys, realization, expect="nonzero", **kwargs)
             want = oracle_report(expanded, realization, assignments_of, "nonzero")
             assert got.to_json_lines() == want.to_json_lines()
+
+
+def test_a_sweep_equals_evaluating_each_assignment():
+    realization = sample_family("fig2r", 1)
+    rng = random.Random("sweep")
+    polys = random_bracket_polynomials(rng, realization) + shaped_bracket_polynomials(realization)
+    value = evaluator(realization.vectors)
+    for labeled in polys:
+        poly = labeled.polynomial
+        # The poly's own names, and names it lacks, which leave its value alone.
+        for names in (verify.extra_names(poly), (*EXTRAS, "z")):
+            pairs = verify._basis_pairs(names, 3)
+            assert value.sweep(poly, names, 3) == [evaluator(realization.vectors)(poly, dict(p)) for p in pairs]
 
 
 def test_evaluator_checks_labels_and_lengths_with_a_warm_memo():
@@ -588,7 +635,7 @@ def test_one_evaluator_serves_several_polynomials_with_shared_brackets():
     expanded = [p.expand(dim) for p in polys]
     vectors = [random_vector(rng, dim) for _ in range(2)] + [(1, 0, 0), (0, 0, 1)]
     value = evaluator(realization.vectors)
-    # Interleaved calls: first calls, plan compilations, table hits and misses.
+    # Interleaved calls, on a memo that warms as they go.
     for _ in range(4):
         for poly, coords in zip(polys, expanded):
             extra = {n: rng.choice(vectors) for n in EXTRAS}
@@ -640,6 +687,26 @@ def test_a_bad_point_bracket_fails_every_call(poly, message):
     assert faults == {(DimensionMismatch, message)}
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<1 2 3><2 3 q> - <1 3 r><2 3 q> + <1 2 77>",
+        "<1 2 3> + <2 3 q><1 2 4>",
+        "<1 2 q><1 q r> + <1 2 4>",
+        "<1 q r><1 2 4> + <1 2 q>",
+        "<1 2 q><2 3 r><1 2 4> - <1 77 q>",
+        "<1 2 3 q> + <1 2 q>",
+    ],
+)
+def test_a_sweep_raises_what_its_first_assignment_raises(text):
+    poly = BracketPolynomial.from_text(text)
+    names = verify.extra_names(poly)
+    want = bracket_fault(evaluator(WARM_POINTS), poly, dict(verify._basis_pairs(names, 3)[0]))
+    with pytest.raises((UnboundLabel, DimensionMismatch)) as exc:
+        evaluator(WARM_POINTS).sweep(poly, names, 3)
+    assert (type(exc.value), str(exc.value)) == want
+
+
 @pytest.mark.parametrize("second, error", [("<1 2 77>", UnboundLabel), ("<1 2>", DimensionMismatch)])
 def test_verify_checks_every_bracket_after_others_are_stored(second, error):
     realization = sample_family("qs", 0)
@@ -657,7 +724,7 @@ def test_a_missing_extra_vector_is_reported_before_other_bracket_faults(text):
     poly = BracketPolynomial.from_text(text)
     want = [extra_var(1, "q2")]
     assert unbound_list(lambda: evaluate_poly(poly, realization, {"q1": (1, 0, 0)})) == want
-    # The same through one evaluator: a first call, a plan compilation, then the plan.
+    # The same through one evaluator, called again on a warm memo.
     value = evaluator(realization.vectors)
     for _ in range(3):
         with contextlib.suppress(UnboundLabel, DimensionMismatch):
