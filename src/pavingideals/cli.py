@@ -29,6 +29,7 @@ from .generators import (
     builtin_graph_data_names,
     circuit_polynomials,
     emitted_graph_polynomial,
+    graph_label,
     lifting_minors,
     lifting_polynomials,
 )
@@ -95,6 +96,8 @@ def _parse_coords(text: str, dim: int) -> tuple:
     coords = tuple(parse_rational(c) for c in text.split(","))
     if len(coords) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(coords)}")
+    if not any(coords):
+        raise ValueError(f"extra vector is zero: {text!r}")
     return coords
 
 
@@ -143,14 +146,6 @@ def _builtin_graph_data(matroid) -> GraphData | None:
     return None
 
 
-def _generate_graph(data: GraphData) -> list[LabeledPolynomial]:
-    label = (
-        f"graph J={sorted(data.anchor)} P={list(data.points)} "
-        f"C={[list(c) for c in data.circuits]} q={[e.label() for e in data.extras]}"
-    )
-    return [LabeledPolynomial(label, emitted_graph_polynomial(data))]
-
-
 def cmd_generate(args) -> int:
     matroid = _load_matroid(args.matroid, "invalid matroid")
     graph = args.which in ("graph", "all")
@@ -182,7 +177,8 @@ def cmd_generate(args) -> int:
     if args.which in ("lifting", "all"):
         items.extend(_generate_lifting(matroid, extras, args.budget_minor))
     if data is not None:
-        items.extend(_generate_graph(data))
+        label = graph_label(data.anchor, data.points, data.circuits, [e.label() for e in data.extras])
+        items.append(LabeledPolynomial(label, emitted_graph_polynomial(data)))
     _write_out(render_polynomials(items), args.out)
     return EXIT_OK
 

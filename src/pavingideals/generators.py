@@ -116,12 +116,15 @@ class ExtraVector:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExtraVector":
-        """``{"symbolic": name}`` or ``{"concrete": [rationals]}``."""
+        """``{"symbolic": name}`` or ``{"concrete": [rationals]}``, not all 0."""
         if isinstance(data, dict) and len(data) == 1:
             if isinstance(data.get("symbolic"), str) and is_extra_id(data["symbolic"]):
                 return ExtraVector.symbolic(data["symbolic"])
             if isinstance(data.get("concrete"), list):
-                return ExtraVector.concrete(data["concrete"])
+                vector = ExtraVector.concrete(data["concrete"])
+                if not any(vector.coords):
+                    raise GraphDataSchemaError(f"extra vector is zero: {data!r}")
+                return vector
         raise GraphDataSchemaError(f"malformed extra vector {data!r}")
 
 
@@ -497,6 +500,14 @@ def emitted_graph_polynomial(data: GraphData) -> Polynomial | BracketPolynomial:
     return graph_polynomial(data)
 
 
+def graph_label(
+    anchor: Iterable[int], points: Sequence[int], circuits: Iterable[Sequence[int]], q: Iterable[str]
+) -> str:
+    """The label of a graph polynomial: anchor set J, threaded points P,
+    circuits C and the labels of its extra vectors q."""
+    return f"graph J={sorted(anchor)} P={list(points)} C={[list(c) for c in circuits]} q={list(q)}"
+
+
 def graph_matrix_brackets(data: GraphData) -> BracketRows:
     """The circuit/point matrix with formal brackets as entries.
 
@@ -681,10 +692,7 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
                 if normal in seen:
                     continue
                 seen.add(normal)
-                label = (
-                    f"graph J={sorted(anchor)} P={list(points)} "
-                    f"C={[list(c) for c in combo]} q={[f'e{b}' for b in basis_pick]}"
-                )
+                label = graph_label(anchor, points, combo, [f"e{b}" for b in basis_pick])
                 emitted.append(LabeledPolynomial(label, normal))
                 if len(emitted) >= FAMILY_MAX_POLYNOMIALS:
                     return GeneratingFamily(tuple(emitted), True)

@@ -18,19 +18,19 @@ joined with `` + `` / `` - ``::
 
 ``from_text`` parses exactly this shape back, with free spacing around the
 operators; coefficients, exponents (>= 1) and indices are ASCII digits.
-``read_point_residual`` is the same reader with some variables bound: it
-substitutes their values term by term, so a verifier gets the small residual
-polynomial in the other variables without the full expansion being built.
+``read_point_residual`` is the same reader, one loop over the terms, with
+some variables bound: it multiplies their values into each term's
+coefficient, so a verifier gets the small residual polynomial in the other
+variables without the full expansion being built.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, partial, reduce
-from itertools import chain, repeat
-from operator import and_, itemgetter, mul, neg, rshift
-from typing import Collection, Iterable, Iterator, Mapping, Tuple
+from functools import cached_property
+from itertools import chain
+from typing import Collection, Iterable, Mapping, Tuple
 
 from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
 from .variables import Variable, parse_variable
@@ -110,7 +110,7 @@ class ExponentPacking:
 
     def __init__(self, ring: type["Polynomial"], pairs: Collection[tuple[object, int]], bound: int):
         self._ring = ring
-        self._atoms = sorted(set(map(itemgetter(0), pairs)), key=ring._atom_key)
+        self._atoms = sorted({atom for atom, _ in pairs}, key=ring._atom_key)
         self._width = width = bound.bit_length()
         # A bound of 0 leaves no atoms, and no field to place.
         shift = dict(zip(self._atoms, range(width * (len(self._atoms) - 1), -1, -width))) if width else {}
@@ -137,20 +137,17 @@ class ExponentPacking:
             runs.append((table, low, (1 << width * len(run)) - 1))
         return runs
 
-    def unpack(self, packed: Collection[int]) -> Iterator[tuple]:
+    def unpack(self, packed: Collection[int]) -> list[tuple]:
         """The ring's monomials: each the powers of its atoms, joined in atom order."""
-        runs = [
-            map(table.__getitem__, map(and_, map(rshift, packed, repeat(low)), repeat(mask)))
-            for table, low, mask in self._runs
-        ]
-        return map(tuple, map(chain, *runs))
+        runs = [[table[value >> low & mask] for value in packed] for table, low, mask in self._runs]
+        return [tuple(chain(*powers)) for powers in zip(*runs)]
 
 
-def _lex_keys(terms: Mapping[Monomial, Scalar], pairs: set[tuple[Variable, int]]) -> Iterator[int]:
+def _lex_keys(terms: Mapping[Monomial, Scalar], pairs: set[tuple[Variable, int]]) -> list[int]:
     """Per term, in ``terms`` order, its exponent vector packed over ``pairs``,
     the (variable, exponent) pairs of all terms: descending keys are lex order."""
-    weight = ExponentPacking(Polynomial, pairs, max(map(itemgetter(1), pairs), default=0)).weight
-    return map(sum, map(partial(map, weight.__getitem__), terms))
+    weight = ExponentPacking(Polynomial, pairs, max((exp for _, exp in pairs), default=0)).weight.__getitem__
+    return [sum(map(weight, mono)) for mono in terms]
 
 
 class Polynomial:
@@ -390,10 +387,10 @@ class Polynomial:
 
     # -- canonical form helpers ------------------------------------------
 
-    def _sort_keys(self) -> Iterator:
+    def _sort_keys(self) -> list[int]:
         """Per term, in ``terms`` order, a key; ascending keys are the term
         order: lex, earlier variables and higher powers first."""
-        return map(neg, _lex_keys(self._terms, set().union(*self._terms)))
+        return [-key for key in _lex_keys(self._terms, set().union(*self._terms))]
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         # Distinct monomials have distinct keys.
@@ -503,77 +500,58 @@ def _monomial(pairs: Iterable[tuple[Variable, int]]) -> Monomial:
     return key
 
 
-class _Memo(dict):
-    """key -> compute(key), computed on first lookup; a computation that
-    raises stores nothing."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 def _read(text: str, points: Mapping[Variable, Scalar]) -> tuple[dict[Monomial, Scalar], set[Variable] | None]:
-    """The term grammar: one line read with ``points`` substituted.
+    """One line read with ``points`` substituted: the terms of the residual,
+    the polynomial in the variables ``points`` leaves free, and, when
+    ``points`` is not empty, the line's variables if they are the support of
+    the polynomial it writes, else None.  They are when no coefficient is 0
+    and the term keys are distinct, so no term cancels: a term's key is its
+    residual monomial and the sum of exponent << field(variable) over its
+    bound factors, and a shared key means a shared (or colliding) monomial.
 
-    Returns the terms of the residual, the polynomial in the variables
-    ``points`` leaves free, and, when ``points`` is not empty, the line's
-    variables if they are the support of the polynomial it writes, else
-    None.  They are when no coefficient is 0 and no two terms share a
-    monomial, so no term cancels: each term's key, the sum of exponent <<
-    field(variable) over its factors, is order-free, and fewer distinct keys
-    than terms means a shared (or merely colliding) monomial.
-
-    A line names a few dozen distinct factors thousands of times, so each
-    distinct written factor is looked up once and each distinct stripped
-    one parsed once.  Each step over the terms is a lazy map, and one loop
-    draws them in step a term at a time, coefficient first, so the first
-    malformed text of the line is the one that raises.  With nothing bound
-    the residual is the polynomial itself, and no keys or values are made.
+    One loop reads the terms, coefficient first and then factors in order, so
+    the first malformed text raises.  Each distinct signed coefficient is
+    parsed once and each distinct written factor looked up once, as its
+    pair, point value (None when free) and key weight (0 when free).
     """
     text = text.strip()
     if text == "0":
         return {}, set()
-    parsed = _Memo(_parse_factor)
-    factors = _Memo(lambda written: parsed[written.strip()])
-    coefficients = _Memo(lambda signed: signed[0] * parse_rational(signed[1]))
-    signs, bodies = zip(*_split_terms(text))
-    split = list(map(str.split, bodies, repeat("*")))
-    written = list(map(itemgetter(slice(1, None)), split))
-    coeffs = map(coefficients.__getitem__, zip(signs, map(itemgetter(0), split)))
-    if points:
-        fields: dict[Variable, int] = {}
-        point_value: dict[str, Scalar] = {}
-        free: dict[str, tuple[Variable, int]] = {}
-
-        def weigh(written: str) -> int:
-            """The factor's key weight; files its point value, or its pair when free."""
-            var, exp = pair = factors[written]
-            if var in points:
-                point_value[written] = normalize_scalar(points[var]) ** exp
-            else:
-                free[written] = pair
-            return exp << fields.setdefault(var, _KEY_FIELD * len(fields))
-
-        keys = map(sum, map(map, repeat(_Memo(weigh).__getitem__), written))
-        bound = map(reduce, repeat(mul), map(map, repeat(point_value.get), written, repeat(repeat(1))), repeat(1))
-        free_monomials = _Memo(lambda frees: _monomial(map(free.__getitem__, frees)))
-        monos = map(free_monomials.__getitem__, map(tuple, map(filter, repeat(free.__contains__), written)))
-    else:
-        keys, bound = repeat(0), repeat(1)
-        monos = map(_monomial, map(map, repeat(factors.__getitem__), written))
+    coefficients: dict[tuple[int, str], Scalar] = {}
+    parsed: dict[str, tuple[Variable, int]] = {}
+    factors: dict[str, tuple[tuple[Variable, int], Scalar | None, int]] = {}
+    fields: dict[Variable, int] = {}
     terms: dict[Monomial, Scalar] = {}
-    get = terms.get
-    seen: set[int] = set()
-    for coeff, key, value, mono in zip(coeffs, keys, bound, monos):
-        seen.add(key)
-        terms[mono] = get(mono, 0) + coeff * value
+    keys: list[tuple[int, Monomial]] = []
+    for sign, body in _split_terms(text):
+        coeff_text, *written = body.split("*")
+        coeff = coefficients.get((sign, coeff_text))
+        if coeff is None:
+            coeff = coefficients[sign, coeff_text] = sign * parse_rational(coeff_text)
+        free = []
+        key = 0
+        for factor in written:
+            read = factors.get(factor)
+            if read is None:
+                stripped = factor.strip()
+                pair = parsed.get(stripped)
+                if pair is None:
+                    pair = parsed[stripped] = _parse_factor(stripped)
+                var, exp = pair
+                value = normalize_scalar(points[var]) ** exp if var in points else None
+                weight = 0 if value is None else exp << fields.setdefault(var, _KEY_FIELD * len(fields))
+                read = factors[factor] = pair, value, weight
+            pair, value, weight = read
+            if value is None:
+                free.append(pair)
+            else:
+                coeff *= value
+                key += weight
+        mono = _monomial(free)
+        keys.append((key, mono))
+        terms[mono] = terms.get(mono, 0) + coeff
     residual = {mono: normalize_scalar(c) for mono, c in terms.items() if c}
-    if points and all(coefficients.values()) and len(seen) == len(split):
+    if points and all(coefficients.values()) and len(set(keys)) == len(keys):
         return residual, {var for var, _ in parsed.values()}
     return residual, None
 

@@ -63,9 +63,26 @@ def parse_rational(text: str) -> Scalar:
     return normalize_scalar(Fraction(int(num), int(den))) if slash else int(num)
 
 
+# Digits per piece of a long int's text: below 640, CPython's least settable digit limit.
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` in full, whatever the interpreter's int-to-str digit limit:
+    a longer int is written in pieces of ``_PIECE_DIGITS`` digits."""
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    rest, pieces = abs(n), []
+    while rest >= _PIECE:
+        rest, low = divmod(rest, _PIECE)
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(pieces))
+
+
 def format_rational(value: Scalar) -> str:
-    """Render an exact scalar as 'n' or 'p/q' (lowest terms)."""
+    """Render an exact scalar as 'n' or 'p/q' (lowest terms), every digit."""
     value = normalize_scalar(value)
     if isinstance(value, int):
-        return str(value)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"

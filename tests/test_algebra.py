@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +58,22 @@ def test_rational_round_trip():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(8, 4)) == "2"
     assert parse_rational("7") == 7
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-(10**5000) - 7, Fraction(10**4400 + 1, -(3**9000)), 10**1200 + 10**599, -(10**600)],
+    ids=["int", "fraction", "zero-filled-pieces", "one-piece"],
+)
+def test_format_rational_writes_every_digit_past_the_int_to_str_limit(value):
+    limit = sys.get_int_max_str_digits()
+    text = format_rational(value)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text", ["1/0", "-3/0", " 2 / 0 "])

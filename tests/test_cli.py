@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pavingideals
-from oracles import expand_records
+from oracles import expand_records, gaussian_pivot_product
 from pavingideals import cli
 from pavingideals import poly as poly_module
 from pavingideals.cli import main
@@ -309,6 +309,7 @@ BAD_GRAPH_DATA = [
     ("non-ascii-extra", _qs_graph_data(extra=[{"symbolic": "qé"}] * 3), 1, "parse error: "),
     ("point-off-its-circuit", _qs_graph_data(C=[[2, 4, 6], [2, 4, 6], [1, 2, 3]]), 2, "invalid graph data: "),
     ("short-extra", _qs_graph_data(extra=[{"concrete": ["1", "0"]}] * 3), 2, "invalid graph data: "),
+    ("zero-extra", _qs_graph_data(extra=[{"concrete": ["0", "0", "0"]}] * 3), 1, "parse error: extra vector is zero"),
 ]
 
 
@@ -850,6 +851,70 @@ def test_verify_expect_nonzero(tmp_path, capsys):
         "--expect", "zero",
     )
     assert code == 3
+
+
+def _exact_text(value: int) -> str:
+    """``str(value)`` with the interpreter's int-to-str digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _verify_values(capsys, tmp_path, polys, real, *extra) -> dict[str, str]:
+    out = tmp_path / "checks.jsonl"
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real), "--out", str(out), *extra)
+    assert (code, err) == (3, "")
+    assert sys.get_int_max_str_digits() == limit
+    return {check["poly_id"]: check["value"] for check in map(json.loads, out.read_text().splitlines())}
+
+
+def test_verify_writes_values_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    # Coordinates of 1,502 digits, "d" then 1,500 zeros then "e"; point 3 is
+    # point 1 + point 2, so <1 2 3> fails --expect nonzero and the other
+    # circuits take about 4,504 digits.
+    digits = {
+        1: [(1, 1), (2, 1), (1, 2)], 2: [(3, 2), (1, 4), (2, 1)], 3: [(4, 3), (3, 5), (3, 3)],
+        4: [(7, 1), (1, 9), (5, 2)], 5: [(2, 6), (8, 1), (3, 7)], 6: [(5, 8), (4, 3), (9, 1)],
+    }
+    vectors = {p: [d * 10**1501 + e for d, e in row] for p, row in digits.items()}
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps({"matroid": "uniform(3,6)", "points": {
+        str(p): [f"{d}{'0' * 1500}{e}" for d, e in row] for p, row in digits.items()
+    }}))
+    polys = tmp_path / "polys.txt"
+    assert run_cli(capsys, "generate", "--matroid", "qs", "--which", "circuits", "--out", str(polys))[0] == 0
+    values = _verify_values(capsys, tmp_path, polys, real, "--expect", "nonzero")
+    for circuit in ([1, 2, 3], [1, 5, 6], [2, 4, 6], [3, 4, 5]):
+        assert values[f"circuit B={circuit}"] == _exact_text(gaussian_pivot_product([vectors[p] for p in circuit]))
+    assert values["circuit B=[1, 2, 3]"] == "0"
+    assert min(len(v) for v in values.values() if v != "0") > 4300
+
+
+def test_verify_writes_a_power_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    real = tmp_path / "real.json"
+    assert run_cli(capsys, "sample", "--family", "qs", "--seed", "11", "--out", str(real))[0] == 0
+    assert json.loads(real.read_text())["points"]["2"][0] == "-42"
+    polys = tmp_path / "polys.txt"
+    polys.write_text("# source: p\n1 * x[1,2]^3000\n")
+    assert _verify_values(capsys, tmp_path, polys, real) == {"p": _exact_text((-42) ** 3000)}
+
+
+def test_generate_rejects_a_zero_q(capsys):
+    for which in ("lifting", "graph"):
+        code, out, err = run_cli(capsys, "generate", "--matroid", "qs", "--which", which, "--q", "0,0,0")
+        _assert_parse_error(code, out, err)
+        assert err == "parse error: extra vector is zero: '0,0,0'\n"
+
+
+def test_verify_rejects_a_zero_q(tmp_path, capsys):
+    for form, (polys, real) in verify_q_files(tmp_path, capsys).items():
+        code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real), "--q", "0,0/1,-0")
+        _assert_parse_error(code, out, err)
+        assert err == "parse error: extra vector is zero: '0,0/1,-0'\n", form
 
 
 def test_unknown_family_exit(capsys):

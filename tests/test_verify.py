@@ -263,6 +263,26 @@ def test_a_line_read_against_points_equals_substituting_its_polynomial():
     assert min(routes.values()) > 300, routes
 
 
+@pytest.mark.parametrize(
+    "line, first",
+    [
+        ("1 * y[1,1] + 1/0 * x[1,1]", "bad variable syntax: 'y[1,1]'"),
+        ("1/0 * x[1,1] + 1 * y[1,1]", "zero denominator: '1/0'"),
+        ("1 * x[1,1] + 2 * z[1,2] - 3 * x[2,2]^0", "bad variable syntax: 'z[1,2]'"),
+        ("a * y[1,1] + 1 * x[1,1]", "not an ASCII rational: 'a'"),
+    ],
+    ids=["factor-then-coefficient", "coefficient-then-factor", "variable-then-exponent", "one-term"],
+)
+def test_the_first_malformed_text_of_a_line_raises_in_both_modes(line, first):
+    points = sample_family("qs", 3).assignment()
+    messages = []
+    for read in (Polynomial.from_text, lambda text: read_point_residual(text, points)):
+        with pytest.raises(ValueError) as raised:
+            read(line)
+        messages.append(str(raised.value))
+    assert messages == [first, first]
+
+
 def test_verify_takes_a_point_residual_as_its_polynomial():
     realization = sample_family("qs", 3)
     points = realization.assignment()
