@@ -13,16 +13,20 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from pathlib import Path
 
 from pavingideals.generators import (
     builtin_graph_data,
     builtin_graph_data_names,
     circuit_polynomials,
     graph_polynomial_brackets,
-    graph_polynomial_via_cycles_brackets,
 )
 from pavingideals.matroids import builtin_matroid
 from pavingideals.samplers import sample_family
+
+# The cycle route is a test oracle: it lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import graph_polynomial_via_cycles_brackets  # noqa: E402
 
 
 def main() -> int:

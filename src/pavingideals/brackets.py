@@ -229,7 +229,7 @@ def expander(
     scaled by the coefficient; a term of several brackets is the ring
     product of their cached expansions.  The coordinate generators expand
     matrices of single brackets and read their polynomials off as minors;
-    of the library, only ``pascal_gc_quartic`` expands bracket products.
+    only the tests expand bracket products (``pascal_gc_quartic``).
     """
     column = column or (lambda label: symbolic_column(label, dim))
     cache: dict[BracketKey, Polynomial] = {}

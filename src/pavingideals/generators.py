@@ -15,10 +15,7 @@ it evaluates the matrix at exact vectors from integer bracket
 determinants and expands its minors on demand.  Graph polynomials thread
 circuits through points outside the closure of an anchor set J: the
 determinant of their circuit/point bracket matrix, entrywise expanded into
-coordinates or kept in brackets.  The signed sum over disjoint cycle
-collections of the dependency digraph, which equals that determinant after
-clearing denominators, is kept at the bracket level as an independent
-oracle.
+coordinates or kept in brackets.
 
 Sign conventions: circuit elements are always listed ascending by point id
 when forming brackets, so every emitted polynomial is canonical; agreement
@@ -35,8 +32,7 @@ from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .brackets import (
-    BracketKey, BracketPolynomial, Label, bracket_value, expander, integer_columns, meet_then_join,
-    symbolic_column,
+    BracketKey, BracketPolynomial, Label, bracket_value, expander, integer_columns, symbolic_column,
 )
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
 from .poly import PointResidual, Polynomial
@@ -49,18 +45,10 @@ BracketRows = list[list[BracketPolynomial]]
 # Graph polynomials are written in coordinates while the expansion estimate
 # factorial(rank)**k stays at or below this bound, in bracket form above it.
 EXPAND_LIMIT = 5000
-# Cycle-route budgets: threaded points and disjoint cycle collections of one
-# dependency digraph.
-CYCLE_MAX_POINTS_BRACKETS = 12
-CYCLE_MAX_COLLECTIONS = 100_000
 
 
 class HypothesisViolation(ValueError):
     """The data fails a structural requirement of the construction."""
-
-
-class TooLarge(ValueError):
-    """An enumeration exceeded its configured budget."""
 
 
 class GraphDataSchemaError(ValueError):
@@ -181,22 +169,6 @@ def circuit_polynomials(matroid: PavingMatroid) -> list[LabeledPolynomial]:
 # -- liftability matrices ----------------------------------------------------
 
 
-def liftability_matrix(
-    matroid: PavingMatroid, q: ExtraVector, ambient: int | None = None
-) -> list[list[Polynomial]]:
-    """Rows: circuits of size = ambient dimension (sorted); columns: points.
-
-    For a rank-n paving matroid with ambient n these are the size-n
-    circuits; a rank-(n-1) uniform matroid in ambient n contributes all its
-    size-n circuits instead, which is what non-degenerate lifting needs.
-    """
-    dim = ambient if ambient is not None else matroid.rank
-    if q.coords is not None and len(q.coords) != dim:
-        raise ValueError("extra vector dimension disagrees with the ambient dimension")
-    record = LiftingMinors(matroid.points, matroid.circuits_of_size(dim), q)
-    return _expanded(record.matrix, _coordinates([q], dim))
-
-
 def _expanded(matrix: BracketRows, expand) -> list[list[Polynomial]]:
     """The matrix in coordinates, in one call of a ``_coordinates`` expander."""
     entries = iter(expand([e for row in matrix for e in row]))
@@ -307,7 +279,7 @@ def lifting_polynomials(submatroid: PavingMatroid, q: ExtraVector) -> list[Label
     return lifting_minors(submatroid, q).minors()
 
 
-# -- graph data and dependency digraphs ------------------------------------------
+# -- graph data -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -396,81 +368,6 @@ class GraphData:
         )
 
 
-@dataclass(frozen=True)
-class DependencyDigraph:
-    """Loopless digraph on the threaded points; weights exact or symbolic."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    weights: Mapping[tuple[int, int], Scalar] | None = None
-
-    def weight(self, edge: tuple[int, int]) -> Scalar:
-        if self.weights is None:
-            raise ValueError("symbolic digraph has no numeric weights")
-        return self.weights[edge]
-
-    def simple_cycles(self) -> list[tuple[int, ...]]:
-        """All simple directed cycles, each starting at its least vertex.
-
-        Depth-first search from each start vertex s in ascending order,
-        through vertices greater than s only, so every cycle is found once.
-        """
-        succ: dict[int, set[int]] = {}
-        for a, b in self.edges:
-            succ.setdefault(a, set()).add(b)
-        cycles: list[tuple[int, ...]] = []
-
-        def extend(path: list[int]):
-            for nxt in succ.get(path[-1], ()):
-                if nxt == path[0]:
-                    cycles.append(tuple(path))
-                elif nxt > path[0] and nxt not in path:
-                    extend(path + [nxt])
-
-        for start in sorted(succ):
-            extend([start])
-        cycles.sort()
-        return cycles
-
-    def cycle_collections(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Nonempty sets of pairwise vertex-disjoint cycles, sorted."""
-        cycles = self.simple_cycles()
-        out: list[tuple[tuple[int, ...], ...]] = []
-
-        def extend(start: int, chosen: list[int], used: set[int]):
-            if len(out) > CYCLE_MAX_COLLECTIONS:
-                raise TooLarge("too many disjoint cycle collections")
-            if chosen:
-                out.append(tuple(cycles[i] for i in chosen))
-            for i in range(start, len(cycles)):
-                verts = set(cycles[i])
-                if verts & used:
-                    continue
-                chosen.append(i)
-                extend(i + 1, chosen, used | verts)
-                chosen.pop()
-
-        extend(0, [], set())
-        out.sort()
-        return out
-
-
-def cycle_edges(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-
-
-def build_graph(data: GraphData) -> DependencyDigraph:
-    """Dependency digraph of the data: the edge p_i -> p_j whenever p_j sits
-    in c_i besides p_i, i.e. generic nonvanishing of the coefficient."""
-    data.validate()
-    point_set = set(data.points)
-    edges = []
-    for p, c in zip(data.points, data.circuits):
-        for other in sorted(set(c) & point_set - {p}):
-            edges.append((p, other))
-    return DependencyDigraph(tuple(data.points), tuple(sorted(set(edges))), None)
-
-
 # -- graph polynomials ----------------------------------------------------------
 
 
@@ -525,63 +422,6 @@ def graph_matrix_brackets(data: GraphData) -> BracketRows:
 def graph_polynomial_brackets(data: GraphData) -> BracketPolynomial:
     """Determinant route at the bracket level."""
     return MinorEngine(graph_matrix_brackets(data)).determinant()
-
-
-def graph_polynomial_via_cycles_brackets(
-    data: GraphData, dedupe_denominators: bool = False
-) -> BracketPolynomial:
-    """Cycle route at the bracket level: the cycle identity expanded in the
-    bracket quotients of the graph matrix, denominators cleared with its
-    diagonal brackets.
-
-    With ``dedupe_denominators`` the identity is cleared by each distinct
-    diagonal bracket once instead of once per row, which is the minimal
-    polynomial form when parallel rows share a dependency denominator; a
-    collection that would consume a shared denominator twice is rejected.
-    """
-    matrix = graph_matrix_brackets(data)
-    if data.k > CYCLE_MAX_POINTS_BRACKETS:
-        raise TooLarge(f"cycle expansion budget is {CYCLE_MAX_POINTS_BRACKETS} points, got {data.k}")
-    index = {p: i for i, p in enumerate(data.points)}
-    diag = [matrix[i][i] for i in range(data.k)]
-    # Group rows whose diagonal brackets agree up to sign; each class is
-    # cleared once, and a used row contributes its sign relative to the
-    # class representative.
-    row_sign = [1] * data.k
-    if dedupe_denominators:
-        classes: dict = {}
-        for i, d in enumerate(diag):
-            rep, sign = d.normalized_sign()
-            classes.setdefault(rep, []).append(i)
-            row_sign[i] = sign
-        class_list = list(classes.items())
-    else:
-        class_list = [(d, [i]) for i, d in enumerate(diag)]
-    digraph = build_graph(data)
-    one = BracketPolynomial.one()
-    total = one
-    for d, _ in class_list:
-        total = total * d
-    for collection in digraph.cycle_collections():
-        used_rows = set()
-        for cyc in collection:
-            used_rows.update(index[v] for v in cyc)
-        term = one if len(collection) % 2 == 0 else -one
-        for cyc in collection:
-            for a, b in cycle_edges(cyc):
-                entry = matrix[index[a]][index[b]]
-                term = term * (-entry).scale(row_sign[index[a]])
-        for d, members in class_list:
-            hits = sum(1 for i in members if i in used_rows)
-            if hits == 0:
-                term = term * d
-            elif hits > 1:
-                raise HypothesisViolation(
-                    "a shared dependency denominator is consumed twice; "
-                    "denominator deduplication does not apply to this data"
-                )
-        total = total + term
-    return total
 
 
 # -- finite generating family ---------------------------------------------------
@@ -697,62 +537,6 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
                 if len(emitted) >= FAMILY_MAX_POLYNOMIALS:
                     return GeneratingFamily(tuple(emitted), True)
     return GeneratingFamily(tuple(emitted), truncated)
-
-
-# -- named constructions -----------------------------------------------------------
-
-
-class BadIndexSet(ValueError):
-    pass
-
-
-def pascal_gc_quartic_brackets():
-    """Join of the three opposite-side meets of the hexagon, as brackets."""
-    return meet_then_join(3, [((1, 2), (4, 5)), ((2, 3), (5, 6)), ((3, 4), (6, 1))])
-
-
-def pascal_gc_quartic() -> Polynomial:
-    """Same quartic expanded into matrix-entry variables."""
-    return pascal_gc_quartic_brackets().expand(3)
-
-
-def rnc_polynomial_brackets(curve_degree: int, hexagon: Sequence[int]):
-    """Two-term bracket difference for d+4 points on a degree-d normal curve.
-
-    ``hexagon`` is the cyclically ordered choice of six point indices; the
-    three formal columns x1, x2, x3 stand for the meets of opposite sides.
-    Returns a bracket polynomial over ambient dimension d+1.
-    """
-    d = curve_degree
-    if d < 2:
-        raise BadIndexSet("curve degree must be at least 2")
-    hexagon = tuple(hexagon)
-    if len(hexagon) != 6 or len(set(hexagon)) != 6:
-        raise BadIndexSet("need six distinct point indices")
-    if not all(1 <= i <= d + 4 for i in hexagon):
-        raise BadIndexSet(f"indices must lie in 1..{d + 4}")
-    complement = tuple(sorted(set(range(1, d + 5)) - set(hexagon)))
-    x = ("x1", "x2", "x3")
-    firsts, seconds = [], []
-    for t in range(6):
-        head = hexagon[t]
-        tail = hexagon[(t + 1) % 6]
-        xi = x[t % 3]
-        if t < 3:
-            extras = tuple(f"r{t + 1}_{s}" for s in range(1, d))
-            firsts.append((head, xi) + extras)
-            seconds.append((tail, xi) + extras)
-        else:
-            extras = complement + (f"q{t - 2}",)
-            firsts.append((head, xi) + extras)
-            seconds.append((tail, xi) + extras)
-    term1 = BracketPolynomial.constant(1)
-    term2 = BracketPolynomial.constant(1)
-    for labels in firsts:
-        term1 = term1 * BracketPolynomial.bracket(labels)
-    for labels in seconds:
-        term2 = term2 * BracketPolynomial.bracket(labels)
-    return term1 - term2
 
 
 # -- canonical worked-example data -------------------------------------------------

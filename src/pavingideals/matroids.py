@@ -185,10 +185,6 @@ class PavingMatroid:
             return h if h is not None else s
         return frozenset(self.points)
 
-    def is_closed(self, subset: Iterable[int]) -> bool:
-        s = self._check_points(subset)
-        return self.closure(s) == s
-
     def closed_sets(self, max_size: int | None = None) -> Iterator[frozenset[int]]:
         """All closed proper subsets, by size then lexicographically."""
         limit = len(self.points) if max_size is None else max_size

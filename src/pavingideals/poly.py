@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterable, Mapping, Tuple
 
-from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
+from .scalars import Scalar, format_rational, normalize_scalar, parse_integer, parse_rational, power
 from .variables import Variable, parse_variable
 
 Monomial = Tuple[Tuple[Variable, int], ...]
@@ -66,10 +66,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
 
 
 # Unpacking reads the atoms' fields in runs of at most this many atoms, one
@@ -199,12 +195,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError(f"not a constant {type(self).__name__}")
         return self._terms.get(CONST_MONO, 0)
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self._terms:
-            return -1
-        return max(monomial_degree(m) for m in self._terms)
 
     def support(self) -> set[Variable]:
         # The distinct (variable, exponent) pairs are few; collect them in C.
@@ -340,7 +330,8 @@ class Polynomial:
     def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Scalar:
         """Exact value at a full assignment of the support.
 
-        Raises UnboundVariable listing every missing variable.
+        Raises UnboundVariable listing every missing variable, and ValueError
+        for a power past ``scalars.POWER_BIT_BUDGET``.
         """
         powers: dict[tuple[Variable, int], Scalar] = {}
         total: Scalar = 0
@@ -352,9 +343,7 @@ class Polynomial:
                 if p is None:
                     if var not in assignment:
                         raise UnboundVariable(sorted(v for v in self.support() if v not in assignment))
-                    base = normalize_scalar(assignment[var])
-                    p = base if exp == 1 else base**exp
-                    powers[key] = p
+                    p = powers[key] = power(normalize_scalar(assignment[var]), exp)
                 val = val * p
             total = total + val
         return normalize_scalar(total)
@@ -371,7 +360,7 @@ class Polynomial:
                 if var in assignment:
                     p = powers.get(pair)
                     if p is None:
-                        p = powers[pair] = normalize_scalar(assignment[var]) ** exp
+                        p = powers[pair] = power(normalize_scalar(assignment[var]), exp)
                     val = val * p
                 else:
                     rest.append(pair)
@@ -464,7 +453,7 @@ def _parse_factor(factor: str) -> tuple[Variable, int]:
     if not caret:
         return parse_variable(factor), 1
     exp_text = exp_text.strip()
-    exp = int(exp_text) if exp_text.isascii() and exp_text.isdigit() else 0
+    exp = parse_integer(exp_text) if exp_text.isascii() and exp_text.isdigit() else 0
     if exp < 1:
         raise ValueError(f"exponent must be a positive integer: {factor!r}")
     return parse_variable(var_text), exp
@@ -538,7 +527,7 @@ def _read(text: str, points: Mapping[Variable, Scalar]) -> tuple[dict[Monomial, 
                 if pair is None:
                     pair = parsed[stripped] = _parse_factor(stripped)
                 var, exp = pair
-                value = normalize_scalar(points[var]) ** exp if var in points else None
+                value = power(normalize_scalar(points[var]), exp) if var in points else None
                 weight = 0 if value is None else exp << fields.setdefault(var, _KEY_FIELD * len(fields))
                 read = factors[factor] = pair, value, weight
             pair, value, weight = read

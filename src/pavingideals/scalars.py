@@ -46,7 +46,7 @@ def parse_integer(text: str) -> int:
     """Parse an integer: ASCII digits with an optional leading '-'."""
     if not _is_integer(text):
         raise NotRational(f"not an ASCII integer: {text!r}")
-    return int(text)
+    return _read_int(text)
 
 
 def parse_rational(text: str) -> Scalar:
@@ -56,16 +56,30 @@ def parse_rational(text: str) -> Scalar:
     sees it.  Both raise NotRational."""
     text = text.strip()
     num, slash, den = text.partition("/")
-    if slash and den.strip().isdecimal() and int(den) == 0:
+    if slash and den.strip().isdecimal() and _read_int(den.strip()) == 0:
         raise NotRational(f"zero denominator: {text!r}")
     if not (_is_integer(num) and (den.isascii() and den.isdigit() or not slash)):
         raise NotRational(f"not an ASCII rational: {text!r}")
-    return normalize_scalar(Fraction(int(num), int(den))) if slash else int(num)
+    return normalize_scalar(Fraction(_read_int(num), _read_int(den))) if slash else _read_int(num)
 
 
 # Digits per piece of a long int's text: below 640, CPython's least settable digit limit.
 _PIECE_DIGITS = 600
 _PIECE = 10**_PIECE_DIGITS
+
+
+def _read_int(text: str) -> int:
+    """``int(text)`` of decimal digits with an optional leading '-', whatever
+    the interpreter's str-to-int digit limit: a longer text is read in pieces
+    of ``_PIECE_DIGITS`` digits, the mirror of ``_int_text``."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    digits = text.removeprefix("-")
+    head = len(digits) % _PIECE_DIGITS or _PIECE_DIGITS
+    value = int(digits[:head])
+    for start in range(head, len(digits), _PIECE_DIGITS):
+        value = value * _PIECE + int(digits[start : start + _PIECE_DIGITS])
+    return -value if text.startswith("-") else value
 
 
 def _int_text(n: int) -> str:
@@ -86,3 +100,18 @@ def format_rational(value: Scalar) -> str:
     if isinstance(value, int):
         return _int_text(value)
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+
+
+# Bits one power may take, estimated as exponent * (bit length of numerator +
+# bit length of denominator) of its base.  42^3000 is about 21,000 by this
+# estimate; a power past the budget is refused rather than computed.
+POWER_BIT_BUDGET = 1 << 20
+
+
+def power(base: Scalar, exp: int) -> Scalar:
+    """``base ** exp`` for exp >= 1; ValueError past ``POWER_BIT_BUDGET``."""
+    if exp == 1:
+        return base
+    if exp * (base.numerator.bit_length() + base.denominator.bit_length()) > POWER_BIT_BUDGET:
+        raise ValueError(f"power ^{exp} exceeds the evaluation budget of {POWER_BIT_BUDGET} bits")
+    return base**exp

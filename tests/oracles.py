@@ -1,20 +1,27 @@
-"""Shared independent oracles and constructions for the test suites."""
+"""Shared independent oracles and constructions for the test suites.
+
+Among them is the cycle route to graph polynomials: the signed sum over
+disjoint cycle collections of the dependency digraph, which equals the
+determinant of the circuit/point bracket matrix after clearing
+denominators.  The package computes only that determinant.
+"""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping, Sequence
 
-from pavingideals.brackets import BracketPolynomial, evaluator
+from pavingideals.brackets import BracketPolynomial, evaluator, expander, meet_then_join, symbolic_column
 from pavingideals.generators import (
-    DependencyDigraph,
+    ExtraVector,
     GraphData,
     HypothesisViolation,
     LiftingMinors,
     bracket_matrix,
-    cycle_edges,
-    graph_polynomial_via_cycles_brackets,
+    graph_matrix_brackets,
 )
 from pavingideals.lifting import Hyperplane
 from pavingideals.linalg import NonSquare, matrix_rank, solve_particular
@@ -23,6 +30,67 @@ from pavingideals.poly import Monomial, Polynomial
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.samplers import sample_realization
 from pavingideals.scalars import Scalar, format_rational, normalize_scalar
+
+
+@dataclass(frozen=True)
+class DependencyDigraph:
+    """Loopless digraph on the threaded points; weights exact or absent."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    weights: Mapping[tuple[int, int], Scalar] | None = None
+
+    def weight(self, edge: tuple[int, int]) -> Scalar:
+        if self.weights is None:
+            raise ValueError("structural digraph has no numeric weights")
+        return self.weights[edge]
+
+    def simple_cycles(self) -> list[tuple[int, ...]]:
+        """All simple directed cycles, each starting at its least vertex.
+
+        Depth-first search from each start vertex s in ascending order,
+        through vertices greater than s only, so every cycle is found once.
+        """
+        succ: dict[int, set[int]] = {}
+        for a, b in self.edges:
+            succ.setdefault(a, set()).add(b)
+        cycles: list[tuple[int, ...]] = []
+
+        def extend(path: list[int]):
+            for nxt in succ.get(path[-1], ()):
+                if nxt == path[0]:
+                    cycles.append(tuple(path))
+                elif nxt > path[0] and nxt not in path:
+                    extend(path + [nxt])
+
+        for start in sorted(succ):
+            extend([start])
+        cycles.sort()
+        return cycles
+
+    def cycle_collections(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Nonempty sets of pairwise vertex-disjoint cycles, sorted."""
+        cycles = self.simple_cycles()
+        out: list[tuple[tuple[int, ...], ...]] = []
+
+        def extend(start: int, chosen: list[int], used: set[int]):
+            if chosen:
+                out.append(tuple(cycles[i] for i in chosen))
+            for i in range(start, len(cycles)):
+                verts = set(cycles[i])
+                if verts & used:
+                    continue
+                chosen.append(i)
+                extend(i + 1, chosen, used | verts)
+                chosen.pop()
+
+        extend(0, [], set())
+        out.sort()
+        return out
+
+
+def cycle_edges(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
 
 def collinear_points(count: int, seed: int = 0) -> dict[int, tuple[int, ...]]:
@@ -101,11 +169,21 @@ def cycle_identity_value(graph: DependencyDigraph) -> Scalar:
     return total
 
 
-def numeric_graph(data: GraphData, vectors, extra_values=None) -> DependencyDigraph:
-    """Dependency digraph of the data with its weights read off a realization
-    as signed bracket quotients; exact zeros are dropped."""
+def build_graph(data: GraphData, vectors=None, extra_values=None) -> DependencyDigraph:
+    """Dependency digraph of the data: the edge p -> o for each o in c_p ∩ P
+    other than p, where c_p is p's circuit.
+
+    Without ``vectors`` the edges are structural (generic nonvanishing of the
+    coefficient) and carry no weights.  Given a realization's vectors, and a
+    value for each symbolic extra vector, each edge is weighted by its signed
+    bracket quotient, and an edge whose weight is exactly 0 is dropped.
+    """
     data.validate()
     point_set = set(data.points)
+    successors = [sorted(set(c) & point_set - {p}) for p, c in zip(data.points, data.circuits)]
+    if vectors is None:
+        edges = [(p, other) for p, others in zip(data.points, successors) for other in others]
+        return DependencyDigraph(tuple(data.points), tuple(sorted(edges)))
     values = dict(vectors)
     for extra in data.extras:
         if extra.coords is not None:
@@ -121,25 +199,150 @@ def numeric_graph(data: GraphData, vectors, extra_values=None) -> DependencyDigr
     numeric = [[value(e) for e in row] for row in matrix]
     column = {p: j for j, p in enumerate(data.points)}
     weights: dict[tuple[int, int], Scalar] = {}
-    edges = []
-    for i, (p, c) in enumerate(zip(data.points, data.circuits)):
+    for i, (p, c, others) in enumerate(zip(data.points, data.circuits, successors)):
         diag = numeric[i][i]
         if diag == 0:
             raise HypothesisViolation(
                 f"degenerate dependency: bracket of {[x for x in c if x != p]} with q vanishes"
             )
-        for other in sorted(set(c) & point_set - {p}):
+        for other in others:
             # alpha_{p,other} = -N[p-row][other] / N[p-row][p].
-            value = normalize_scalar(Fraction(-numeric[i][column[other]], diag))
-            if value != 0:
-                edges.append((p, other))
-                weights[(p, other)] = value
-    return DependencyDigraph(tuple(data.points), tuple(sorted(edges)), weights)
+            weight = normalize_scalar(Fraction(-numeric[i][column[other]], diag))
+            if weight != 0:
+                weights[p, other] = weight
+    return DependencyDigraph(tuple(data.points), tuple(sorted(weights)), weights)
+
+
+def graph_polynomial_via_cycles_brackets(
+    data: GraphData, dedupe_denominators: bool = False
+) -> BracketPolynomial:
+    """Cycle route at the bracket level: the signed sum over disjoint cycle
+    collections of the dependency digraph, expanded in the bracket quotients
+    of the graph matrix, denominators cleared with its diagonal brackets.  It
+    equals the determinant route, ``graph_polynomial_brackets``, up to sign.
+
+    With ``dedupe_denominators`` the identity is cleared by each distinct
+    diagonal bracket once instead of once per row, which is the minimal
+    polynomial form when parallel rows share a dependency denominator; a
+    collection that would consume a shared denominator twice is rejected.
+    """
+    matrix = graph_matrix_brackets(data)
+    index = {p: i for i, p in enumerate(data.points)}
+    diag = [matrix[i][i] for i in range(data.k)]
+    # Group rows whose diagonal brackets agree up to sign; each class is
+    # cleared once, and a used row contributes its sign relative to the
+    # class representative.
+    row_sign = [1] * data.k
+    if dedupe_denominators:
+        classes: dict = {}
+        for i, d in enumerate(diag):
+            rep, sign = d.normalized_sign()
+            classes.setdefault(rep, []).append(i)
+            row_sign[i] = sign
+        class_list = list(classes.items())
+    else:
+        class_list = [(d, [i]) for i, d in enumerate(diag)]
+    one = BracketPolynomial.one()
+    total = one
+    for d, _ in class_list:
+        total = total * d
+    for collection in build_graph(data).cycle_collections():
+        used_rows = set()
+        for cyc in collection:
+            used_rows.update(index[v] for v in cyc)
+        term = one if len(collection) % 2 == 0 else -one
+        for cyc in collection:
+            for a, b in cycle_edges(cyc):
+                entry = matrix[index[a]][index[b]]
+                term = term * (-entry).scale(row_sign[index[a]])
+        for d, members in class_list:
+            hits = sum(1 for i in members if i in used_rows)
+            if hits == 0:
+                term = term * d
+            elif hits > 1:
+                raise HypothesisViolation(
+                    "a shared dependency denominator is consumed twice; "
+                    "denominator deduplication does not apply to this data"
+                )
+        total = total + term
+    return total
 
 
 def graph_polynomial_via_cycles(data: GraphData) -> Polynomial:
     """Cycle route, expanded into coordinates.  Oracle for graph_polynomial."""
     return graph_polynomial_via_cycles_brackets(data).expand(data.matroid.rank)
+
+
+def liftability_matrix(
+    matroid: PavingMatroid, q: ExtraVector, ambient: int | None = None
+) -> list[list[Polynomial]]:
+    """The liftability matrix in coordinates, q's label expanded to its column.
+
+    Rows: circuits of size the ambient dimension (default the rank), sorted;
+    columns: points.  A rank-(n-1) uniform matroid in ambient n contributes
+    all its size-n circuits, which is what non-degenerate lifting needs.
+    """
+    dim = ambient if ambient is not None else matroid.rank
+    record = LiftingMinors(matroid.points, matroid.circuits_of_size(dim), q)
+    column = {q.label(): q.column(dim)}
+    expand = expander(dim, lambda label: column.get(label) or symbolic_column(label, dim))
+    return [expand(row) for row in record.matrix]
+
+
+# -- named constructions --------------------------------------------------------------
+#
+# Hand-built Grassmann-Cayley references for the worked examples.
+
+
+class BadIndexSet(ValueError):
+    pass
+
+
+def pascal_gc_quartic_brackets() -> BracketPolynomial:
+    """Join of the three opposite-side meets of the hexagon, as brackets."""
+    return meet_then_join(3, [((1, 2), (4, 5)), ((2, 3), (5, 6)), ((3, 4), (6, 1))])
+
+
+def pascal_gc_quartic() -> Polynomial:
+    """Same quartic expanded into matrix-entry variables."""
+    return pascal_gc_quartic_brackets().expand(3)
+
+
+def rnc_polynomial_brackets(curve_degree: int, hexagon: Sequence[int]) -> BracketPolynomial:
+    """Two-term bracket difference for d+4 points on a degree-d normal curve.
+
+    ``hexagon`` is the cyclically ordered choice of six point indices; the
+    three formal columns x1, x2, x3 stand for the meets of opposite sides.
+    Returns a bracket polynomial over ambient dimension d+1.
+    """
+    d = curve_degree
+    if d < 2:
+        raise BadIndexSet("curve degree must be at least 2")
+    hexagon = tuple(hexagon)
+    if len(hexagon) != 6 or len(set(hexagon)) != 6:
+        raise BadIndexSet("need six distinct point indices")
+    if not all(1 <= i <= d + 4 for i in hexagon):
+        raise BadIndexSet(f"indices must lie in 1..{d + 4}")
+    complement = tuple(sorted(set(range(1, d + 5)) - set(hexagon)))
+    x = ("x1", "x2", "x3")
+    firsts, seconds = [], []
+    for t in range(6):
+        head = hexagon[t]
+        tail = hexagon[(t + 1) % 6]
+        xi = x[t % 3]
+        if t < 3:
+            extras = tuple(f"r{t + 1}_{s}" for s in range(1, d))
+        else:
+            extras = complement + (f"q{t - 2}",)
+        firsts.append((head, xi) + extras)
+        seconds.append((tail, xi) + extras)
+    term1 = BracketPolynomial.constant(1)
+    term2 = BracketPolynomial.constant(1)
+    for labels in firsts:
+        term1 = term1 * BracketPolynomial.bracket(labels)
+    for labels in seconds:
+        term2 = term2 * BracketPolynomial.bracket(labels)
+    return term1 - term2
 
 
 def rename_labels(poly: BracketPolynomial, mapping) -> BracketPolynomial:

@@ -32,9 +32,12 @@ from oracles import (
     collinear_points,
     cycle_identity_value,
     dependency_digraph_from_vectors,
-    graph_polynomial_via_cycles,
     find_sdr,
+    graph_polynomial_via_cycles,
+    graph_polynomial_via_cycles_brackets,
     identity_minus_weights,
+    liftability_matrix,
+    pascal_gc_quartic,
     perm_parity,
     random_hyperplane_and_center,
     random_weighted_digraph,
@@ -49,11 +52,8 @@ from pavingideals.generators import (
     emitted_graph_polynomial,
     graph_polynomial,
     graph_polynomial_brackets,
-    graph_polynomial_via_cycles_brackets,
-    liftability_matrix,
     liftability_matrix_at,
     lifting_polynomials,
-    pascal_gc_quartic,
 )
 from pavingideals.lifting import lift, project
 from pavingideals.linalg import bareiss_determinant, kernel_basis, matrix_rank
@@ -392,7 +392,7 @@ def closed_complement_pairs(matroid, size: int):
     """Closed sets J whose complement has the given size."""
     out = []
     for anchor in combinations(matroid.points, matroid.size - size):
-        if matroid.is_closed(anchor):
+        if matroid.closure(anchor) == set(anchor):
             out.append(frozenset(anchor))
     return out
 

@@ -60,11 +60,14 @@ def test_rational_round_trip():
     assert parse_rational("7") == 7
 
 
-@pytest.mark.parametrize(
+LONG_VALUES = pytest.mark.parametrize(
     "value",
     [-(10**5000) - 7, Fraction(10**4400 + 1, -(3**9000)), 10**1200 + 10**599, -(10**600)],
     ids=["int", "fraction", "zero-filled-pieces", "one-piece"],
 )
+
+
+@LONG_VALUES
 def test_format_rational_writes_every_digit_past_the_int_to_str_limit(value):
     limit = sys.get_int_max_str_digits()
     text = format_rational(value)
@@ -74,6 +77,18 @@ def test_format_rational_writes_every_digit_past_the_int_to_str_limit(value):
         assert text == str(value)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@LONG_VALUES
+def test_parse_rational_reads_back_every_digit_past_the_int_to_str_limit(value):
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(format_rational(value)) == value
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_coefficient_past_the_int_to_str_limit_reads_back():
+    p = Polynomial.constant(-(10**5000) - 7) * x(1, 2) + Polynomial.constant(Fraction(1, 3**4400)) * x(2, 3)
+    assert Polynomial.from_text(p.to_text()) == p
 
 
 @pytest.mark.parametrize("text", ["1/0", "-3/0", " 2 / 0 "])
@@ -183,6 +198,16 @@ def test_text_spacing_around_operators_is_free():
     assert Polynomial.from_text("-2*x[1,2] ^ 2 + 1 * x[1,2]*x[2,3]") == canonical
     assert Polynomial.from_text("1 * x[1,2]*x[2,3]") == Polynomial.from_text("1 * x[1,2] * x[2,3]")
     assert Polynomial.from_text("1 * x[1,2] ^ 2") == Polynomial.from_text("1 * x[1,2]^2")
+
+
+@pytest.mark.parametrize("evaluate", [Polynomial.evaluate, Polynomial.evaluate_partial])
+def test_a_power_past_the_bit_budget_is_refused(evaluate):
+    # (-42)^300000 is estimated at 7 * 300000 bits, past the 2^20-bit budget;
+    # (-42)^3000 is well inside it.
+    assignment = {entry_var(1, 2): -42}
+    with pytest.raises(ValueError, match="evaluation budget"):
+        evaluate(Polynomial.from_text("1 * x[1,2]^300000"), assignment)
+    assert evaluate(Polynomial.from_text("1 * x[1,2]^3000"), assignment) == (-42) ** 3000
 
 
 @pytest.mark.parametrize("factor", ["x[1,1]^-1", "x[1,1]^0", "x[1,1]^x", "x[1,1]^"])

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pavingideals
-from oracles import expand_records, gaussian_pivot_product
+from oracles import expand_records, gaussian_pivot_product, liftability_matrix
 from pavingideals import cli
 from pavingideals import poly as poly_module
 from pavingideals.cli import main
@@ -25,7 +25,6 @@ from pavingideals.generators import (
     LabeledPolynomial,
     LiftingMinors,
     builtin_graph_data,
-    liftability_matrix,
     lifting_polynomials,
 )
 from pavingideals.matroids import builtin_matroid, builtin_matroid_names
@@ -901,6 +900,35 @@ def test_verify_writes_a_power_past_the_int_to_str_digit_limit(tmp_path, capsys)
     polys = tmp_path / "polys.txt"
     polys.write_text("# source: p\n1 * x[1,2]^3000\n")
     assert _verify_values(capsys, tmp_path, polys, real) == {"p": _exact_text((-42) ** 3000)}
+
+
+def test_verify_reads_values_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    # Point 2 of a qs sample scaled by a 5,001-digit int is still a qs
+    # realization; its file and a 5,001-digit coefficient read back whole.
+    big = 10**5000 + 7
+    sample = tmp_path / "sample.json"
+    assert run_cli(capsys, "sample", "--family", "qs", "--seed", "11", "--out", str(sample))[0] == 0
+    r = Realization.from_json(sample.read_text())
+    vectors = {**r.vectors, 2: tuple(big * c for c in r.vectors[2])}
+    real = tmp_path / "real.json"
+    real.write_text(Realization(r.matroid, vectors).to_json())
+    assert Realization.from_json(real.read_text()).vectors == vectors
+    circuits = tmp_path / "circuits.txt"
+    assert run_cli(capsys, "generate", "--matroid", "qs", "--which", "circuits", "--out", str(circuits))[0] == 0
+    assert run_cli(capsys, "verify", "--polys", str(circuits), "--realization", str(real))[:3:2] == (0, "")
+    polys = tmp_path / "polys.txt"
+    polys.write_text(f"# source: p\n{_exact_text(big)} * x[1,2]\n")
+    assert _verify_values(capsys, tmp_path, polys, real) == {"p": _exact_text(big * vectors[2][0])}
+
+
+def test_verify_refuses_a_power_past_the_bit_budget(tmp_path, capsys):
+    real = tmp_path / "real.json"
+    assert run_cli(capsys, "sample", "--family", "qs", "--seed", "11", "--out", str(real))[0] == 0
+    polys = tmp_path / "polys.txt"
+    polys.write_text("# source: p\n1 * x[1,2]^300000\n")
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    _assert_parse_error(code, out, err)
+    assert err.count("\n") == 1 and "evaluation budget" in err
 
 
 def test_generate_rejects_a_zero_q(capsys):

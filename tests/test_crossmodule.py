@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import collinear_points, find_sdr, random_hyperplane_and_center
+from oracles import collinear_points, find_sdr, pascal_gc_quartic, random_hyperplane_and_center
 from pavingideals.cli import main
 from pavingideals.generators import (
     ExtraVector,
@@ -16,7 +16,6 @@ from pavingideals.generators import (
     LabeledPolynomial,
     graph_polynomial,
     liftability_matrix_at,
-    pascal_gc_quartic,
 )
 from pavingideals.lifting import project
 from pavingideals.linalg import matrix_rank
