@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import lcm, prod
 from operator import add, mul
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
 from .poly import Polynomial, _split_terms
@@ -457,12 +457,12 @@ def to_bracket_polynomial(v: LabeledExtensor) -> BracketPolynomial:
 
 
 def meet_then_join(dim: int, meets: Sequence[tuple[Sequence[Label], Sequence[Label]]],
-                   joins: Sequence[Sequence[Label]] = ()) -> BracketPolynomial:
-    """Join of pairwise meets (and plain point wedges), collapsed at top grade."""
+                   joins: Iterable[Sequence[Label]] = ()) -> LabeledExtensor:
+    """Left-to-right join of the pairwise meets, then of the point wedges of ``joins``."""
     factors = [labeled_meet(LabeledExtensor.points(a, dim), LabeledExtensor.points(b, dim))
                for a, b in meets]
     factors.extend(LabeledExtensor.points(labels, dim) for labels in joins)
     out = factors[0]
     for f in factors[1:]:
         out = labeled_join(out, f)
-    return to_bracket_polynomial(out)
+    return out

@@ -15,11 +15,10 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
-from .brackets import (
-    Label, LabeledExtensor, labeled_join, labeled_meet, parse_label, to_bracket_polynomial,
-)
+from .brackets import Label, meet_then_join, parse_label, to_bracket_polynomial
 from .generators import (
     ExtraVector,
     GraphData,
@@ -44,7 +43,7 @@ from .polyfiles import parse_polynomials, render_polynomials
 from .realizations import Realization
 from .samplers import ResamplingExhausted, sample_realization
 from .scalars import parse_integer, parse_rational
-from .verify import extra_names, verify_vanishing
+from .verify import verify_vanishing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,25 +207,13 @@ def cmd_verify(args) -> int:
         polys = parse_polynomials(Path(args.polys).read_text(), points)
         if bad_realization is not None:
             raise bad_realization
+        q = args.q or None
+        if q not in (None, "canonical"):
+            q = _parse_coords(q, realization.dim)
     except parse_errors as exc:
         raise _Exit(EXIT_USAGE, f"parse error: {exc}")
-    sweep = args.q == "canonical"
-    extra_assignments = None
-    if args.q and args.q != "canonical":
-        try:
-            coords = _parse_coords(args.q, realization.dim)
-        except ValueError as exc:
-            raise _Exit(EXIT_USAGE, f"parse error: {exc}")
-        names = {name for item in polys for name in extra_names(item)}
-        extra_assignments = [{name: coords for name in sorted(names)}]
     try:
-        report = verify_vanishing(
-            polys,
-            realization,
-            extra_assignments=extra_assignments,
-            sweep=sweep,
-            expect=args.expect,
-        )
+        report = verify_vanishing(polys, realization, q, args.expect)
     except (KeyError, ValueError) as exc:
         raise _Exit(EXIT_USAGE, f"error: {exc}")
     _write_out(report.to_json_lines() + "\n", args.out)
@@ -241,21 +228,14 @@ def _parse_point_list(text: str) -> tuple[Label, ...]:
 def cmd_gc(args) -> int:
     try:
         operands = [_parse_point_list(spec) for spec in args.extensors]
+        # Lazy, so a bad --join label is reported after the operands' faults.
+        joins = map(_parse_point_list, args.join or [])
         if args.op == "meet":
             if len(operands) != 2:
                 raise ValueError("meet takes exactly two extensors")
-            result = labeled_meet(
-                LabeledExtensor.points(operands[0], args.dim),
-                LabeledExtensor.points(operands[1], args.dim),
-            )
+            result = meet_then_join(args.dim, [operands], joins)
         else:
-            result = LabeledExtensor.points(operands[0], args.dim)
-            for labels in operands[1:]:
-                result = labeled_join(result, LabeledExtensor.points(labels, args.dim))
-        for labels in args.join or []:
-            result = labeled_join(
-                result, LabeledExtensor.points(_parse_point_list(labels), args.dim)
-            )
+            result = meet_then_join(args.dim, [], chain(operands, joins))
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, f"error: {exc}")
     if result.grade == args.dim:
@@ -301,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit circuit/lifting/graph polynomials")
     p.add_argument("--matroid", required=True)
     p.add_argument("--which", choices=("circuits", "lifting", "graph", "all"), default="all")
-    p.add_argument("--q", default="symbolic", help="symbolic | canonical | comma-separated rationals")
+    p.add_argument(
+        "--q", default="symbolic",
+        help="the lifting family's auxiliary vector: symbolic | canonical | comma-separated "
+        "rationals (graph polynomials keep their graph data's extra vectors)",
+    )
     p.add_argument("--budget-minor", type=parse_integer, default=4)
     p.add_argument("--graph-data", help="GraphData JSON path (defaults to the builtin instance)")
     p.add_argument("--out")
@@ -319,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="evaluate generated polynomials on a realization")
     p.add_argument("--polys", required=True)
     p.add_argument("--realization", required=True)
-    p.add_argument("--q", help="canonical (basis sweep) or comma-separated rationals")
+    p.add_argument(
+        "--q", help="canonical (basis sweep) or comma-separated rationals bound to every extra vector"
+    )
     p.add_argument("--expect", choices=("zero", "nonzero"), default="zero")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)

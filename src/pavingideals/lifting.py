@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 from .generators import liftability_matrix_at
 from .linalg import clear_denominators, kernel_vectors, matrix_rank
-from .matroids import PavingMatroid
 from .realizations import Realization
 from .scalars import Scalar, normalize_scalar
 
@@ -88,7 +87,6 @@ def degenerate_lift_subspace(
 def lift(
     flat: Realization,
     center: Sequence[Scalar],
-    matroid: PavingMatroid | None = None,
     scale: Scalar = 1,
 ) -> Realization | None:
     """Non-degenerate lift of a rank-(n-1) configuration from the center.
@@ -105,7 +103,7 @@ def lift(
     entry by lambda^(n-1) mu, so the kernel is the one of the original
     matrix.  The lift itself is built from the original vectors and center.
     """
-    matroid = matroid or flat.matroid
+    matroid = flat.matroid
     points = list(matroid.points)
     dim = len(center)
     if matroid.rank not in (dim, dim - 1):

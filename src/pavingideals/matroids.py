@@ -115,9 +115,9 @@ class PavingMatroid:
         return PavingMatroid(rank, points, tuple(hps), name)
 
     @staticmethod
-    def uniform(rank: int, ground_set: int, name: str | None = None) -> "PavingMatroid":
+    def uniform(rank: int, ground_set: int) -> "PavingMatroid":
         """Rank-n matroid with no dependent n-subsets (empty hyperplane list)."""
-        return PavingMatroid.validate([], rank, ground_set, name or f"uniform({rank},{ground_set})")
+        return PavingMatroid.validate([], rank, ground_set, f"uniform({rank},{ground_set})")
 
     # -- basic queries ----------------------------------------------------
 
@@ -185,10 +185,10 @@ class PavingMatroid:
             return h if h is not None else s
         return frozenset(self.points)
 
-    def closed_sets(self, max_size: int | None = None) -> Iterator[frozenset[int]]:
-        """All closed proper subsets, by size then lexicographically."""
-        limit = len(self.points) if max_size is None else max_size
-        for size in range(0, min(limit, len(self.points) - 1) + 1):
+    def closed_sets(self, max_size: int) -> Iterator[frozenset[int]]:
+        """Closed proper subsets of at most ``max_size`` points, by size then
+        lexicographically."""
+        for size in range(0, min(max_size, len(self.points) - 1) + 1):
             for combo in combinations(self.points, size):
                 s = frozenset(combo)
                 if self.closure(s) == s and len(s) < len(self.points):

@@ -3,8 +3,8 @@
 Every check is an exact evaluation: a polynomial passes in ``zero`` mode
 when its value is the zero scalar under each requested assignment of the
 auxiliary symbolic vectors, and in ``nonzero`` mode when no assignment
-evaluates to zero.  Assignments are explicit vectors per symbolic name, or
-the canonical-basis sweep over every combination.
+evaluates to zero.  As ``verify --q`` chooses, extra vectors are left
+unbound, swept over the canonical basis, or all bound to one vector.
 
 Coordinate polynomials take the realization's point coordinates once and
 evaluate the residual per assignment.  A ``PointResidual``, which
@@ -52,7 +52,6 @@ class VanishingCheck(NamedTuple):
 @dataclass(frozen=True)
 class VanishingReport:
     checks: tuple[VanishingCheck, ...]
-    expect: str
 
     @property
     def all_pass(self) -> bool:
@@ -94,8 +93,6 @@ class VanishingReport:
 
 
 def extra_names(poly) -> tuple[str, ...]:
-    if isinstance(poly, LabeledPolynomial):
-        return extra_names(poly.polynomial)
     if isinstance(poly, LiftingMinors):
         return (poly.q.name,)
     if isinstance(poly, BracketPolynomial):
@@ -184,21 +181,24 @@ def _minor_values(
 def verify_vanishing(
     polynomials: Iterable[LabeledPolynomial | LiftingMinors],
     realization: Realization,
-    extra_assignments: Sequence[Mapping[str, Sequence[Scalar]]] | None = None,
-    sweep: bool = False,
+    q: str | Sequence[Scalar] | None = None,
     expect: str = "zero",
 ) -> VanishingReport:
     """Evaluate each polynomial exactly on the realization.
 
-    ``extra_assignments`` maps symbolic extra-vector names to concrete
-    vectors, one dict per evaluation; ``sweep`` instead runs the full
-    canonical-basis sweep over each polynomial's own symbolic names.
+    ``q`` binds the symbolic extra vectors as ``verify --q`` does: ``None``
+    binds none, ``"canonical"`` runs the canonical-basis sweep over each
+    polynomial's own names, and a vector is bound to every name.
     Polynomials may be expanded, point residuals read against this
     realization's points, or in bracket form; a minors record stands for
-    its minors.  Unassigned symbolic vectors raise UnboundVariable.
+    its minors.  Unbound symbolic vectors raise UnboundVariable.
     """
     if expect not in ("zero", "nonzero"):
         raise ValueError("expect must be 'zero' or 'nonzero'")
+    sweep = q == "canonical"
+    if isinstance(q, str) and not sweep:
+        raise ValueError(f"q must be None, 'canonical' or a vector, not {q!r}")
+    vector = None if q is None or sweep else tuple(q)
     dim = realization.dim
     points = realization.assignment()
     brackets = evaluator(realization.vectors)
@@ -211,12 +211,8 @@ def verify_vanishing(
     def assignments(names: tuple[str, ...]) -> Iterator[tuple[tuple, Mapping[str, Sequence[Scalar]]]]:
         """(check key, assignment) pairs, made one at a time: a sweep's dicts
         are then freed as they go, which keeps the collector quiet."""
-        if sweep:
-            return ((pairs, dict(pairs)) for pairs in basis_keys(names))
-        return (
-            (tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names)), extra)
-            for extra in (extra_assignments if extra_assignments is not None else [{}])
-        )
+        keys = basis_keys(names) if sweep else [() if vector is None else tuple((n, vector) for n in names)]
+        return ((pairs, dict(pairs)) for pairs in keys)
 
     def check(label: str, keyed: Iterable[tuple[tuple, Scalar]]) -> None:
         checks.extend(VanishingCheck(label, key, v, (v == 0) == zero) for key, v in keyed)
@@ -246,4 +242,4 @@ def verify_vanishing(
         else:
             names, value_at = _residual_value(poly.evaluate_partial(points), poly.support(), points)
         check(labeled.label, ((key, value_at(extra)) for key, extra in assignments(names)))
-    return VanishingReport(tuple(checks), expect)
+    return VanishingReport(tuple(checks))

@@ -14,7 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from pavingideals.brackets import BracketPolynomial, evaluator, expander, meet_then_join, symbolic_column
+from pavingideals.brackets import (
+    BracketPolynomial, evaluator, expander, meet_then_join, symbolic_column, to_bracket_polynomial,
+)
 from pavingideals.generators import (
     ExtraVector,
     GraphData,
@@ -300,7 +302,8 @@ class BadIndexSet(ValueError):
 
 def pascal_gc_quartic_brackets() -> BracketPolynomial:
     """Join of the three opposite-side meets of the hexagon, as brackets."""
-    return meet_then_join(3, [((1, 2), (4, 5)), ((2, 3), (5, 6)), ((3, 4), (6, 1))])
+    meets = [((1, 2), (4, 5)), ((2, 3), (5, 6)), ((3, 4), (6, 1))]
+    return to_bracket_polynomial(meet_then_join(3, meets))
 
 
 def pascal_gc_quartic() -> Polynomial:

@@ -257,7 +257,7 @@ def test_criterion_4_vanishing_on_realizations():
             assert len(expanded) == 15
             for seed in range(3):
                 rep = verify_vanishing(
-                    expanded + list(circuit_items), realization(family, seed), sweep=True
+                    expanded + list(circuit_items), realization(family, seed), q="canonical"
                 )
                 assert rep.all_pass
     report(4, "circuit, lifting (basis sweep) and graph generators vanish on 50 seeds x 6 families")
@@ -490,7 +490,7 @@ def determinism_bundle() -> bytes:
     for family in ("qs", "fig2c"):
         r = realization(family, 0)
         chunks.append(r.to_json())
-        rep = verify_vanishing(list(circuit_polynomials(r.matroid)), r, sweep=True)
+        rep = verify_vanishing(list(circuit_polynomials(r.matroid)), r, q="canonical")
         chunks.append(rep.to_json_lines())
     vectors = collinear_pascal_witness()
     poly = graph_polynomial_brackets(builtin_graph_data("pascal"))

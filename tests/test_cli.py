@@ -499,6 +499,25 @@ def test_verify_with_canonical_sweep(tmp_path, capsys):
     assert out.count('"pass": true') == 27  # three symbolic vectors, 3^3 assignments
 
 
+def test_generate_q_is_the_lifting_vector_and_leaves_graph_extras_alone(tmp_path, capsys):
+    # The qs graph polynomial keeps its graph data's q1, q2, q3 at every --q.
+    outs = {q: run_cli(capsys, "generate", "--matroid", "qs", "--which", "graph", "--q", q)
+            for q in ("symbolic", "canonical", "1,2,3")}
+    assert len(set(outs.values())) == 1 and outs["symbolic"][0] == 0
+    polys = tmp_path / "all.txt"
+    code, _, _ = run_cli(
+        capsys, "generate", "--matroid", "qs", "--which", "all", "--q", "1,2,3", "--out", str(polys)
+    )
+    assert code == 0
+    real = sample_qs(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert code == 1 and "x[1,q1]" in err
+    code, _, _ = run_cli(
+        capsys, "verify", "--polys", str(polys), "--realization", str(real), "--q", "1,2,3"
+    )
+    assert code == 0
+
+
 def test_verify_missing_binding_is_usage_error(tmp_path, capsys):
     real = tmp_path / "real.json"
     run_cli(capsys, "sample", "--family", "qs", "--seed", "3", "--out", str(real))
@@ -1163,6 +1182,18 @@ def test_gc_rejects_labels_that_are_not_points_or_identifiers(capsys, labels):
     assert code == 1
     assert out == ""
     assert err.startswith("error: bad point label ")
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("join", "1,2,3,4", "--join", "x!"), "4 points exceed dimension 3"),
+    (("meet", "1,2", "3,4", "--join", "1,2,3,4", "--join", "x!"), "4 points exceed dimension 3"),
+    (("meet", "1,2", "3,4", "--join", "x!", "--join", "1,2,3,4"), "bad point label 'x!'"),
+])
+def test_gc_reports_the_first_fault_of_the_fold(capsys, argv, first):
+    code, out, err = run_cli(capsys, "gc", *argv, "--dim", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {first}")
 
 
 def test_liftcheck_grid_and_qs(capsys):

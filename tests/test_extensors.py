@@ -158,7 +158,7 @@ def test_three_lines_meet_identity_symbolic():
 
 
 def test_three_lines_label_level_matches_expansion():
-    label_level = meet_then_join(3, [((3, 4), (1, 2))], [(5, 6)])
+    label_level = to_bracket_polynomial(meet_then_join(3, [((3, 4), (1, 2))], [(5, 6)]))
     assert label_level.pretty() in (
         "⟨1 2 3⟩⟨4 5 6⟩ - ⟨1 2 4⟩⟨3 5 6⟩",
         "-⟨1 2 3⟩⟨4 5 6⟩ + ⟨1 2 4⟩⟨3 5 6⟩",
@@ -182,7 +182,7 @@ def test_meet_identity_vanishes_on_concurrent_lines():
         pts[4] = tuple(center[i] + 3 * dirs[1][i] for i in range(3))
         pts[5] = tuple(center[i] + dirs[2][i] for i in range(3))
         pts[6] = tuple(center[i] + 5 * dirs[2][i] for i in range(3))
-        identity = meet_then_join(3, [((3, 4), (1, 2))], [(5, 6)])
+        identity = to_bracket_polynomial(meet_then_join(3, [((3, 4), (1, 2))], [(5, 6)]))
         assert identity.evaluate(pts) == 0
 
 

@@ -434,7 +434,7 @@ def test_uniform_matroid_kernel_law_and_no_lift():
                 evaluated = liftability_matrix_at(matroid, vectors, center)
                 assert len(kernel_basis(evaluated, matroid.size)) == n - 1
                 flat = Realization(matroid, vectors)
-                assert lift(flat, center, matroid) is None
+                assert lift(flat, center) is None
 
 
 # -- regular hyperplanes and the lifting number -------------------------------------

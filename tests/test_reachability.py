@@ -18,7 +18,6 @@ LIBRARY_ONLY = frozenset({
     "brackets.BracketPolynomial.evaluate",
     "brackets.BracketPolynomial.expand",
     "brackets.BracketPolynomial.support",
-    "brackets.meet_then_join",
     "cli._Exit.__init__",
     "generators._family_tuples",
     "generators._liftability_record",

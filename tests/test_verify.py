@@ -109,7 +109,7 @@ def oracle_report(polys, realization, assignments_of, expect) -> VanishingReport
             passed = value == 0 if expect == "zero" else value != 0
             key = tuple(sorted((n, tuple(v)) for n, v in extra.items() if n in names))
             checks.append(VanishingCheck(labeled.label, key, value, passed))
-    return VanishingReport(tuple(checks), expect)
+    return VanishingReport(tuple(checks))
 
 
 def random_vector(rng: random.Random, dim: int) -> tuple:
@@ -127,20 +127,19 @@ def test_verify_matches_full_evaluation_oracle(family, seed, expect):
     rng = random.Random(f"{family}-{seed}-{expect}")
     polys = random_polynomials(rng, realization, with_extras=True)
     plain = random_polynomials(rng, realization, with_extras=False)
-    explicit = [{n: random_vector(rng, dim) for n in EXTRAS} for _ in range(3)]
-    explicit.append({n: canonical_basis_sweep([n], dim)[0][n] for n in EXTRAS})
+    explicit = [random_vector(rng, dim) for _ in range(3)] + [canonical_basis_sweep(["q"], dim)[0]["q"]]
 
     runs = [
         # --q canonical
-        (polys, dict(sweep=True), lambda names: canonical_basis_sweep(names, dim)),
-        # --q a,b,c (one vector for every name) and several explicit vectors
-        (polys, dict(extra_assignments=explicit), lambda names: explicit),
+        (polys, "canonical", lambda names: canonical_basis_sweep(names, dim)),
+        # --q a,b,c: one vector for every name
+        *[(polys, vec, lambda names, vec=vec: [dict.fromkeys(names, vec)]) for vec in explicit],
         # no --q: only polynomials without extras evaluate
-        (plain, {}, lambda names: [{}]),
+        (plain, None, lambda names: [{}]),
     ]
     values = set()
-    for items, kwargs, assignments_of in runs:
-        got = verify_vanishing(items, realization, expect=expect, **kwargs)
+    for items, q, assignments_of in runs:
+        got = verify_vanishing(items, realization, q=q, expect=expect)
         want = oracle_report(items, realization, assignments_of, expect)
         assert got.to_json_lines() == want.to_json_lines()
         assert got.all_pass == want.all_pass
@@ -162,18 +161,14 @@ def test_unbound_extra_is_reported_even_when_the_residual_vanishes():
     q1, q2 = extra_var(1, "q1"), extra_var(2, "q2")
     poly = circuit * (var(q1) + var(q2)) + var(q1) * var(entry_var(1, 1))
     labeled = [LabeledPolynomial("p", poly)]
-    only_q1 = {"q1": (1, 2, 3)}
-    want = unbound_list(lambda: poly.evaluate(full_assignment(realization, only_q1)))
-    assert want == [q2]
-    got = unbound_list(lambda: verify_vanishing(labeled, realization, extra_assignments=[only_q1]))
-    assert got == want
     # No assignment at all: both extras are unbound.
     got = unbound_list(lambda: verify_vanishing(labeled, realization))
     assert got == unbound_list(lambda: poly.evaluate(realization.assignment()))
-    # A vector shorter than the rows used leaves x[2,q2] unbound as well.
-    short = {"q1": (1, 2, 3), "q2": (1,)}
-    got = unbound_list(lambda: verify_vanishing(labeled, realization, extra_assignments=[short]))
-    assert got == [q2]
+    # A vector shorter than the rows used leaves x[2,q2] unbound.
+    short = (1,)
+    want = unbound_list(lambda: poly.evaluate(full_assignment(realization, {"q1": short, "q2": short})))
+    assert want == [q2]
+    assert unbound_list(lambda: verify_vanishing(labeled, realization, q=short)) == want
 
 
 def test_unbound_point_is_reported_even_when_its_terms_vanish():
@@ -195,8 +190,8 @@ def test_unbound_point_is_reported_even_when_its_terms_vanish():
     want = [entry_var(1, missing), entry_var(2, missing)]
     extra = {"q1": (0, 1, 0)}
     assert unbound_list(lambda: poly.evaluate(full_assignment(realization, extra))) == want
-    assert unbound_list(lambda: verify_vanishing(labeled, realization, sweep=True)) == want
-    assert unbound_list(lambda: verify_vanishing(labeled, realization, extra_assignments=[extra])) == want
+    assert unbound_list(lambda: verify_vanishing(labeled, realization, q="canonical")) == want
+    assert unbound_list(lambda: verify_vanishing(labeled, realization, q=extra["q1"])) == want
     no_extras = [LabeledPolynomial("p", var(entry_var(2, 1)) * var(entry_var(1, missing)))]
     assert unbound_list(lambda: verify_vanishing(no_extras, realization)) == [entry_var(1, missing)]
 
@@ -291,9 +286,9 @@ def test_verify_takes_a_point_residual_as_its_polynomial():
         line = random_line(rng).replace("x[1,99]", "x[1,1]").replace("x[2,99]", "x[2,2]")
         from_text = [LabeledPolynomial("p", Polynomial.from_text(line))]
         read = [LabeledPolynomial("p", read_point_residual(line, points))]
-        for kwargs in (dict(sweep=True), dict(extra_assignments=[{"q1": (1, 2, 3), "q2": (0, -1, 5)}])):
-            want = verify_vanishing(from_text, realization, **kwargs).to_json_lines()
-            assert verify_vanishing(read, realization, **kwargs).to_json_lines() == want, line
+        for q in ("canonical", (1, 2, 3), (0, -1, 5)):
+            want = verify_vanishing(from_text, realization, q=q).to_json_lines()
+            assert verify_vanishing(read, realization, q=q).to_json_lines() == want, line
         assert verify.extra_names(read[0].polynomial) == verify.extra_names(from_text[0].polynomial)
 
 
@@ -304,14 +299,14 @@ def test_verify_refuses_a_point_residual_read_against_other_points():
     bad = LabeledPolynomial("bad", read_point_residual(line, other.assignment()))
     for polys in ([bad], [good, good, bad]):
         with pytest.raises(ValueError, match="bad: residual read against other points"):
-            verify_vanishing(polys, realization, sweep=True)
+            verify_vanishing(polys, realization, q="canonical")
 
 
 def test_unbound_variables_of_a_point_residual_are_named_at_verification():
     realization = sample_family("qs", 3)
     line = "1 * x[1,99] * x[2,q] + 1 * x[1,1]"
     read = [LabeledPolynomial("p", read_point_residual(line, realization.assignment()))]
-    assert unbound_list(lambda: verify_vanishing(read, realization, sweep=True)) == [entry_var(1, 99)]
+    assert unbound_list(lambda: verify_vanishing(read, realization, q="canonical")) == [entry_var(1, 99)]
     assert unbound_list(lambda: verify_vanishing(read, realization)) == [entry_var(1, 99), extra_var(2, "q")]
 
 
@@ -478,8 +473,8 @@ def test_report_lines_equal_json_dumps_with_sorted_keys():
         )
         for c in checks
     )
-    assert VanishingReport(tuple(checks), "zero").to_json_lines() == want
-    assert VanishingReport((), "zero").to_json_lines() == ""
+    assert VanishingReport(tuple(checks)).to_json_lines() == want
+    assert VanishingReport(()).to_json_lines() == ""
 
 
 def pascal_collinear_witness(path) -> None:
@@ -598,18 +593,17 @@ def test_bracket_verify_matches_the_expanded_oracle(family, seed):
         for p, vec in sampled.vectors.items()
     }
     dim = sampled.dim
-    explicit = [{n: random_vector(rng, dim) for n in EXTRAS} for _ in range(3)]
+    explicit = [random_vector(rng, dim) for _ in range(3)]
     # List-valued vectors, one of them repeated, are converted like tuples.
-    listed = {n: list(random_vector(rng, dim)) for n in EXTRAS}
-    explicit += [listed, explicit[0], dict(listed)]
+    listed = list(random_vector(rng, dim))
+    explicit += [listed, explicit[0], list(listed)]
     for realization in (sampled, Realization(sampled.matroid, scaled)):
         polys = random_bracket_polynomials(rng, realization) + shaped_bracket_polynomials(realization)
         expanded = [LabeledPolynomial(p.label, p.polynomial.expand(dim)) for p in polys]
-        for kwargs, assignments_of in [
-            (dict(sweep=True), lambda names: canonical_basis_sweep(names, dim)),
-            (dict(extra_assignments=explicit), lambda names: explicit),
-        ]:
-            got = verify_vanishing(polys, realization, expect="nonzero", **kwargs)
+        runs = [("canonical", lambda names: canonical_basis_sweep(names, dim))]
+        runs += [(vec, lambda names, vec=vec: [dict.fromkeys(names, vec)]) for vec in explicit]
+        for q, assignments_of in runs:
+            got = verify_vanishing(polys, realization, q=q, expect="nonzero")
             want = oracle_report(expanded, realization, assignments_of, "nonzero")
             assert got.to_json_lines() == want.to_json_lines()
 
@@ -831,7 +825,7 @@ def test_grid_records_verify_as_their_expanded_minors(tmp_path, where):
             for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
                 value = evaluate_poly(minor.polynomial, realization, {"q": e})
                 expected.append((minor.label, (("q", e),), value, value == 0))
-    report = verify_vanishing(records, realization, sweep=True)
+    report = verify_vanishing(records, realization, q="canonical")
     assert [(c.poly_id, c.assignment, c.value, c.passed) for c in report.checks] == expected
     assert len(expected) == 2700
     real = tmp_path / "real.json"
@@ -933,3 +927,35 @@ def test_a_record_on_a_realization_it_does_not_fit_is_an_error(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: "), captured.err
     assert "Traceback" not in captured.err
+
+
+# -- the library call and the CLI ----------------------------------------------------
+
+# (family, --which, q): qs coordinate circuits, minors records and a
+# coordinate graph polynomial; the bracket-form pascal graph polynomial.
+LIBRARY_RUNS = [
+    ("qs", "circuits", None),
+    ("qs", "all", "canonical"),
+    ("qs", "all", (0, 0, 1)),
+    ("pascal", "graph", "canonical"),
+    ("pascal", "graph", (0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("family, which, q", LIBRARY_RUNS, ids=[f"{f}-{w}-{q}" for f, w, q in LIBRARY_RUNS])
+def test_verify_vanishing_writes_the_bytes_of_verify(tmp_path, family, which, q):
+    polys, real = tmp_path / "polys.txt", tmp_path / "real.json"
+    assert main(["generate", "--matroid", family, "--which", which, "--out", str(polys)]) == 0
+    assert main(["sample", "--family", family, "--seed", "7", "--out", str(real)]) == 0
+    option = [] if q is None else ["--q", q if isinstance(q, str) else ",".join(map(str, q))]
+    code, want = verify_bytes(tmp_path, polys, real, *option)
+    assert code in (0, 3)
+    r = Realization.from_json(real.read_text())
+    report = verify_vanishing(parse_polynomials(polys.read_text(), r.assignment()), r, q=q)
+    assert (report.to_json_lines() + "\n").encode() == want
+
+
+@pytest.mark.parametrize("q", ["symbolic", "", "0,0,1"])
+def test_verify_vanishing_refuses_a_q_text_other_than_canonical(q):
+    with pytest.raises(ValueError, match="q must be None, 'canonical' or a vector"):
+        verify_vanishing([], sample_family("qs", 3), q=q)
