@@ -35,10 +35,10 @@ from .brackets import (
     BracketKey, BracketPolynomial, Label, bracket_value, expander, integer_columns, symbolic_column,
 )
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
-from .poly import PointResidual, Polynomial
-from .polymatrix import MinorEngine
+from .poly import ExponentPacking, PointResidual, Polynomial
+from .polymatrix import MinorEngine, Packed
 from .scalars import Scalar, as_scalar, format_rational
-from .variables import is_extra_id
+from .variables import entry_var, is_extra_id
 
 BracketRows = list[list[BracketPolynomial]]
 
@@ -487,9 +487,11 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
     (circuit, e_b) for the circuits its capped tuples use, a column per
     threaded point, expanded into coordinates through one expander shared
     by the whole call.  One MinorEngine per anchor set reads each candidate
-    off it on rows (c_1, b_1), ..., (c_k, b_k), so the matrix is packed
-    once per anchor set rather than once per candidate, and the engine's
-    memo is dropped with its anchor set.
+    off it on rows (c_1, b_1), ..., (c_k, b_k), and the engine's memo is
+    dropped with its anchor set.  The engines and the circuits share one
+    packing per call, over every x[r,p]: the zero test, the sign (the
+    coefficient at the largest key, the lex-first term) and the dedup run
+    on packed candidates, and only the members emitted are unpacked.
     """
     if matroid.max_degree() > 2:
         warnings.warn(
@@ -497,24 +499,34 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
             "to generate the full ideal",
             stacklevel=2,
         )
-    emitted: list[LabeledPolynomial] = []
-    seen: set[Polynomial] = set()
-    truncated = False
-    for labeled in circuit_polynomials(matroid):
-        normal, _ = labeled.polynomial.normalized_sign()
-        if normal not in seen:
-            seen.add(normal)
-            emitted.append(labeled)
-
     sweeps, truncated = _family_tuples(matroid)
     n = matroid.rank
+    # Room for the largest minor; every entry is linear in each x[r,p].
+    pairs = {(entry_var(r, p), 1) for r in range(1, n + 1) for p in matroid.points}
+    packing = ExponentPacking(Polynomial, pairs, max((len(points) for _, points, _ in sweeps), default=1))
+    emitted: list[LabeledPolynomial] = []
+    seen: set[frozenset] = set()
+
+    def new_normal(packed: Packed) -> Packed | None:
+        """``packed`` with a positive leading coefficient, unless already seen."""
+        if packed and packed[max(packed)] < 0:
+            packed = {mono: -coeff for mono, coeff in packed.items()}
+        key = frozenset(packed.items())
+        if key not in seen:
+            seen.add(key)
+            return packed
+
+    for labeled in circuit_polynomials(matroid):
+        if new_normal({packing.pack(mono): c for mono, c in labeled.polynomial.terms.items()}) is not None:
+            emitted.append(labeled)
+
     basis = [ExtraVector.basis(b, n) for b in range(1, n + 1)]
     expand = _coordinates(basis, n)
     for anchor, points, combos in sweeps:
         used = dict.fromkeys(c for combo in combos for c in combo)
         row_of = {cb: i for i, cb in enumerate(product(used, range(1, n + 1)))}
         stacked = bracket_matrix(((c, basis[b - 1].label()) for c, b in row_of), points)
-        engine = MinorEngine(_expanded(stacked, expand))
+        engine = MinorEngine(_expanded(stacked, expand), packing)
         cols = tuple(range(len(points)))
         for combo in combos:
             # Basis vectors all have length n: one check covers every assignment.
@@ -525,15 +537,12 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
                 if assignments > FAMILY_MAX_BASIS_ASSIGNMENTS:
                     truncated = True
                     break
-                poly = engine.minor([row_of[cb] for cb in zip(combo, basis_pick)], cols)
-                if poly.is_zero():
+                packed = engine.packed_minor([row_of[cb] for cb in zip(combo, basis_pick)], cols)
+                if not packed or (normal := new_normal(packed)) is None:
                     continue
-                normal, _ = poly.normalized_sign()
-                if normal in seen:
-                    continue
-                seen.add(normal)
                 label = graph_label(anchor, points, combo, [f"e{b}" for b in basis_pick])
-                emitted.append(LabeledPolynomial(label, normal))
+                member = Polynomial._from_clean(dict(zip(packing.unpack(normal), normal.values())))
+                emitted.append(LabeledPolynomial(label, member))
                 if len(emitted) >= FAMILY_MAX_POLYNOMIALS:
                     return GeneratingFamily(tuple(emitted), True)
     return GeneratingFamily(tuple(emitted), truncated)

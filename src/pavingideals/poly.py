@@ -7,8 +7,9 @@ are equal exactly when their dicts are equal — there is one representation
 per polynomial and no floating point anywhere.
 
 Where a fixed set of variables meets many monomials, ``ExponentPacking``
-writes each exponent vector as one int: the term order becomes int order and,
-in a ring that knows its exponent bound, a monomial product one addition.
+writes each exponent vector as one int: the term order becomes int order, the
+text form is written from the ints in descending order and, in a ring that
+knows its exponent bound, a monomial product is one addition.
 
 The text form used in generated files is one polynomial per line, terms
 sorted lexicographically (earlier variables and higher powers first) and
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import chain
 from typing import Collection, Iterable, Mapping, Tuple
 
@@ -68,30 +69,32 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-# Unpacking reads the atoms' fields in runs of at most this many atoms, one
-# table lookup per run; the runs split the atoms evenly.
+# Unpacking and writing read the atoms' fields in runs of at most this many
+# atoms, one table lookup per run; the runs split the atoms evenly.
 MAX_RUN_ATOMS = 10
 
 
 class _RunTable(dict):
-    """Value of a run of adjacent fields -> the monomial of those atoms' powers.
+    """Value of a run of adjacent fields -> its atoms' powers joined: the
+    monomial they make, or the text of their factors.
 
     An entry is built on first lookup; the terms of a minor repeat few values
     per run.
     """
 
-    __slots__ = ("_power", "_fields", "_mask")
+    __slots__ = ("_power", "_join", "_fields", "_mask")
 
-    def __init__(self, power, fields: list[tuple[object, int]], mask: int):
+    def __init__(self, power, join, fields: list[tuple[object, int]], mask: int):
         self._power = power
+        self._join = join
         self._fields = fields
         self._mask = mask
 
-    def __missing__(self, value: int) -> tuple:
+    def __missing__(self, value: int):
         power, mask = self._power, self._mask
-        powers = (power(atom, e) for atom, shift in self._fields if (e := (value >> shift) & mask))
-        mono = self[value] = tuple(chain.from_iterable(powers))
-        return mono
+        powers = [power(atom, e) for atom, shift in self._fields if (e := (value >> shift) & mask)]
+        joined = self[value] = self._join(powers)
+        return joined
 
 
 class ExponentPacking:
@@ -117,39 +120,52 @@ class ExponentPacking:
         """The int of the monomial with these (atom, exponent) pairs."""
         return sum(map(self.weight.__getitem__, pairs))
 
-    @cached_property
-    def _runs(self) -> list[tuple[_RunTable, int, int]]:
+    def _run_tables(self, power, join) -> list[tuple[_RunTable, int, int]]:
         """Per run of atoms: its table, the shift of its last field, its mask."""
         width, atoms = self._width, self._atoms
         n_runs = -(-len(atoms) // MAX_RUN_ATOMS) or 1
         size = -(-len(atoms) // n_runs) or 1
         runs = []
-        # With no atoms one empty run still maps 0 to the constant monomial.
+        # With no atoms one empty run still maps 0 to the constant monomial (no text).
         for start in range(0, len(atoms), size) or [0]:
             run = atoms[start : start + size]
             low = width * (len(atoms) - start - len(run))
             fields = [(atom, width * i) for i, atom in zip(range(len(run) - 1, -1, -1), run)]
-            table = _RunTable(self._ring._power, fields, (1 << width) - 1)
+            table = _RunTable(power, join, fields, (1 << width) - 1)
             runs.append((table, low, (1 << width * len(run)) - 1))
         return runs
+
+    @cached_property
+    def _runs(self) -> list[tuple[_RunTable, int, int]]:
+        return self._run_tables(cache(self._ring._power), lambda powers: tuple(chain.from_iterable(powers)))
+
+    @cached_property
+    def _text_runs(self) -> list[tuple[_RunTable, int, int]]:
+        factor = cache(lambda var, e: f" * {var.text()}^{e}" if e > 1 else f" * {var.text()}")
+        return self._run_tables(factor, "".join)
 
     def unpack(self, packed: Collection[int]) -> list[tuple]:
         """The ring's monomials: each the powers of its atoms, joined in atom order."""
         runs = [[table[value >> low & mask] for value in packed] for table, low, mask in self._runs]
-        return [tuple(chain(*powers)) for powers in zip(*runs)]
+        return reduce(lambda monos, run: list(map(tuple.__add__, monos, run)), runs)
 
-
-def _lex_keys(terms: Mapping[Monomial, Scalar], pairs: set[tuple[Variable, int]]) -> list[int]:
-    """Per term, in ``terms`` order, its exponent vector packed over ``pairs``,
-    the (variable, exponent) pairs of all terms: descending keys are lex order."""
-    weight = ExponentPacking(Polynomial, pairs, max((exp for _, exp in pairs), default=0)).weight.__getitem__
-    return [sum(map(weight, mono)) for mono in terms]
+    def write(self, packed: Mapping[int, Scalar]) -> str:
+        """The coordinate text form of a packed polynomial: terms in descending
+        key order, which is lex order, each written from its runs' texts."""
+        if not packed:
+            return "0"
+        keys = sorted(packed, reverse=True)
+        head = {c: (" - " if c < 0 else " + ") + format_rational(abs(c)) for c in set(packed.values())}
+        runs = [[table[key >> low & mask] for key in keys] for table, low, mask in self._text_runs]
+        text = "".join(chain.from_iterable(zip([head[packed[key]] for key in keys], *runs)))
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients; a minor
+    handed out packed (``_from_packed``) unpacks its terms on first use."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_packed")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Scalar] = {}
@@ -160,6 +176,15 @@ class Polynomial:
                     clean[mono] = coeff
         self._terms = clean
         self._hash = None
+        self._packed = None
+
+    def __getattr__(self, name: str):
+        # Only a polynomial made by ``_from_packed`` lacks its terms.
+        if name != "_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        packing, packed = self._packed
+        terms = self._terms = dict(zip(packing.unpack(packed), packed.values()))
+        return terms
 
     # -- constructors -------------------------------------------------
 
@@ -246,6 +271,15 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly._terms = terms
         poly._hash = None
+        poly._packed = None
+        return poly
+
+    @classmethod
+    def _from_packed(cls, packing: ExponentPacking, packed: Mapping[int, Scalar]) -> "Polynomial":
+        """Wrap packed terms, normalized and nonzero; they may be shared, never mutate them."""
+        poly = cls.__new__(cls)
+        poly._hash = None
+        poly._packed = (packing, packed)
         return poly
 
     def _coerce(self, value):
@@ -264,10 +298,10 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._terms:
-            return self
         if not self._terms:
             return other
+        if not other._terms:
+            return self
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
             new = terms.get(mono, 0) + coeff
@@ -376,47 +410,29 @@ class Polynomial:
 
     # -- canonical form helpers ------------------------------------------
 
+    def _lex_packed(self) -> tuple[ExponentPacking, Mapping[int, Scalar]]:
+        """The terms packed, in ``terms`` order, descending keys in lex order."""
+        if self._packed is not None:
+            return self._packed
+        pairs = set().union(*self._terms)
+        packing = ExponentPacking(Polynomial, pairs, max((exp for _, exp in pairs), default=0))
+        return packing, dict(zip(map(packing.pack, self._terms), self._terms.values()))
+
     def _sort_keys(self) -> list[int]:
         """Per term, in ``terms`` order, a key; ascending keys are the term
         order: lex, earlier variables and higher powers first."""
-        return [-key for key in _lex_keys(self._terms, set().union(*self._terms))]
+        return [-key for key in self._lex_packed()[1]]
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         # Distinct monomials have distinct keys.
         by_key = dict(zip(self._sort_keys(), self._terms.items()))
         return [by_key[key] for key in sorted(by_key)]
 
-    def leading_coefficient(self) -> Scalar:
-        if not self._terms:
-            return 0
-        return min(zip(self._sort_keys(), self._terms.values()))[1]
-
-    def normalized_sign(self) -> tuple["Polynomial", int]:
-        """(p, +1) or (-p, -1) so the leading coefficient is positive."""
-        lead = self.leading_coefficient()
-        if lead < 0:
-            return -self, -1
-        return self, 1
-
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        # A polynomial repeats a few dozen distinct factors and coefficients
-        # thousands of times, so each one is rendered once per call.
-        pairs = set().union(*self._terms)
-        factor = {(var, e): f" * {var.text()}^{e}" if e > 1 else f" * {var.text()}" for var, e in pairs}
-        heads: dict[Scalar, str] = {}
-        chunks: list[str] = []
-        by_key = dict(zip(_lex_keys(self._terms, pairs), self._terms.items()))
-        for mono, coeff in map(by_key.__getitem__, sorted(by_key, reverse=True)):
-            head = heads.get(coeff)
-            if head is None:
-                head = heads[coeff] = (" - " if coeff < 0 else " + ") + format_rational(abs(coeff))
-            chunks.append(head + "".join(map(factor.__getitem__, mono)))
-        text = "".join(chunks)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        packing, packed = self._lex_packed()
+        return packing.write(packed)
 
     @staticmethod
     def from_text(text: str) -> "Polynomial":

@@ -12,7 +12,8 @@ matrix's atoms (variables, or brackets), and a monomial product is one int
 addition.  A term of a k-minor multiplies k entries, so no exponent of a
 minor exceeds the largest minor size times the largest exponent in any
 entry; each atom's bit field holds that bound, so no field ever carries.
-Only the minors handed out are unpacked.
+A minor is handed out packed: its terms unpack only on first use, and its
+text form is written straight from the packed keys, in descending order.
 """
 
 from __future__ import annotations
@@ -47,18 +48,20 @@ def _add_product(total: Packed, a: Packed, b: Packed, sign: int) -> None:
 
 
 class MinorEngine:
-    """Memoized minor expansion for one matrix, a sequence of equal-length rows."""
+    """Memoized minor expansion for one matrix, a sequence of equal-length rows,
+    over its own packing or a given one that holds every minor taken."""
 
-    def __init__(self, rows: Sequence[Sequence[Polynomial]]):
+    def __init__(self, rows: Sequence[Sequence[Polynomial]], packing: ExponentPacking | None = None):
         self.rows = rows
         ring = self._ring = next((type(row[0]) for row in rows if row), Polynomial)
         terms = [[entry.terms for entry in row] for row in rows]
         split = [[list(map(ring._exponents, t)) for t in row] for row in terms]
-        pairs = set().union(*chain.from_iterable(chain.from_iterable(split)))
-        size = min(len(rows), len(rows[0]) if rows else 0)
-        top = max((e for _, e in pairs), default=0)
-        self._packing = ExponentPacking(ring, pairs, size * top)
-        pack = self._packing.pack
+        if packing is None:
+            pairs = set().union(*chain.from_iterable(chain.from_iterable(split)))
+            size = min(len(rows), len(rows[0]) if rows else 0)
+            packing = ExponentPacking(ring, pairs, size * max((e for _, e in pairs), default=0))
+        self._packing = packing
+        pack = packing.pack
         self._entries: list[list[Packed]] = [
             [dict(zip(map(pack, s), t.values())) for s, t in zip(srow, trow)]
             for srow, trow in zip(split, terms)
@@ -68,25 +71,27 @@ class MinorEngine:
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Packed] = {}
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
-        """Determinant of the submatrix on these rows and columns, in the order
-        given: they need not ascend, and a permutation of either flips the
-        sign by its parity.  The memo is keyed on the order given too."""
+        """Determinant of the submatrix on these rows and columns, handed out packed."""
+        return self._ring._from_packed(self._packing, self.packed_minor(rows, cols))
+
+    def packed_minor(self, rows: Sequence[int], cols: Sequence[int]) -> Packed:
+        """``minor`` on packed monomials; the result may be shared, never mutate
+        it.  Rows and columns are taken in the order given: they need not
+        ascend, and a permutation of either flips the sign by its parity.
+        The memo is keyed on the order given too."""
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise NonSquare(f"minor on {len(rows)} rows and {len(cols)} columns")
-        return self._unpack(self._minor(rows, cols))
+        return self._minor(rows, cols)
 
     def determinant(self) -> Polynomial:
         n_rows = len(self.rows)
         n_cols = len(self.rows[0]) if self.rows else 0
         if n_rows != n_cols:
             raise NonSquare(f"{n_rows}x{n_cols} matrix has no determinant")
-        return self._unpack(self._minor(tuple(range(n_rows)), tuple(range(n_cols))))
+        return self._ring._from_packed(self._packing, self._minor(tuple(range(n_rows)), tuple(range(n_cols))))
 
     # -- internals ------------------------------------------------------
-
-    def _unpack(self, packed: Packed) -> Polynomial:
-        return self._ring._from_clean(dict(zip(self._packing.unpack(packed.keys()), packed.values())))
 
     def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Packed:
         """The minor on packed monomials; the result may be shared, never mutate it."""

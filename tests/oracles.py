@@ -238,7 +238,7 @@ def graph_polynomial_via_cycles_brackets(
     if dedupe_denominators:
         classes: dict = {}
         for i, d in enumerate(diag):
-            rep, sign = d.normalized_sign()
+            rep, sign = normalized_sign(d)
             classes.setdefault(rep, []).append(i)
             row_sign[i] = sign
         class_list = list(classes.items())
@@ -601,6 +601,16 @@ def lex_key(m: Monomial):
     """A monomial with an earlier variable (or a higher power of it) sorts
     first; the sentinel puts a monomial after those it divides."""
     return tuple((0, v, -e) for v, e in m) + ((1,),)
+
+
+def leading_coefficient(p: Polynomial) -> Scalar:
+    """The coefficient of the first term in ``p``'s own term order; 0 for zero."""
+    return p.sorted_terms()[0][1] if p.terms else 0
+
+
+def normalized_sign(p: Polynomial) -> tuple[Polynomial, int]:
+    """(p, +1) or (-p, -1) so the leading coefficient is positive."""
+    return (-p, -1) if leading_coefficient(p) < 0 else (p, 1)
 
 
 def render_polynomial(p: Polynomial) -> str:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     TupleMergeMinors,
     gaussian_pivot_product,
+    leading_coefficient,
     lex_key,
     perm_parity,
     render_polynomial,
@@ -30,7 +31,7 @@ from pavingideals.linalg import (
     matrix_rank,
     solve_particular,
 )
-from pavingideals.poly import Polynomial, UnboundVariable
+from pavingideals.poly import ExponentPacking, Polynomial, UnboundVariable
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.scalars import NotRational, format_rational, normalize_scalar, parse_rational
 from pavingideals.variables import entry_var, extra_var
@@ -273,7 +274,7 @@ def test_to_text_matches_the_lex_key_renderer():
         assert p.to_text() == render_polynomial(p)
         assert Polynomial.from_text(p.to_text()) == p
         lead = min(p.terms, key=lex_key) if p.terms else None
-        assert p.leading_coefficient() == p.terms.get(lead, 0)
+        assert leading_coefficient(p) == p.terms.get(lead, 0)
     assert seen == {
         "constant", "power", "linear", "negative", "positive", "fraction", "integer", "row >= 10", "extra",
     }
@@ -626,6 +627,58 @@ def test_minor_engine_matches_the_tuple_merge_oracle():
     a, b = Polynomial({((entry_var(1, 1), 200),): 1}), x(1, 2)
     rows = [[a, b], [b, a]]
     assert MinorEngine(rows).determinant() == TupleMergeMinors(rows).determinant() == a * a - b * b
+
+
+# Entry and extra variables of the text oracle's matrices, with exponents up to 3.
+TEXT_MINOR_VARIABLES = [entry_var(r, c) for r in (1, 2, 10) for c in (1, 3)] + [extra_var(r, "q1") for r in (1, 2)]
+
+
+def random_text_entry(rng: random.Random) -> Polynomial:
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        variables = sorted(rng.sample(TEXT_MINOR_VARIABLES, rng.randint(0, 2)))
+        terms[tuple((v, rng.randint(1, 3)) for v in variables)] = random_coefficient(rng)
+    return Polynomial(terms)
+
+
+def test_packed_minor_text_matches_the_oracle_renderer(monkeypatch):
+    """A minor is written from its packed keys, with no unpacking, as the
+    oracle renders the tuple-merge minor, and the line reads back to it."""
+    unpacked = []
+    unpack = ExponentPacking.unpack
+
+    def counted(self, packed):
+        unpacked.append(packed)
+        return unpack(self, packed)
+
+    monkeypatch.setattr(ExponentPacking, "unpack", counted)
+    rng = random.Random(2007)
+    seen = set()
+    for n in (0, 1, 2, 2, 3, 3, 3, 4):
+        rows = [[random_text_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            rows[1] = rows[0]  # a zero determinant of nonzero entries
+        engine, oracle = MinorEngine(rows), TupleMergeMinors(rows)
+        for k in range(n + 1):
+            for row_idx in combinations(range(n), k):
+                for col_idx in combinations(range(n), k):
+                    got, want = engine.minor(row_idx, col_idx), oracle.minor(row_idx, col_idx)
+                    unpacked.clear()
+                    line = got.to_text()
+                    assert not unpacked
+                    assert line == render_polynomial(want), (rows, row_idx, col_idx)
+                    assert Polynomial.from_text(line) == want == got
+                    seen.add("empty" if k == 0 else "zero" if want.is_zero() else "nonzero")
+                    for mono, coeff in want.terms.items():
+                        seen.add("negative" if coeff < 0 else "positive")
+                        seen.add("fraction" if isinstance(coeff, Fraction) else "integer")
+                        seen.update("extra" if isinstance(v.column, str) else "entry" for v, _ in mono)
+                        seen.update(f"exponent {e}" for _, e in mono if e <= 3)
+    assert seen >= {
+        "empty", "zero", "nonzero", "negative", "positive", "fraction", "integer", "extra", "entry",
+        "exponent 1", "exponent 2", "exponent 3",
+    }
+    assert MinorEngine([]).determinant().to_text() == "1"
 
 
 def test_minor_engine_reads_rows_and_columns_in_the_order_given():

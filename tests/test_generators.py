@@ -22,6 +22,7 @@ from oracles import (
     graph_polynomial_via_cycles_brackets,
     identity_minus_weights,
     liftability_matrix,
+    normalized_sign,
     pascal_gc_quartic,
     pascal_gc_quartic_brackets,
     random_weighted_digraph,
@@ -53,7 +54,7 @@ from pavingideals.generators import (
 )
 from pavingideals.linalg import bareiss_determinant, solve_particular
 from pavingideals.matroids import PavingMatroid, builtin_matroid, builtin_matroid_names
-from pavingideals.poly import Polynomial
+from pavingideals.poly import ExponentPacking, Polynomial
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.variables import Variable, entry_var, extra_var
 
@@ -448,8 +449,39 @@ def test_qs_family_contains_circuits_and_graph_polys():
     assert sum(1 for l in labels if l.startswith("circuit")) == 4
     assert any(l.startswith("graph") for l in labels)
     # Deduplication up to sign leaves no repeated polynomial.
-    normals = [p.polynomial.normalized_sign()[0] for p in family.polynomials]
+    normals = [normalized_sign(p.polynomial)[0] for p in family.polynomials]
     assert len(set(normals)) == len(normals)
+
+
+@pytest.fixture
+def unpacked(monkeypatch) -> list[list[tuple]]:
+    """The monomials of each ``ExponentPacking.unpack`` call, in call order."""
+    calls = []
+    unpack = ExponentPacking.unpack
+
+    def counted(self, packed):
+        calls.append(unpack(self, packed))
+        return calls[-1]
+
+    monkeypatch.setattr(ExponentPacking, "unpack", counted)
+    return calls
+
+
+def test_the_graph_determinant_is_written_without_unpacking(unpacked):
+    line = graph_polynomial(builtin_graph_data("fig2r")).to_text()
+    # Only the entries, brackets of 3 points in rank 3, are unpacked.
+    assert len(Polynomial.from_text(line)) == 3024
+    assert max(map(len, unpacked)) <= 6
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_family_unpacks_only_the_members_it_emits(unpacked):
+    family = finite_generating_family(QS)
+    graph = [p for p in family.polynomials if p.label.startswith("graph")]
+    # Entries (degree 2) and circuits (degree 3) aside, every unpack is of a
+    # graph candidate (degree 2k for k >= 3 threaded points).
+    candidates = [monos for monos in unpacked if monos and sum(e for _, e in monos[0]) > QS.rank]
+    assert len(graph) == len(candidates) == 102
 
 
 # sha256 over "label\ntext\n" of every family member, so that a change in

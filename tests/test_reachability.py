@@ -22,6 +22,7 @@ LIBRARY_ONLY = frozenset({
     "generators._family_tuples",
     "generators._liftability_record",
     "generators.finite_generating_family",
+    "generators.finite_generating_family.new_normal",
     "generators.liftability_matrix_at",
     "lifting.Hyperplane.__post_init__",
     "lifting.Hyperplane.pairing",
@@ -53,8 +54,6 @@ LIBRARY_ONLY = frozenset({
     "poly.Polynomial.evaluate_partial",
     "poly.Polynomial.from_text",
     "poly.Polynomial.is_constant",
-    "poly.Polynomial.leading_coefficient",
-    "poly.Polynomial.normalized_sign",
     "poly.Polynomial.one",
     "poly.Polynomial.support",
     "poly.UnboundVariable.__init__",
