@@ -301,7 +301,8 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
     """``value(poly, extra=None)``: exact value with each label bound to its
     vector in ``extra``, else in ``points``.  ``value.sweep(poly, names, dim)``:
     the values at every canonical-basis assignment of ``names``.  All calls
-    share one memo of bracket values keyed by their integer columns.
+    share one memo of bracket values keyed by their integer columns, and
+    ``value.columns`` holds the points' columns (``integer_columns``).
 
     Both read a polynomial term by term and evaluate every bracket of a term
     in order, so an error names the first bad bracket of its terms.
@@ -369,6 +370,7 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
         return total
 
     value.sweep = sweep
+    value.columns = columns
     return value
 
 

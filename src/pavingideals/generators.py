@@ -182,7 +182,7 @@ def liftability_matrix_at(
 
     The ambient dimension is the length of q.
     """
-    return _liftability_record(matroid, len(q)).matrix_at(vectors, q)
+    return _liftability_record(matroid, len(q)).matrix_at(integer_columns(vectors), q)
 
 
 @lru_cache(maxsize=64)
@@ -231,10 +231,14 @@ class LiftingMinors:
         matrix = self.__dict__.get("matrix") or self._bracket_matrix()
         return [[(j, key, sign) for j, e in enumerate(row) for (key,), sign in e.terms.items()] for row in matrix]
 
-    def matrix_at(self, vectors: Mapping[int, Sequence[Scalar]], q: Sequence[Scalar]) -> list[list[Scalar]]:
-        """The matrix with each point bound to its vector and q to ``q``: each
-        signed bracket is one exact integer determinant (``bracket_value``)."""
-        bound = integer_columns({**vectors, self.q.label(): q})
+    def matrix_at(
+        self, columns: Mapping[Label, tuple[tuple[int, ...], int]], q: Sequence[Scalar]
+    ) -> list[list[Scalar]]:
+        """The matrix with each point bound to its integer column (``columns``,
+        ``brackets.integer_columns`` of the point vectors, converted once by
+        the caller) and q to ``q``: each signed bracket is one exact integer
+        determinant (``bracket_value``)."""
+        bound = {**columns, **integer_columns({self.q.label(): q})}
         # A line of more than n points gives several entries one bracket.
         value = cache(lambda key: bracket_value(key, bound))
         out = []

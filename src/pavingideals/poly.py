@@ -18,11 +18,15 @@ joined with `` + `` / `` - ``::
     2 * x[1,3]^2 * x[2,q1] - 1/3 * x[1,4]
 
 ``from_text`` parses exactly this shape back, with free spacing around the
-operators; coefficients, exponents (>= 1) and indices are ASCII digits.
-``read_point_residual`` is the same reader, one loop over the terms, with
-some variables bound: it multiplies their values into each term's
-coefficient, so a verifier gets the small residual polynomial in the other
-variables without the full expansion being built.
+operators; coefficients, exponents (>= 1) and indices are ASCII digits.  The
+grammar of this "coordinate line" is in README.md, "Polynomial file
+grammar".  ``read_point_residual`` is the same reader, one loop over the
+terms, with some variables bound: it multiplies their values into each
+term's coefficient, so a verifier gets the small residual polynomial in the
+other variables without the full expansion being built.  The lines of one
+file share a ``FactorTable``, so each written factor is parsed once per
+file, and terms with the same free factors are summed before any monomial
+is built.
 """
 
 from __future__ import annotations
@@ -435,10 +439,15 @@ class Polynomial:
         return packing.write(packed)
 
     @staticmethod
-    def from_text(text: str) -> "Polynomial":
+    def from_text(text: str, table: "FactorTable | None" = None) -> "Polynomial":
         """The polynomial a line writes: ``read_point_residual``'s reader with
-        no variable bound."""
-        return Polynomial._from_clean(_read(text, {})[0])
+        no variable bound.  The lines of one file may share one ``table``
+        with no points."""
+        if table is None:
+            table = FactorTable({})
+        elif table.points:
+            raise ValueError("a polynomial is read with a factor table of no points")
+        return Polynomial._from_clean(_read(text, table)[0])
 
     def __str__(self) -> str:
         return self.to_text()
@@ -487,10 +496,11 @@ def _split_terms(text: str):
         yield (1 if parts[i] == "+" else -1), parts[i + 1].strip()
 
 
-# Bits per variable in a term's order-free key.  A sum that carries across
-# fields can only make two monomials look alike, which costs speed, not
-# exactness.
-_KEY_FIELD = 32
+# Bits per variable in a term's order-free key: exponents up to 255 stay in
+# their field.  A sum that carries across fields can only make two monomials
+# look alike, which costs speed, not exactness; narrow keys keep a long
+# line's per-term keys small.
+_KEY_FIELD = 8
 
 
 def _monomial(pairs: Iterable[tuple[Variable, int]]) -> Monomial:
@@ -505,59 +515,109 @@ def _monomial(pairs: Iterable[tuple[Variable, int]]) -> Monomial:
     return key
 
 
-def _read(text: str, points: Mapping[Variable, Scalar]) -> tuple[dict[Monomial, Scalar], set[Variable] | None]:
-    """One line read with ``points`` substituted: the terms of the residual,
-    the polynomial in the variables ``points`` leaves free, and, when
-    ``points`` is not empty, the line's variables if they are the support of
+class FactorTable:
+    """The written factors and coefficients of the lines of one file, each
+    read once against the same ``points``.
+
+    ``factors`` maps a factor's text, as written between the ``*`` of a term,
+    to its (variable, exponent) pair, its point value (None when ``points``
+    leaves the variable free) and its key weight (0 when free): exponent <<
+    the variable's field.  ``coefficients`` maps (sign, written coefficient)
+    to its value.  Lines share the table; each line still takes its support
+    from the factors it uses itself.
+    """
+
+    __slots__ = ("points", "factors", "coefficients", "_parsed", "_fields")
+
+    def __init__(self, points: Mapping[Variable, Scalar]):
+        self.points = points
+        self.factors: dict[str, tuple[tuple[Variable, int], Scalar | None, int]] = {}
+        self.coefficients: dict[tuple[int, str], Scalar] = {}
+        self._parsed: dict[str, tuple[Variable, int]] = {}
+        self._fields: dict[Variable, int] = {}
+
+    def read(self, factor: str) -> tuple[tuple[Variable, int], Scalar | None, int]:
+        """Read a written factor into the table; a malformed one raises and
+        is not kept."""
+        stripped = factor.strip()
+        pair = self._parsed.get(stripped)
+        if pair is None:
+            pair = self._parsed[stripped] = _parse_factor(stripped)
+        var, exp = pair
+        points = self.points
+        if var in points:
+            value = power(normalize_scalar(points[var]), exp)
+            read = pair, value, exp << self._fields.setdefault(var, _KEY_FIELD * len(self._fields))
+        else:
+            read = pair, None, 0
+        self.factors[factor] = read
+        return read
+
+
+def _read(text: str, table: FactorTable) -> tuple[dict[Monomial, Scalar], set[Variable] | None]:
+    """One line read with the table's points substituted: the terms of the
+    residual, the polynomial in the variables the points leave free, and,
+    when there are points, the line's variables if they are the support of
     the polynomial it writes, else None.  They are when no coefficient is 0
-    and the term keys are distinct, so no term cancels: a term's key is its
-    residual monomial and the sum of exponent << field(variable) over its
-    bound factors, and a shared key means a shared (or colliding) monomial.
+    and the term keys are distinct, so no term cancels: a term's key is the
+    hash of its free factors as written and the sum of its bound factors'
+    key weights, and a shared key means a shared (or colliding) monomial.
+    Two spellings of one free monomial (factors reordered, ``x[01,q]`` for
+    ``x[1,q]``, ``x^2`` for ``x * x``) merge into one residual term and also
+    answer None.
 
     One loop reads the terms, coefficient first and then factors in order, so
-    the first malformed text raises.  Each distinct signed coefficient is
-    parsed once and each distinct written factor looked up once, as its
-    pair, point value (None when free) and key weight (0 when free).
+    the first malformed text raises.  Terms with the same written free factors
+    are summed, and each such free part becomes a monomial once.
     """
     text = text.strip()
     if text == "0":
         return {}, set()
-    coefficients: dict[tuple[int, str], Scalar] = {}
-    parsed: dict[str, tuple[Variable, int]] = {}
-    factors: dict[str, tuple[tuple[Variable, int], Scalar | None, int]] = {}
-    fields: dict[Variable, int] = {}
-    terms: dict[Monomial, Scalar] = {}
-    keys: list[tuple[int, Monomial]] = []
-    for sign, body in _split_terms(text):
-        coeff_text, *written = body.split("*")
+    sign = 1
+    if text.startswith("-"):
+        sign = -1
+        text = text[1:].strip()
+    # Bodies alternate with their signs; spaces left around a body are
+    # stripped where its coefficient and factors are parsed.
+    pieces = _TERM_SEPARATOR_RE.split(text)
+    pieces[1::2] = [1 if op == "+" else -1 for op in pieces[1::2]]
+    coefficients, known = table.coefficients, table.factors
+    used: dict[str, tuple[tuple[Variable, int], Scalar | None, int]] = {}
+    parts: dict[tuple[str, ...], Scalar] = {}
+    keys: set[tuple[int, int]] = set()
+    no_zero = True
+    for i in range(0, len(pieces), 2):
+        if i:
+            sign = pieces[i - 1]
+        coeff_text, *written = pieces[i].split("*")
         coeff = coefficients.get((sign, coeff_text))
         if coeff is None:
             coeff = coefficients[sign, coeff_text] = sign * parse_rational(coeff_text)
+        if not coeff:
+            no_zero = False
         free = []
         key = 0
         for factor in written:
-            read = factors.get(factor)
+            read = used.get(factor)
             if read is None:
-                stripped = factor.strip()
-                pair = parsed.get(stripped)
-                if pair is None:
-                    pair = parsed[stripped] = _parse_factor(stripped)
-                var, exp = pair
-                value = power(normalize_scalar(points[var]), exp) if var in points else None
-                weight = 0 if value is None else exp << fields.setdefault(var, _KEY_FIELD * len(fields))
-                read = factors[factor] = pair, value, weight
-            pair, value, weight = read
+                read = used[factor] = known.get(factor) or table.read(factor)
+            _, value, weight = read
             if value is None:
-                free.append(pair)
+                free.append(factor)
             else:
                 coeff *= value
                 key += weight
-        mono = _monomial(free)
-        keys.append((key, mono))
+        free = tuple(free)
+        # The free part by its hash: the split texts it holds are then freed.
+        keys.add((key, hash(free)))
+        parts[free] = parts.get(free, 0) + coeff
+    terms: dict[Monomial, Scalar] = {}
+    for free, coeff in parts.items():
+        mono = _monomial([used[factor][0] for factor in free])
         terms[mono] = terms.get(mono, 0) + coeff
     residual = {mono: normalize_scalar(c) for mono, c in terms.items() if c}
-    if points and all(coefficients.values()) and len(set(keys)) == len(keys):
-        return residual, {var for var, _ in parsed.values()}
+    if table.points and no_zero and len(terms) == len(parts) and len(keys) == len(pieces) // 2 + 1:
+        return residual, {pair[0] for pair, _, _ in used.values()}
     return residual, None
 
 
@@ -578,11 +638,18 @@ class PointResidual:
         self.points = points
 
 
-def read_point_residual(text: str, points: Mapping[Variable, Scalar]) -> PointResidual:
+def read_point_residual(
+    text: str, points: Mapping[Variable, Scalar], table: FactorTable | None = None
+) -> PointResidual:
     """``from_text(text)`` with ``points`` substituted, without building it:
     equal to ``evaluate_partial(points)`` and ``support()`` of that polynomial.
-    A line whose terms may cancel takes its support from the full polynomial."""
-    terms, support = _read(text, points)
+    The lines of one file share one ``table`` of ``points``.  A line whose
+    terms may cancel takes its support from the full polynomial."""
+    if table is None:
+        table = FactorTable(points)
+    elif table.points is not points:
+        raise ValueError("factor table read against other points")
+    terms, support = _read(text, table)
     if support is None:
         support = Polynomial.from_text(text).support()
     return PointResidual(Polynomial._from_clean(terms), frozenset(support), points)

@@ -14,9 +14,12 @@ one ``LiftingMinors`` record: the source names N's points, its circuits
 and q, ``# form: minors <k>`` follows, and one line holds the bracket
 matrix, entries separated by ``,`` and rows by ``;``.  The record is read
 off its source line, and k and the matrix line must be exactly the ones
-written for it.  Given a realization's point coordinates, a coordinate
-line is read straight into its point residual (``poly.read_point_residual``),
-which is what ``verify`` evaluates; the full expansion is then never built.
+written for it.  README.md, "Polynomial file grammar", gives the three
+kinds of line in EBNF.  Given a realization's point coordinates, a
+coordinate line is read straight into its point residual
+(``poly.read_point_residual``), which is what ``verify`` evaluates; the full
+expansion is then never built.  The coordinate lines of a file share one
+``poly.FactorTable``, so each written factor is parsed once per file.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Iterable, Mapping
 from .brackets import BracketPolynomial
 from .generators import ExtraVector, LabeledPolynomial, LiftingMinors
 from .matroids import is_point_list
-from .poly import Polynomial, Scalar, Variable, read_point_residual
+from .poly import FactorTable, Polynomial, Scalar, Variable, read_point_residual
 from .scalars import parse_integer
 
 _RECORD_LABEL = re.compile(r"lifting N=(\[[^]]*\]) rows=(\[.*\]) q=(\S+)")
@@ -88,6 +91,7 @@ def parse_polynomials(
     each coordinate line is its ``PointResidual`` against them, and bracket
     lines and records are unchanged."""
     out: list[LabeledPolynomial | LiftingMinors] = []
+    table = FactorTable({} if points is None else points)
     label = None
     form: list[str] = []
     for raw in text.splitlines():
@@ -108,9 +112,9 @@ def parse_polynomials(
             if form == ["bracket"] or "<" in line:
                 poly = BracketPolynomial.from_text(line)
             elif points is None:
-                poly = Polynomial.from_text(line)
+                poly = Polynomial.from_text(line, table)
             else:
-                poly = read_point_residual(line, points)
+                poly = read_point_residual(line, points, table)
             out.append(LabeledPolynomial(label or f"poly{len(out)}", poly))
         label = None
         form = []

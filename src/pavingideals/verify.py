@@ -61,14 +61,16 @@ class VanishingReport:
         """One line per check, byte for byte ``json.dumps(obj, sort_keys=True)``
         of ``{"poly_id", "assignment": {name: [coordinates]}, "value", "pass"}``.
 
-        A sweep repeats a few polynomial ids and vectors in every check, so
-        each id, and each (name, vector) pair, is encoded once; each vector's
-        coordinates are formatted once.  ``format_rational`` writes only
-        digits, ``-`` and ``/``, which JSON quotes without escapes.
+        A sweep repeats a few polynomial ids, vectors and values in every
+        check, so each id, and each (name, vector) pair, is encoded once; each
+        vector's coordinates, and each distinct value, are formatted once.
+        ``format_rational`` writes only digits, ``-`` and ``/``, which JSON
+        quotes without escapes.
         """
         ids: dict[str, str] = {}
         pairs: dict[tuple, str] = {}
         vectors: dict[tuple, str] = {}
+        values: dict[Scalar, str] = {}
 
         def pair_text(pair: tuple[str, tuple]) -> str:
             name, vec = pair
@@ -85,9 +87,11 @@ class VanishingReport:
                 poly_text = ids[poly_id] = json.dumps(poly_id)
             assignment = ", ".join([pairs.get(pair) or pair_text(pair) for pair in assignment])
             verdict = "true" if passed else "false"
-            value = format_rational(value)
+            text = values.get(value)
+            if text is None:
+                text = values[value] = format_rational(value)
             lines.append(
-                f'{{"assignment": {{{assignment}}}, "pass": {verdict}, "poly_id": {poly_text}, "value": "{value}"}}'
+                f'{{"assignment": {{{assignment}}}, "pass": {verdict}, "poly_id": {poly_text}, "value": "{text}"}}'
             )
         return "\n".join(lines)
 
@@ -165,13 +169,14 @@ def _residual_value(
 
 
 def _minor_values(
-    record: LiftingMinors, realization: Realization, extra: Mapping[str, Sequence[Scalar]]
+    record: LiftingMinors, columns: Mapping[int, tuple[tuple[int, ...], int]], extra: Mapping[str, Sequence[Scalar]]
 ) -> list[Scalar]:
-    """Every k-minor of the record at one assignment, in ``index_sets`` order."""
+    """Every k-minor of the record at one assignment, in ``index_sets`` order,
+    with the points at their integer ``columns``."""
     q = extra.get(record.q.name)
     if q is None:
         raise UnboundVariable([extra_var(1, record.q.name)])
-    m = record.matrix_at(realization.vectors, q)
+    m = record.matrix_at(columns, q)
     index_sets = list(record.index_sets())
     if matrix_rank(m) < record.k:
         return [0] * len(index_sets)
@@ -220,10 +225,12 @@ def verify_vanishing(
     for labeled in polynomials:
         if isinstance(labeled, LiftingMinors):
             assigns = list(assignments(extra_names(labeled)))
-            keys = [key for key, _ in assigns]
-            columns = [_minor_values(labeled, realization, extra) for _, extra in assigns]
-            for label, values in zip(labeled.minor_labels(), zip(*columns)):
-                check(label, zip(keys, values))
+            columns = [_minor_values(labeled, brackets.columns, extra) for _, extra in assigns]
+            checks.extend(
+                VanishingCheck(label, key, v, (v == 0) == zero)
+                for label, values in zip(labeled.minor_labels(), zip(*columns))
+                for (key, _), v in zip(assigns, values)
+            )
             continue
         poly = labeled.polynomial
         if isinstance(poly, BracketPolynomial):

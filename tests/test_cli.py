@@ -20,6 +20,7 @@ from pavingideals import poly as poly_module
 from pavingideals.cli import main
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.realizations import Realization, in_realization_space
+from pavingideals.samplers import sample_family
 from pavingideals.generators import (
     ExtraVector,
     LabeledPolynomial,
@@ -426,17 +427,19 @@ def test_generated_polynomials_parse_back_equal(tmp_path, capsys, monkeypatch, r
         assert type(poly).from_text(poly.to_text()) == poly, item.label
 
 
-def test_parsing_names_each_distinct_factor_once_per_line(monkeypatch):
+def test_parsing_names_each_distinct_factor_once_per_file(monkeypatch):
     text = render_polynomials(lifting_polynomials(builtin_matroid("qs"), ExtraVector.symbolic("q")))
-    distinct = occurrences = 0
+    per_line = occurrences = 0
+    in_file = set()
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
         factors = [
             f.strip() for term in re.split(" [+-] ", line) for f in term.split("*")[1:]
         ]
-        distinct += len(set(factors))
+        per_line += len(set(factors))
         occurrences += len(factors)
+        in_file.update(factors)
     calls = 0
 
     def counting(factor):
@@ -445,10 +448,14 @@ def test_parsing_names_each_distinct_factor_once_per_line(monkeypatch):
         return parse_variable(factor)
 
     monkeypatch.setattr(poly_module, "parse_variable", counting)
-    parsed = parse_polynomials(text)
-    # 540 distinct factor texts against 188,280 occurrences in this file.
-    assert 0 < calls <= distinct < occurrences // 100
-    assert render_polynomials(parsed) == text
+    for points in (None, sample_family("qs", 7).assignment()):
+        calls = 0
+        parsed = parse_polynomials(text, points)
+        # 48 distinct factor texts in the file, 540 summed line by line,
+        # against 188,280 occurrences.
+        assert 0 < calls <= len(in_file) < per_line // 10 < occurrences // 1000
+        if points is None:
+            assert render_polynomials(parsed) == text
 
 
 def test_generate_is_deterministic_across_runs(tmp_path, capsys):

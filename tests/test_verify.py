@@ -31,7 +31,14 @@ from pavingideals import poly as poly_module
 from pavingideals.brackets import BracketPolynomial, DimensionMismatch, UnboundLabel, evaluator
 from oracles import collinear_points, expand_records
 from pavingideals.cli import main
-from pavingideals.generators import ExtraVector, LabeledPolynomial, builtin_graph_data_names, lifting_polynomials
+from pavingideals.generators import (
+    ExtraVector,
+    LabeledPolynomial,
+    builtin_graph_data,
+    builtin_graph_data_names,
+    graph_polynomial,
+    lifting_polynomials,
+)
 from pavingideals.lifting import Hyperplane, project
 from pavingideals.linalg import bareiss_determinant, echelon
 from pavingideals.matroids import builtin_matroid
@@ -253,7 +260,7 @@ def test_a_line_read_against_points_equals_substituting_its_polynomial():
         assert read.residual == full.evaluate_partial(READ_POINTS), line
         assert read.support == full.support(), line
         assert all(isinstance(c, int) or c.denominator > 1 for c in read.residual.terms.values()), line
-        routes[poly_module._read(line, READ_POINTS)[1] is None] += 1
+        routes[poly_module._read(line, poly_module.FactorTable(READ_POINTS))[1] is None] += 1
     # Both the direct and the general route are taken.
     assert min(routes.values()) > 300, routes
 
@@ -308,6 +315,87 @@ def test_unbound_variables_of_a_point_residual_are_named_at_verification():
     read = [LabeledPolynomial("p", read_point_residual(line, realization.assignment()))]
     assert unbound_list(lambda: verify_vanishing(read, realization, q="canonical")) == [entry_var(1, 99)]
     assert unbound_list(lambda: verify_vanishing(read, realization)) == [entry_var(1, 99), extra_var(2, "q")]
+
+
+# Point coordinates a property-test line may bind, and the extras it leaves free.
+SPELLED_ENTRIES = [entry_var(r, p) for p in (1, 2, 3, 4) for r in (1, 2, 3)]
+SPELLED_VARIABLES = SPELLED_ENTRIES + [extra_var(r, name) for name in ("q1", "q2") for r in (1, 2, 3)]
+SPELLED_SCALARS = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+def spelled_factors(data, var, exp: int) -> list[str]:
+    """``var^exp`` as written factors: indices maybe zero-padded, the power
+    maybe split as ``x^a * x^b`` or ``x * x``."""
+    row = data.draw(st.sampled_from([str(var.row), f"0{var.row}"]))
+    column = str(var.column)
+    if var.kind != KIND_EXTRA:
+        column = data.draw(st.sampled_from([column, f"00{column}"]))
+    name = f"x[{row},{column}]"
+    powers = data.draw(st.sampled_from([[exp], [1] * exp, [exp - 1, 1] if exp > 1 else [1]]))
+    return [name if e == 1 else f"{name}^{e}" for e in powers]
+
+
+def spelled_line(data) -> tuple[str, Polynomial]:
+    """A line with shuffled factors, repeated variables, zero-padded indices,
+    free spacing around ``*``, Fraction and 0 coefficients and, often, a term
+    written again (spelled anew) to cancel or merge; and the polynomial it
+    writes, built by arithmetic."""
+    factors = st.tuples(st.sampled_from(SPELLED_VARIABLES), st.integers(1, 3))
+    monomials = st.lists(factors, max_size=4, unique_by=lambda factor: factor[0])
+    terms = data.draw(st.lists(st.tuples(SPELLED_SCALARS, monomials), min_size=1, max_size=6))
+    for _ in range(data.draw(st.integers(0, 2))):
+        coeff, factors = data.draw(st.sampled_from(terms))
+        again = data.draw(st.sampled_from([-coeff, -coeff, coeff, Fraction(1, 2)]))
+        terms.insert(data.draw(st.integers(0, len(terms))), (again, factors))
+    written, want = [], Polynomial.zero()
+    for i, (coeff, factors) in enumerate(terms):
+        pieces = data.draw(st.permutations([f for var, exp in factors for f in spelled_factors(data, var, exp)]))
+        star = data.draw(st.sampled_from(["*", " * ", "* ", " *", "  *  "]))
+        body = star.join([format_rational(abs(coeff))] + pieces)
+        sign = "-" if coeff < 0 else "" if i == 0 else "+"
+        written.append(f"{sign}{body}" if i == 0 else f" {sign} {body}")
+        term = Polynomial.constant(coeff)
+        for var, exp in factors:
+            for _ in range(exp):
+                term = term * Polynomial.variable(var)
+        want = want + term
+    return "".join(written), want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_lines_read_alone_or_through_one_table_equal_substituting_their_polynomials(data):
+    points = data.draw(st.dictionaries(st.sampled_from(SPELLED_ENTRIES), SPELLED_SCALARS), label="points")
+    lines = [spelled_line(data) for _ in range(data.draw(st.integers(1, 3), label="lines"))]
+    table = poly_module.FactorTable(points)
+    for line, want in lines:
+        assert Polynomial.from_text(line) == want, line
+        residual, support = want.evaluate_partial(points), want.support()
+        for read in (read_point_residual(line, points), read_point_residual(line, points, table)):
+            assert (read.residual, read.support) == (residual, support), line
+            assert all(isinstance(c, int) or c.denominator > 1 for c in read.residual.terms.values()), line
+
+
+def test_a_graph_line_builds_one_monomial_per_distinct_free_part(monkeypatch):
+    line = graph_polynomial(builtin_graph_data("fig2r")).to_text()
+    points = sample_family("fig2r", 7).assignment()
+    built = []
+    monomial = poly_module._monomial
+
+    def counted(pairs):
+        built.append(monomial(pairs))
+        return built[-1]
+
+    monkeypatch.setattr(poly_module, "_monomial", counted)
+    read = read_point_residual(line, points)
+    # 3,024 terms over at most 3^4 = 81 monomials of x[r,q1]..x[r,q4], each
+    # built once; one monomial per term before.  They cancel on a realization.
+    assert len(built) == len(set(built)) <= 81
+    assert read.residual.is_zero()
+    monkeypatch.undo()
+    full = Polynomial.from_text(line)
+    assert len(full) == 3024
+    assert (read.residual, read.support) == (full.evaluate_partial(points), full.support())
 
 
 # -- numeric brackets --------------------------------------------------------------
@@ -440,11 +528,13 @@ def test_canonical_sweep_converts_and_formats_each_vector_once(tmp_path, monkeyp
 
     monkeypatch.setattr(brackets, "_integer_column", counted_column)
     monkeypatch.setattr(verify, "format_rational", counted_text)
-    lines = verify_graph_sweep(tmp_path, "grid3x4").count(b"\n")
+    report = verify_graph_sweep(tmp_path, "grid3x4").decode().splitlines()
+    distinct = {json.loads(line)["value"] for line in report}
     # 12 points, then e1..e3 once each: before, 4,374 conversions.
     assert len(columns) == 12 + 3
-    # One value per check, then the 3 coordinates of e1..e3: before, 13,851 calls.
-    assert len(texts) == lines + 3 * 3
+    # Each distinct value once, then the 3 coordinates of e1..e3: before,
+    # 13,851 calls, and later one per check (729 + 9).
+    assert len(texts) == len(distinct) + 3 * 3 < len(report)
 
 
 def test_report_lines_equal_json_dumps_with_sorted_keys():
