@@ -119,6 +119,8 @@ def cli_sweep(work: Path) -> None:
     call("verify", "--polys", work / "c.txt", *qs)
     call("generate", "--matroid", "qs", "--which", "graph", "--graph-data", graph_data, "--out", work / "g.txt")
     call("verify", "--polys", work / "g.txt", *qs, "--q", "canonical")
+    # On a grid3x3 sample qs's graph polynomial leaves a nonzero residual in q.
+    call("verify", "--polys", work / "g.txt", "--realization", work / "grid3x3.json", "--q", "canonical", codes=(3,))
     call("verify", "--polys", work / "g.txt", *qs, "--q", "0,0,1", "--expect", "nonzero", codes=(0, 3))
     call("verify", "--polys", work / "qs-symbolic.txt", *qs, "--q", "canonical", "--expect", "nonzero", codes=(0, 3))
     call("gc", "meet", "3,4", "1,2", "--join", "5,6", "--dim", 3)

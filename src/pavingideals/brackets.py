@@ -4,15 +4,19 @@ A bracket ⟨a b c ...⟩ stands for the determinant of the matrix whose columns
 are the named vectors.  Labels are either integer point ids or strings for
 formal columns (auxiliary vectors, symbolic intersection points).  A bracket
 polynomial is a polynomial whose variables are brackets, so
-``BracketPolynomial`` is a ``Polynomial`` with its own monomials (sorted
-tuples of bracket keys) and term order.  Working at the label level keeps
+``BracketPolynomial`` is a ``Polynomial`` whose ring's atoms are bracket
+keys: it stores packed terms like any polynomial and shares its one
+product, and only its tuple monomials (sorted tuples of bracket keys, a
+bracket repeated by its power) and its text order are its own.  Working at
+the label level keeps
 meet/join output readable — the printer emits ⟨i j k⟩ notation — while
 ``expand`` turns everything into an honest coordinate polynomial and
 ``evaluate`` plugs in exact vectors directly.
 
 Expansion (``expander``) reads each bracket as a maximal minor of one
-coordinate matrix through ``MinorEngine`` and multiplies the brackets of a
-term as coordinate polynomials.
+coordinate matrix through ``MinorEngine`` and maps each bracket polynomial
+to coordinates on its packed terms, multiplying the brackets of a term as
+coordinate polynomials.
 
 Numeric evaluation writes each vector once as integers over the lcm of its
 denominators and takes a bracket as an integer determinant over the product
@@ -34,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, groupby, product
 from math import lcm, prod
 from operator import add, mul
@@ -43,7 +48,7 @@ from .linalg import bareiss_determinant
 from .poly import Polynomial, _split_terms
 from .polymatrix import MinorEngine
 from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
-from .variables import entry_var, extra_var, is_extra_id
+from .variables import Variable, entry_var, extra_var, is_extra_id
 
 Label = Union[int, str]
 
@@ -101,15 +106,12 @@ def normalize_labels(labels: Sequence[Label]) -> tuple[int, tuple[Label, ...]]:
     return sign, tuple(sorted(labels, key=_label_key))
 
 
-def _bracket_monomial_mul(a: BracketMonomial, b: BracketMonomial) -> BracketMonomial:
-    return tuple(sorted(a + b, key=_bracket_sort_key))
-
-
 class BracketPolynomial(Polynomial):
     """Polynomial whose variables are formal brackets of column labels.
 
-    A monomial is the sorted tuple of its bracket keys, repeated by
-    multiplicity; the ring operations are ``Polynomial``'s.
+    Its ring's atoms are bracket keys; as a tuple, a monomial is the sorted
+    tuple of its bracket keys, repeated by multiplicity.  The ring
+    operations are ``Polynomial``'s.
     """
 
     __slots__ = ()
@@ -120,9 +122,6 @@ class BracketPolynomial(Polynomial):
         if sign == 0:
             return BracketPolynomial()
         return BracketPolynomial({(key,): sign})
-
-    def _monomial_product(self):
-        return _bracket_monomial_mul
 
     # A monomial's atoms are its brackets, and a repeat is a power.
     _atom_key = staticmethod(_bracket_sort_key)
@@ -135,21 +134,17 @@ class BracketPolynomial(Polynomial):
     def _power(key: BracketKey, exp: int) -> BracketMonomial:
         return (key,) * exp
 
-    def _sort_keys(self):
+    def sorted_terms(self) -> list[tuple[BracketMonomial, Scalar]]:
         """Terms in order of their sorted bracket sequences, shorter prefixes first."""
-        return map(_mono_sort_key, self._terms)
-
-    def support(self) -> set[BracketKey]:
-        """The brackets that occur in some term."""
-        return set().union(*self._terms)
+        return sorted(self.terms.items(), key=lambda term: _mono_sort_key(term[0]))
 
     # -- output -----------------------------------------------------------
 
     def _render(self, left: str, right: str, unit_coefficients: bool) -> str:
-        if not self.terms:
+        if not self:
             return "0"
         chunks = []
-        for idx, (mono, coeff) in enumerate(self.sorted_terms()):
+        for idx, (mono, coeff) in enumerate(self.sorted_terms() if len(self) > 1 else self.terms.items()):
             body = "".join(left + " ".join(str(l) for l in key) + right for key in mono)
             if unit_coefficients or abs(coeff) != 1 or not mono:
                 body = format_rational(abs(coeff)) + body
@@ -195,11 +190,7 @@ class BracketPolynomial(Polynomial):
         return BracketPolynomial(terms)
 
     def labels(self) -> set[Label]:
-        out: set[Label] = set()
-        for mono in self.terms:
-            for key in mono:
-                out.update(key)
-        return out
+        return {label for key in self.support() for label in key}
 
     # -- expansion and evaluation ---------------------------------------------
 
@@ -225,7 +216,10 @@ def expander(
 
     The brackets a call meets first, in all its polynomials, are maximal
     minors of one matrix, whose columns are their labels' columns, so they
-    share one MinorEngine.  A term of one bracket is its cached expansion
+    share one MinorEngine; when ``column`` gives the columns of one ring
+    that holds those minors, they are polynomials of that ring.  A
+    polynomial expands on its packed terms, the ring map sending each
+    bracket to its minor: a term of one bracket is its cached expansion
     scaled by the coefficient; a term of several brackets is the ring
     product of their cached expansions.  The coordinate generators expand
     matrices of single brackets and read their polynomials off as minors;
@@ -246,27 +240,24 @@ def expander(
         for key in keys:
             cache[key] = engine.minor(rows, tuple(at[label] for label in key))
 
-    def expand_term(mono: BracketMonomial, coeff: Scalar) -> Polynomial:
-        if not mono:
-            return Polynomial.constant(coeff)
-        product = cache[mono[0]].scale(coeff)
-        for key in mono[1:]:
-            product = product * cache[key]
-        return product
+    def power(key: BracketKey, exp: int) -> Polynomial:
+        return reduce(mul, [cache[key]] * exp)
+
+    def product_of(factors: list[Polynomial]) -> Polynomial:
+        return reduce(mul, factors)
+
+    def expand_one(poly: BracketPolynomial) -> Polynomial:
+        total = Polynomial.zero()
+        for coeff, factors in poly._ring.fold(poly._packed, power, product_of):
+            total = total + (product_of(factors).scale(coeff) if factors else Polynomial.constant(coeff))
+        return total
 
     def expand(polys: Sequence[BracketPolynomial]) -> list[Polynomial]:
-        terms = [poly.sorted_terms() for poly in polys]
-        keys = dict.fromkeys(k for each in terms for mono, _ in each for k in mono)
+        keys = dict.fromkeys(key for poly in polys for key in poly._ring.held(poly._packed))
         new = [key for key in keys if key not in cache]
         if new:
             expand_brackets(new)
-        out = []
-        for each in terms:
-            total = Polynomial.zero()
-            for mono, coeff in each:
-                total = total + expand_term(mono, coeff)
-            out.append(total)
-        return out
+        return [expand_one(poly) for poly in polys]
 
     return expand
 
@@ -374,10 +365,14 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
     return value
 
 
+def column_variables(label: Label, dim: int) -> list[Variable]:
+    """The coordinates x[1,label]..x[dim,label] of a label's column."""
+    var = entry_var if isinstance(label, int) else extra_var
+    return [var(r, label) for r in range(1, dim + 1)]
+
+
 def symbolic_column(label: Label, dim: int) -> list[Polynomial]:
-    if isinstance(label, int):
-        return [Polynomial.variable(entry_var(r, label)) for r in range(1, dim + 1)]
-    return [Polynomial.variable(extra_var(r, label)) for r in range(1, dim + 1)]
+    return [Polynomial.variable(v) for v in column_variables(label, dim)]
 
 
 # -- labeled exterior algebra ---------------------------------------------------

@@ -123,7 +123,8 @@ def cmd_validate(args) -> int:
 def _generate_lifting(matroid, extras: list[ExtraVector], budget: int) -> list:
     """Per restriction with minor size k <= budget: its minors record for a
     symbolic q, its expanded minors for a concrete one (bracket text names
-    symbolic vectors only)."""
+    symbolic vectors only).  When the budget leaves none of the restrictions
+    that have minors, a note names it."""
     rank = matroid.rank
     subs = [s for s in matroid.full_rank_submatroids() if 0 < s.size - rank + 1 <= budget]
     items = []
@@ -133,6 +134,11 @@ def _generate_lifting(matroid, extras: list[ExtraVector], budget: int) -> list:
                 items.extend(lifting_polynomials(sub, q))
             elif (record := lifting_minors(sub, q)).k <= len(record.circuits):
                 items.append(record)
+    if not items:
+        sizes = [k for s in matroid.full_rank_submatroids() if budget < (k := s.size - rank + 1) <= len(s.circuits_n())]
+        if sizes:
+            print(f"note: --budget-minor {budget} skipped every restriction with minors (smallest k = {min(sizes)})"
+                  "; no lifting polynomials written", file=sys.stderr)
     return items
 
 
@@ -216,6 +222,8 @@ def cmd_verify(args) -> int:
         report = verify_vanishing(polys, realization, q, args.expect)
     except (KeyError, ValueError) as exc:
         raise _Exit(EXIT_USAGE, f"error: {exc}")
+    if not report.checks:
+        print(f"note: {args.polys} holds no polynomials; nothing was checked", file=sys.stderr)
     _write_out(report.to_json_lines() + "\n", args.out)
     return EXIT_OK if report.all_pass else EXIT_VERIFY
 

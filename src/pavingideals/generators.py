@@ -32,13 +32,14 @@ from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .brackets import (
-    BracketKey, BracketPolynomial, Label, bracket_value, expander, integer_columns, symbolic_column,
+    BracketKey, BracketPolynomial, Label, bracket_value, column_variables, expander, integer_columns,
+    symbolic_column,
 )
 from .matroids import PavingMatroid, builtin_matroid, grid_point, is_point_list
-from .poly import ExponentPacking, PointResidual, Polynomial
-from .polymatrix import MinorEngine, Packed
+from .poly import Packed, PointResidual, Polynomial, Ring
+from .polymatrix import MinorEngine
 from .scalars import Scalar, as_scalar, format_rational
-from .variables import entry_var, is_extra_id
+from .variables import is_extra_id
 
 BracketRows = list[list[BracketPolynomial]]
 
@@ -119,35 +120,57 @@ class ExtraVector:
 # -- the signed-bracket matrix ------------------------------------------------
 
 
-def bracket_matrix(rows: Iterable[tuple[Sequence[int], Label]], columns: Sequence[int]) -> BracketRows:
-    """One row per (circuit, extra-vector label), one column per point.
+def signed_rows(
+    rows: Iterable[tuple[Sequence[int], Label]], columns: Sequence[int]
+) -> list[list[tuple[int, BracketKey, int]]]:
+    """Per (circuit, extra-vector label) row, its nonzero entries in column
+    order as (column index, bracket, sign).
 
     The circuit is listed ascending; the entry at its i-th point (from 0) is
     (-1)^i times the bracket of the other points followed by the label, and
     points outside the circuit get 0.  Point ids are ints and labels are
     strings, so each bracket is already in sorted normal form, stored as built.
     """
-    zero = BracketPolynomial.zero()
-    entries = []
+    out = []
     for circuit, label in rows:
         circuit = tuple(sorted(circuit))
-        signed = {
-            p: BracketPolynomial._from_clean({(circuit[:i] + circuit[i + 1 :] + (label,),): (-1) ** i})
-            for i, p in enumerate(circuit)
-        }
-        entries.append([signed.get(p, zero) for p in columns])
+        at = {p: i for i, p in enumerate(circuit)}
+        row = [(j, at[p]) for j, p in enumerate(columns) if p in at]
+        out.append([(j, circuit[:i] + circuit[i + 1 :] + (label,), (-1) ** i) for j, i in row])
+    return out
+
+
+def bracket_matrix(rows: Iterable[tuple[Sequence[int], Label]], columns: Sequence[int]) -> BracketRows:
+    """One row per (circuit, extra-vector label), one column per point: the
+    ``signed_rows`` entries as bracket polynomials of one ring, which holds
+    every minor of the matrix."""
+    signed = signed_rows(rows, columns)
+    ring = Ring(BracketPolynomial, (key for row in signed for _, key, _ in row), min(len(signed), len(columns)))
+    entries = []
+    for row in signed:
+        entry = [ring.polynomial({})] * len(columns)
+        for j, key, sign in row:
+            entry[j] = ring.polynomial({ring.pack([(key, 1)]): sign})
+        entries.append(entry)
     return entries
 
 
-def _coordinates(extras: Iterable[ExtraVector], dim: int):
-    """Bracket expansion sending a point p to x[r,p], an extra label to its column."""
-    by_label = {e.label(): e for e in extras}
+def _coordinates(extras: Sequence[ExtraVector], dim: int, points: Iterable[int], size: int):
+    """(ring, expander) for one computation in coordinates, the ring built
+    before the matrix: the x[r,l] of these points' and the symbolic extras'
+    columns, with room for the bracket minors and for the minors of up to
+    ``size`` rows and columns of expanded brackets, each linear in every
+    variable, so the expansion and an engine on its result share the ring.
+    A concrete extra vector's column is its constants."""
+    labels = [*points, *(e.name for e in extras if e.is_symbolic)]
+    ring = Ring(Polynomial, (v for label in labels for v in column_variables(label, dim)), max(dim, size))
+    concrete = {e.label(): e for e in extras if not e.is_symbolic}
 
     def column(label: Label) -> Sequence[Polynomial]:
-        extra = by_label.get(label)
-        return symbolic_column(label, dim) if extra is None else extra.column(dim)
+        extra = concrete.get(label)
+        return extra.column(dim) if extra else [ring.variable(v) for v in column_variables(label, dim)]
 
-    return expander(dim, column)
+    return ring, expander(dim, column)
 
 
 # -- circuit polynomials ----------------------------------------------------
@@ -211,13 +234,12 @@ class LiftingMinors:
     def k(self) -> int:
         return len(self.points) - (len(self.circuits[0]) if self.circuits else 0) + 1
 
+    def _rows(self) -> Iterable[tuple[tuple[int, ...], str]]:
+        return ((c, self.q.label()) for c in self.circuits)
+
     @cached_property
     def matrix(self) -> BracketRows:
-        return self._bracket_matrix()
-
-    def _bracket_matrix(self) -> BracketRows:
-        label = self.q.label()
-        return bracket_matrix(((c, label) for c in self.circuits), self.points)
+        return bracket_matrix(self._rows(), self.points)
 
     @property
     def label(self) -> str:
@@ -225,11 +247,9 @@ class LiftingMinors:
 
     @cached_property
     def _signed(self) -> list[list[tuple[int, BracketKey, int]]]:
-        """Each row's nonzero entries as (column, bracket, sign).  They are read
-        off ``matrix`` when it is built, and otherwise off one that is not
-        kept, so a record cached for ``lift`` holds only these."""
-        matrix = self.__dict__.get("matrix") or self._bracket_matrix()
-        return [[(j, key, sign) for j, e in enumerate(row) for (key,), sign in e.terms.items()] for row in matrix]
+        """Each row's nonzero entries as (column, bracket, sign), the entries
+        of ``matrix``; a record cached for ``lift`` holds only these."""
+        return signed_rows(self._rows(), self.points)
 
     def matrix_at(
         self, columns: Mapping[Label, tuple[tuple[int, ...], int]], q: Sequence[Scalar]
@@ -267,7 +287,9 @@ class LiftingMinors:
         index_sets = list(self.index_sets())
         if not index_sets:
             return []
-        engine = MinorEngine(_expanded(self.matrix, _coordinates([self.q], len(self.circuits[0]))))
+        size = min(len(self.circuits), len(self.points))
+        _, expand = _coordinates([self.q], len(self.circuits[0]), self.points, size)
+        engine = MinorEngine(_expanded(self.matrix, expand))
         labels = self.minor_labels()
         return [LabeledPolynomial(label, engine.minor(*ij)) for label, ij in zip(labels, index_sets)]
 
@@ -385,7 +407,8 @@ def _graph_brackets(data: GraphData) -> BracketRows:
 def graph_polynomial(data: GraphData) -> Polynomial:
     """Determinant of the graph matrix expanded into coordinates, a concrete
     extra vector as its constant column."""
-    expand = _coordinates(data.extras, data.matroid.rank)
+    points = {p for c in data.circuits for p in c}
+    _, expand = _coordinates(data.extras, data.matroid.rank, points, data.k)
     return MinorEngine(_expanded(_graph_brackets(data), expand)).determinant()
 
 
@@ -492,10 +515,11 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
     threaded point, expanded into coordinates through one expander shared
     by the whole call.  One MinorEngine per anchor set reads each candidate
     off it on rows (c_1, b_1), ..., (c_k, b_k), and the engine's memo is
-    dropped with its anchor set.  The engines and the circuits share one
-    packing per call, over every x[r,p]: the zero test, the sign (the
-    coefficient at the largest key, the lex-first term) and the dedup run
-    on packed candidates, and only the members emitted are unpacked.
+    dropped with its anchor set.  One ring per call, over every x[r,p], is
+    built before the matrices: the expansion, the engines and the members
+    share it, and the circuits are repacked into it.  The zero test, the
+    sign (the coefficient at the largest key, the lex-first term) and the
+    dedup run on packed candidates, and the members stay packed.
     """
     if matroid.max_degree() > 2:
         warnings.warn(
@@ -505,9 +529,8 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
         )
     sweeps, truncated = _family_tuples(matroid)
     n = matroid.rank
-    # Room for the largest minor; every entry is linear in each x[r,p].
-    pairs = {(entry_var(r, p), 1) for r in range(1, n + 1) for p in matroid.points}
-    packing = ExponentPacking(Polynomial, pairs, max((len(points) for _, points, _ in sweeps), default=1))
+    basis = [ExtraVector.basis(b, n) for b in range(1, n + 1)]
+    ring, expand = _coordinates(basis, n, matroid.points, max((len(points) for _, points, _ in sweeps), default=1))
     emitted: list[LabeledPolynomial] = []
     seen: set[frozenset] = set()
 
@@ -521,16 +544,14 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
             return packed
 
     for labeled in circuit_polynomials(matroid):
-        if new_normal({packing.pack(mono): c for mono, c in labeled.polynomial.terms.items()}) is not None:
+        if new_normal(ring.repack(labeled.polynomial)) is not None:
             emitted.append(labeled)
 
-    basis = [ExtraVector.basis(b, n) for b in range(1, n + 1)]
-    expand = _coordinates(basis, n)
     for anchor, points, combos in sweeps:
         used = dict.fromkeys(c for combo in combos for c in combo)
         row_of = {cb: i for i, cb in enumerate(product(used, range(1, n + 1)))}
         stacked = bracket_matrix(((c, basis[b - 1].label()) for c, b in row_of), points)
-        engine = MinorEngine(_expanded(stacked, expand), packing)
+        engine = MinorEngine(_expanded(stacked, expand))
         cols = tuple(range(len(points)))
         for combo in combos:
             # Basis vectors all have length n: one check covers every assignment.
@@ -541,12 +562,11 @@ def finite_generating_family(matroid: PavingMatroid) -> GeneratingFamily:
                 if assignments > FAMILY_MAX_BASIS_ASSIGNMENTS:
                     truncated = True
                     break
-                packed = engine.packed_minor([row_of[cb] for cb in zip(combo, basis_pick)], cols)
+                packed = ring.repack(engine.minor([row_of[cb] for cb in zip(combo, basis_pick)], cols))
                 if not packed or (normal := new_normal(packed)) is None:
                     continue
                 label = graph_label(anchor, points, combo, [f"e{b}" for b in basis_pick])
-                member = Polynomial._from_clean(dict(zip(packing.unpack(normal), normal.values())))
-                emitted.append(LabeledPolynomial(label, member))
+                emitted.append(LabeledPolynomial(label, ring.polynomial(normal)))
                 if len(emitted) >= FAMILY_MAX_POLYNOMIALS:
                     return GeneratingFamily(tuple(emitted), True)
     return GeneratingFamily(tuple(emitted), truncated)

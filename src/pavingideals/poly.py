@@ -1,19 +1,27 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials over the rationals, in one stored form.
 
-A monomial is a tuple of (Variable, exponent) pairs, sorted by the variable
-order, with no zero exponents; the empty tuple is the constant monomial.  A
-polynomial maps monomials to nonzero scalar coefficients, so two polynomials
-are equal exactly when their dicts are equal — there is one representation
-per polynomial and no floating point anywhere.
+A polynomial is a ring and a dict from packed monomial to nonzero scalar
+coefficient; there is no floating point anywhere.  A ``Ring`` fixes a
+sorted set of atoms (the variables ``x[r,c]`` of a ``Polynomial``, the
+brackets of a ``BracketPolynomial``) and gives each a bit field of one
+width, the first atom the most significant, so a monomial is one int: the
+sum of each exponent shifted to its atom's field.  Descending int order is
+the lex term order, and while no exponent passes the ring's bound no field
+carries, so the product of two monomials is one int addition (Monagan &
+Pearce, CASC 2007).  ``_add_product`` is the one polynomial product;
+``MinorEngine`` expands minors with it.  Operands in different rings, or
+whose product could pass their ring's bound, are first repacked into one
+joined ring; equality and hashing do not depend on the ring.
 
-Where a fixed set of variables meets many monomials, ``ExponentPacking``
-writes each exponent vector as one int: the term order becomes int order, the
-text form is written from the ints in descending order and, in a ring that
-knows its exponent bound, a monomial product is one addition.
+Tuple monomials appear only at the edges: the ``Polynomial(terms)``
+constructor packs them, and the read-only ``terms`` view unpacks them.  A
+coordinate monomial there is a tuple of (Variable, exponent) pairs sorted
+by the variable order, with no zero exponents; the empty tuple is the
+constant monomial.
 
 The text form used in generated files is one polynomial per line, terms
 sorted lexicographically (earlier variables and higher powers first) and
-joined with `` + `` / `` - ``::
+joined with `` + `` / `` - ``, written straight from the packed keys::
 
     2 * x[1,3]^2 * x[2,q1] - 1/3 * x[1,4]
 
@@ -25,8 +33,8 @@ terms, with some variables bound: it multiplies their values into each
 term's coefficient, so a verifier gets the small residual polynomial in the
 other variables without the full expansion being built.  The lines of one
 file share a ``FactorTable``, so each written factor is parsed once per
-file, and terms with the same free factors are summed before any monomial
-is built.
+file, and terms with the same free factors are summed before their
+monomial is packed.
 """
 
 from __future__ import annotations
@@ -35,55 +43,58 @@ import re
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain
-from typing import Collection, Iterable, Mapping, Tuple
+from math import prod
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Tuple
 
 from .scalars import Scalar, format_rational, normalize_scalar, parse_integer, parse_rational, power
 from .variables import Variable, parse_variable
 
 Monomial = Tuple[Tuple[Variable, int], ...]
 
-CONST_MONO: Monomial = ()
+Packed = dict[int, Scalar]
 
 _TERM_SEPARATOR_RE = re.compile(r" ([+-]) ")
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted exponent tuples."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _add_product(total: Packed, a: Packed, b: Packed, sign: int) -> None:
+    """total += sign * a * b, in place, for packed terms of one ring that
+    holds the product's exponents."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = total.get
+    for mb, cb in b.items():
+        if sign < 0:
+            cb = -cb
+        for ma, ca in a.items():
+            mono = ma + mb
+            new = get(mono, 0) + ca * cb
+            if new:
+                total[mono] = new
+            else:
+                del total[mono]
 
 
-# Unpacking and writing read the atoms' fields in runs of at most this many
-# atoms, one table lookup per run; the runs split the atoms evenly.
+def _add_term(terms: Packed, key: int, coeff: Scalar) -> None:
+    """terms[key] += coeff, in place, normalized; a term that cancels is dropped."""
+    new = normalize_scalar(terms.get(key, 0) + coeff)
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+# Unpacking, writing and folding read the atoms' fields in runs of at most
+# this many atoms, one table lookup per run; the runs split the atoms evenly.
 MAX_RUN_ATOMS = 10
 
 
 class _RunTable(dict):
-    """Value of a run of adjacent fields -> its atoms' powers joined: the
-    monomial they make, or the text of their factors.
+    """Value of a run of adjacent fields -> its atoms' powers joined: for
+    example the monomial they make, or the text of their factors.
 
-    An entry is built on first lookup; the terms of a minor repeat few values
-    per run.
+    An entry is built on first lookup; the terms of a polynomial repeat few
+    values per run.
     """
 
     __slots__ = ("_power", "_join", "_fields", "_mask")
@@ -101,32 +112,61 @@ class _RunTable(dict):
         return joined
 
 
-class ExponentPacking:
-    """Monomials of one ring over a fixed set of atoms, each as one int.
+class Ring:
+    """The monomials of one polynomial class over a fixed set of atoms, each
+    packed into one int.
 
-    The ring splits a monomial into (atom, exponent) pairs; the atoms are
-    sorted in its order and each owns a bit field of ``bound.bit_length()``
-    bits.  The first atom takes the most significant field, so descending
-    int order is the lex term order.  While no exponent exceeds ``bound`` no
-    field carries, and the product of two monomials is the sum of their ints.
+    The atoms are sorted in the class's atom order and each owns a bit field
+    of ``width`` bits, the first atom the most significant, so descending
+    int order is the lex term order.  Every exponent up to ``bound`` fits a
+    field; while a product's exponents stay within it no field carries, and
+    the product of two monomials is the sum of their ints.
     """
 
-    def __init__(self, ring: type["Polynomial"], pairs: Collection[tuple[object, int]], bound: int):
-        self._ring = ring
-        self._atoms = sorted({atom for atom, _ in pairs}, key=ring._atom_key)
-        self._width = width = bound.bit_length()
-        # A bound of 0 leaves no atoms, and no field to place.
-        shift = dict(zip(self._atoms, range(width * (len(self._atoms) - 1), -1, -width))) if width else {}
-        # (atom, exponent) -> its packed int; a monomial packs to their sum.
-        self.weight = {pair: pair[1] << shift[pair[0]] for pair in pairs}
+    def __init__(self, poly_class: type["Polynomial"], atoms: Iterable, bound: int):
+        self.poly_class = poly_class
+        self.atoms = sorted(set(atoms), key=poly_class._atom_key)
+        self.width = width = max(bound, 1).bit_length()
+        self.bound = (1 << width) - 1
+        self.shift = dict(zip(self.atoms, range(width * (len(self.atoms) - 1), -1, -width)))
 
     def pack(self, pairs: Iterable[tuple[object, int]]) -> int:
-        """The int of the monomial with these (atom, exponent) pairs."""
-        return sum(map(self.weight.__getitem__, pairs))
+        """The int of the monomial with these (atom, exponent) pairs; the
+        exponents of a repeated atom add up."""
+        shift = self.shift
+        return sum([exp << shift[atom] for atom, exp in pairs])
+
+    def polynomial(self, packed: Packed) -> "Polynomial":
+        """A polynomial of these packed terms, normalized and nonzero; they
+        may be shared, never mutate them."""
+        return self.poly_class._wrap(self, packed)
+
+    def variable(self, atom) -> "Polynomial":
+        return self.polynomial({1 << self.shift[atom]: 1})
+
+    def top(self, packed: Iterable[int]) -> int:
+        """A bound on the exponents of these monomials, below twice the
+        largest: the largest field of their bitwise or."""
+        bits, mask = reduce(or_, packed, 0), self.bound
+        return max([bits >> shift & mask for shift in self.shift.values()], default=0) if bits else 0
+
+    def held(self, packed: Iterable[int]) -> list:
+        """The atoms that some of these monomials hold, in atom order."""
+        bits, mask = reduce(or_, packed, 0), self.bound
+        return [atom for atom, shift in self.shift.items() if bits >> shift & mask] if bits else []
+
+    def repack(self, poly: "Polynomial") -> Packed:
+        """The terms of ``poly`` packed in this ring, which holds its atoms
+        and exponents; its own when it is of this ring."""
+        if poly._ring is self:
+            return poly._packed
+        shift = self.shift
+        weights = poly._ring.fold(poly._packed, lambda atom, exp: exp << shift[atom], sum)
+        return {sum(values): coeff for coeff, values in weights}
 
     def _run_tables(self, power, join) -> list[tuple[_RunTable, int, int]]:
         """Per run of atoms: its table, the shift of its last field, its mask."""
-        width, atoms = self._width, self._atoms
+        width, atoms = self.width, self.atoms
         n_runs = -(-len(atoms) // MAX_RUN_ATOMS) or 1
         size = -(-len(atoms) // n_runs) or 1
         runs = []
@@ -139,23 +179,33 @@ class ExponentPacking:
             runs.append((table, low, (1 << width * len(run)) - 1))
         return runs
 
+    def fold(self, packed: Mapping[int, Scalar], power, join) -> Iterator[tuple[Scalar, list]]:
+        """Per term, in order: its coefficient and, per run of atoms it holds,
+        ``join`` of ``power(atom, exponent)`` over the run's atoms in atom
+        order.  Each run value is joined once, when first met."""
+        runs = None
+        for key, coeff in packed.items():
+            if key and runs is None:
+                runs = self._run_tables(power, join)
+            yield coeff, [table[value] for table, low, mask in runs if (value := key >> low & mask)] if key else []
+
     @cached_property
     def _runs(self) -> list[tuple[_RunTable, int, int]]:
-        return self._run_tables(cache(self._ring._power), lambda powers: tuple(chain.from_iterable(powers)))
+        return self._run_tables(cache(self.poly_class._power), lambda powers: tuple(chain.from_iterable(powers)))
 
     @cached_property
     def _text_runs(self) -> list[tuple[_RunTable, int, int]]:
         factor = cache(lambda var, e: f" * {var.text()}^{e}" if e > 1 else f" * {var.text()}")
         return self._run_tables(factor, "".join)
 
-    def unpack(self, packed: Collection[int]) -> list[tuple]:
-        """The ring's monomials: each the powers of its atoms, joined in atom order."""
+    def unpack(self, packed: Iterable[int]) -> list[tuple]:
+        """The class's tuple monomials: each the powers of its atoms, joined in atom order."""
         runs = [[table[value >> low & mask] for value in packed] for table, low, mask in self._runs]
         return reduce(lambda monos, run: list(map(tuple.__add__, monos, run)), runs)
 
     def write(self, packed: Mapping[int, Scalar]) -> str:
-        """The coordinate text form of a packed polynomial: terms in descending
-        key order, which is lex order, each written from its runs' texts."""
+        """The coordinate text form of packed terms: in descending key order,
+        which is lex order, each written from its runs' texts."""
         if not packed:
             return "0"
         keys = sorted(packed, reverse=True)
@@ -165,87 +215,109 @@ class ExponentPacking:
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients; a minor
-    handed out packed (``_from_packed``) unpacks its terms on first use."""
+@cache
+def _bare_ring(poly_class: type["Polynomial"]) -> Ring:
+    """The ring of a class with no atoms: its constants'."""
+    return Ring(poly_class, (), 0)
 
-    __slots__ = ("_terms", "_hash", "_packed")
+
+def joined_ring(rings: Iterable[Ring], bound: int) -> Ring:
+    """A ring holding the atoms of all these rings with every exponent up to
+    ``bound``: the one of them with the most atoms when it does, else a new
+    ring over them all."""
+    rings = list(dict.fromkeys(rings))
+    widest = max(rings, key=lambda ring: len(ring.atoms))
+    atoms = widest.shift.keys()
+    if widest.bound >= bound and all(ring is widest or atoms >= ring.shift.keys() for ring in rings):
+        return widest
+    return Ring(widest.poly_class, chain.from_iterable(ring.atoms for ring in rings), bound)
+
+
+class Polynomial:
+    """Immutable sparse polynomial with exact rational coefficients: packed
+    terms over a ring."""
+
+    __slots__ = ("_ring", "_packed")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = normalize_scalar(coeff)
-                if coeff != 0:
-                    clean[mono] = coeff
-        self._terms = clean
-        self._hash = None
-        self._packed = None
-
-    def __getattr__(self, name: str):
-        # Only a polynomial made by ``_from_packed`` lacks its terms.
-        if name != "_terms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        packing, packed = self._packed
-        terms = self._terms = dict(zip(packing.unpack(packed), packed.values()))
-        return terms
+        split = [(list(self._exponents(mono)), coeff) for mono, coeff in (terms or {}).items() if coeff != 0]
+        # A term's degree bounds each of its exponents, repeated atoms too.
+        degree = max((sum(e for _, e in pairs) for pairs, _ in split), default=0)
+        self._ring = ring = Ring(type(self), (atom for pairs, _ in split for atom, _ in pairs), degree)
+        self._packed: Packed = {}
+        for pairs, coeff in split:
+            _add_term(self._packed, ring.pack(pairs), coeff)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _wrap(cls, ring: Ring, packed: Packed) -> "Polynomial":
+        poly = cls.__new__(cls)
+        poly._ring = ring
+        poly._packed = packed
+        return poly
+
+    @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._from_clean({})
+        return cls._wrap(_bare_ring(cls), {})
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._from_clean({CONST_MONO: 1})
+        return cls._wrap(_bare_ring(cls), {0: 1})
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({CONST_MONO: value})
+        value = normalize_scalar(value)
+        return cls._wrap(_bare_ring(cls), {0: value} if value else {})
 
     @staticmethod
     def variable(var: Variable) -> "Polynomial":
-        return Polynomial({((var, 1),): 1})
+        return Ring(Polynomial, (var,), 1).variable(var)
 
     # -- queries -------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, Scalar]:
-        return self._terms
+    def terms(self) -> dict[Monomial, Scalar]:
+        """The terms by tuple monomial, unpacked on every call: a read-only
+        view for the edges."""
+        return dict(zip(self._ring.unpack(self._packed), self._packed.values()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._packed
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and CONST_MONO in self._terms)
+        return not self._packed or (len(self._packed) == 1 and 0 in self._packed)
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"not a constant {type(self).__name__}")
-        return self._terms.get(CONST_MONO, 0)
+        return self._packed.get(0, 0)
 
-    def support(self) -> set[Variable]:
-        # The distinct (variable, exponent) pairs are few; collect them in C.
-        return {var for var, _ in set().union(*self._terms)}
+    def support(self) -> set:
+        """The atoms that occur in some term."""
+        return set(self._ring.held(self._packed))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._packed)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._packed)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self._terms == other._terms
+            if type(other) is not type(self):
+                return self.is_constant() and other.is_constant() and self.constant_value() == other.constant_value()
+            if self._ring is other._ring or len(self) != len(other):
+                return self._packed == other._packed
+            ring = joined_ring((self._ring, other._ring), max(self._top(), other._top()))
+            return ring.repack(self) == ring.repack(other)
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        # Equal polynomials hold the same atoms and coefficients, in any ring.
+        return hash((frozenset(self._ring.held(self._packed)), sum(map(hash, self._packed.values()))))
 
     # -- monomials as (atom, exponent) pairs -----------------------------
     #
@@ -267,24 +339,7 @@ class Polynomial:
     # -- ring operations ------------------------------------------------
     #
     # Every result has the class of its operands, so a subclass with its own
-    # variables only supplies the monomial product and the term order.
-
-    @classmethod
-    def _from_clean(cls, terms: dict[Monomial, Scalar]) -> "Polynomial":
-        """Wrap a dict whose coefficients are already normalized and nonzero."""
-        poly = cls.__new__(cls)
-        poly._terms = terms
-        poly._hash = None
-        poly._packed = None
-        return poly
-
-    @classmethod
-    def _from_packed(cls, packing: ExponentPacking, packed: Mapping[int, Scalar]) -> "Polynomial":
-        """Wrap packed terms, normalized and nonzero; they may be shared, never mutate them."""
-        poly = cls.__new__(cls)
-        poly._hash = None
-        poly._packed = (packing, packed)
-        return poly
+    # atoms only supplies their order and monomials.
 
     def _coerce(self, value):
         if type(value) is type(self):
@@ -293,32 +348,34 @@ class Polynomial:
             return self.constant(value)
         return NotImplemented
 
-    def _monomial_product(self):
-        # The module-level function, looked up per product so that a
-        # rebinding of ``monomial_mul`` is seen.
-        return monomial_mul
+    def _top(self) -> int:
+        return self._ring.top(self._packed)
+
+    def _joined(self, other: "Polynomial", bound: int) -> tuple[Ring, Packed, Packed]:
+        """One ring for both operands holding exponents up to ``bound``, and
+        both operands' terms in it."""
+        ring = joined_ring((self._ring, other._ring), bound)
+        return ring, ring.repack(self), ring.repack(other)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
+        if not self._packed:
             return other
-        if not other._terms:
+        if not other._packed:
             return self
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = terms.get(mono, 0) + coeff
-            if new == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = new
-        return self._from_clean(terms)
+        bound = 0 if self._ring is other._ring else max(self._top(), other._top())
+        ring, a, b = self._joined(other, bound)
+        terms = dict(a)
+        for mono, coeff in b.items():
+            _add_term(terms, mono, coeff)
+        return self._wrap(ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return self._from_clean({m: -c for m, c in self._terms.items()})
+        return self._wrap(self._ring, {m: -c for m, c in self._packed.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -336,22 +393,12 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._packed or not other._packed:
             return self.zero()
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        mul = self._monomial_product()
-        terms: dict[Monomial, Scalar] = {}
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                mono = mul(ma, mb)
-                new = terms.get(mono, 0) + ca * cb
-                if new == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = new
-        return self._from_clean(terms)
+        ring, a, b = self._joined(other, self._top() + other._top())
+        terms: Packed = {}
+        _add_product(terms, a, b, 1)
+        return self._wrap(ring, terms)
 
     __rmul__ = __mul__
 
@@ -361,7 +408,7 @@ class Polynomial:
             return self.zero()
         if value == 1:
             return self
-        return self._from_clean({m: c * value for m, c in self._terms.items()})
+        return self._wrap(self._ring, {m: c * value for m, c in self._packed.items()})
 
     # -- evaluation -------------------------------------------------------
 
@@ -371,72 +418,32 @@ class Polynomial:
         Raises UnboundVariable listing every missing variable, and ValueError
         for a power past ``scalars.POWER_BIT_BUDGET``.
         """
-        powers: dict[tuple[Variable, int], Scalar] = {}
-        total: Scalar = 0
-        for mono, coeff in self._terms.items():
-            val: Scalar = coeff
-            for var, exp in mono:
-                key = (var, exp)
-                p = powers.get(key)
-                if p is None:
-                    if var not in assignment:
-                        raise UnboundVariable(sorted(v for v in self.support() if v not in assignment))
-                    p = powers[key] = power(normalize_scalar(assignment[var]), exp)
-                val = val * p
-            total = total + val
-        return normalize_scalar(total)
+
+        def value(var: Variable, exp: int) -> Scalar:
+            if var not in assignment:
+                raise UnboundVariable(sorted(v for v in self.support() if v not in assignment))
+            return power(normalize_scalar(assignment[var]), exp)
+
+        terms = self._ring.fold(self._packed, value, prod)
+        return normalize_scalar(sum([coeff * prod(values) for coeff, values in terms]))
 
     def evaluate_partial(self, assignment: Mapping[Variable, Scalar]) -> "Polynomial":
         """Substitute a subset of the variables; a ring homomorphism."""
-        powers: dict[tuple[Variable, int], Scalar] = {}
-        terms: dict[Monomial, Scalar] = {}
-        for mono, coeff in self._terms.items():
-            val: Scalar = coeff
-            rest = []
-            for pair in mono:
-                var, exp = pair
-                if var in assignment:
-                    p = powers.get(pair)
-                    if p is None:
-                        p = powers[pair] = power(normalize_scalar(assignment[var]), exp)
-                    val = val * p
-                else:
-                    rest.append(pair)
-            if val == 0:
-                continue
-            key = tuple(rest)
-            new = terms.get(key, 0) + val
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = normalize_scalar(new)
-        return self._from_clean(terms)
+        ring = self._ring
 
-    # -- canonical form helpers ------------------------------------------
+        def value(var: Variable, exp: int) -> Scalar:
+            return power(normalize_scalar(assignment[var]), exp) if var in assignment else 1
 
-    def _lex_packed(self) -> tuple[ExponentPacking, Mapping[int, Scalar]]:
-        """The terms packed, in ``terms`` order, descending keys in lex order."""
-        if self._packed is not None:
-            return self._packed
-        pairs = set().union(*self._terms)
-        packing = ExponentPacking(Polynomial, pairs, max((exp for _, exp in pairs), default=0))
-        return packing, dict(zip(map(packing.pack, self._terms), self._terms.values()))
-
-    def _sort_keys(self) -> list[int]:
-        """Per term, in ``terms`` order, a key; ascending keys are the term
-        order: lex, earlier variables and higher powers first."""
-        return [-key for key in self._lex_packed()[1]]
-
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        # Distinct monomials have distinct keys.
-        by_key = dict(zip(self._sort_keys(), self._terms.items()))
-        return [by_key[key] for key in sorted(by_key)]
+        free = ~ring.pack((var, ring.bound) for var in ring.atoms if var in assignment)
+        terms: Packed = {}
+        for key, (coeff, values) in zip(self._packed, ring.fold(self._packed, value, prod)):
+            _add_term(terms, key & free, coeff * prod(values))
+        return self._wrap(ring, terms)
 
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        packing, packed = self._lex_packed()
-        return packing.write(packed)
+        return self._ring.write(self._packed)
 
     @staticmethod
     def from_text(text: str, table: "FactorTable | None" = None) -> "Polynomial":
@@ -447,7 +454,7 @@ class Polynomial:
             table = FactorTable({})
         elif table.points:
             raise ValueError("a polynomial is read with a factor table of no points")
-        return Polynomial._from_clean(_read(text, table)[0])
+        return _read(text, table)[0]
 
     def __str__(self) -> str:
         return self.to_text()
@@ -503,18 +510,6 @@ def _split_terms(text: str):
 _KEY_FIELD = 8
 
 
-def _monomial(pairs: Iterable[tuple[Variable, int]]) -> Monomial:
-    """The monomial of a term's (variable, exponent) factors, in any order: the
-    pairs sorted, the exponents of a repeated variable added."""
-    key = tuple(sorted(pairs))
-    if len(dict(key)) != len(key):
-        merged: dict[Variable, int] = {}
-        for var, exp in key:
-            merged[var] = merged.get(var, 0) + exp
-        key = tuple(merged.items())
-    return key
-
-
 class FactorTable:
     """The written factors and coefficients of the lines of one file, each
     read once against the same ``points``.
@@ -554,9 +549,9 @@ class FactorTable:
         return read
 
 
-def _read(text: str, table: FactorTable) -> tuple[dict[Monomial, Scalar], set[Variable] | None]:
-    """One line read with the table's points substituted: the terms of the
-    residual, the polynomial in the variables the points leave free, and,
+def _read(text: str, table: FactorTable) -> tuple[Polynomial, set[Variable] | None]:
+    """One line read with the table's points substituted: the residual, the
+    polynomial in the variables the points leave free, and,
     when there are points, the line's variables if they are the support of
     the polynomial it writes, else None.  They are when no coefficient is 0
     and the term keys are distinct, so no term cancels: a term's key is the
@@ -568,11 +563,12 @@ def _read(text: str, table: FactorTable) -> tuple[dict[Monomial, Scalar], set[Va
 
     One loop reads the terms, coefficient first and then factors in order, so
     the first malformed text raises.  Terms with the same written free factors
-    are summed, and each such free part becomes a monomial once.
+    are summed, and each such free part is packed once, its factors'
+    weights summed in a ring over the line's free variables.
     """
     text = text.strip()
     if text == "0":
-        return {}, set()
+        return Polynomial.zero(), set()
     sign = 1
     if text.startswith("-"):
         sign = -1
@@ -611,11 +607,15 @@ def _read(text: str, table: FactorTable) -> tuple[dict[Monomial, Scalar], set[Va
         # The free part by its hash: the split texts it holds are then freed.
         keys.add((key, hash(free)))
         parts[free] = parts.get(free, 0) + coeff
-    terms: dict[Monomial, Scalar] = {}
-    for free, coeff in parts.items():
-        mono = _monomial([used[factor][0] for factor in free])
-        terms[mono] = terms.get(mono, 0) + coeff
-    residual = {mono: normalize_scalar(c) for mono, c in terms.items() if c}
+    pairs = [[used[factor][0] for factor in free] for free in parts]
+    # A term's degree bounds each of its exponents, repeated variables too.
+    degree = max((sum(e for _, e in each) for each in pairs), default=0)
+    ring = Ring(Polynomial, (var for each in pairs for var, _ in each), degree)
+    terms: Packed = {}
+    for each, coeff in zip(pairs, parts.values()):
+        key = ring.pack(each)
+        terms[key] = terms.get(key, 0) + coeff
+    residual = ring.polynomial({key: normalize_scalar(c) for key, c in terms.items() if c})
     if table.points and no_zero and len(terms) == len(parts) and len(keys) == len(pieces) // 2 + 1:
         return residual, {pair[0] for pair, _, _ in used.values()}
     return residual, None
@@ -649,7 +649,7 @@ def read_point_residual(
         table = FactorTable(points)
     elif table.points is not points:
         raise ValueError("factor table read against other points")
-    terms, support = _read(text, table)
+    residual, support = _read(text, table)
     if support is None:
         support = Polynomial.from_text(text).support()
-    return PointResidual(Polynomial._from_clean(terms), frozenset(support), points)
+    return PointResidual(residual, frozenset(support), points)

@@ -134,8 +134,8 @@ def equal_up_to_unit(a: Polynomial, b: Polynomial):
         return 1
     if a.is_zero() or b.is_zero():
         return None
-    mono_a, coeff_a = a.sorted_terms()[0]
-    mono_b, coeff_b = b.sorted_terms()[0]
+    # Polynomials equal up to a unit share their least monomial.
+    (mono_a, coeff_a), (mono_b, coeff_b) = min(a.terms.items()), min(b.terms.items())
     if mono_a != mono_b:
         return None
     from fractions import Fraction

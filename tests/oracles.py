@@ -15,7 +15,8 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from pavingideals.brackets import (
-    BracketPolynomial, evaluator, expander, meet_then_join, symbolic_column, to_bracket_polynomial,
+    BracketPolynomial, _bracket_sort_key, evaluator, expander, meet_then_join, symbolic_column,
+    to_bracket_polynomial,
 )
 from pavingideals.generators import (
     ExtraVector,
@@ -516,37 +517,93 @@ def rank_in_realization_space(vectors, matroid) -> bool:
 #
 # The tuple-merge minor expansion and the lex-key renderer that
 # ``MinorEngine`` (packed exponents) and ``Polynomial.to_text`` (packed sort
-# keys) replaced; kept as references for them.
+# keys) replaced; kept as references for them.  The expansion runs on tuple
+# monomials with its own product and sum, apart from the packed ring.
+
+
+def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Merge two sorted exponent tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def bracket_monomial_mul(a, b):
+    """Merge two sorted tuples of bracket keys."""
+    return tuple(sorted(a + b, key=_bracket_sort_key))
+
+
+def tuple_product(a: dict, b: dict, mul=monomial_mul) -> dict:
+    """The product of two term dicts on tuple monomials."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = mul(ma, mb)
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def tuple_sum(*parts: tuple[int, dict]) -> dict:
+    """The sum of signed term dicts on tuple monomials."""
+    out: dict = {}
+    for sign, terms in parts:
+        for mono, c in terms.items():
+            out[mono] = out.get(mono, 0) + sign * c
+    return {mono: c for mono, c in out.items() if c}
 
 
 class TupleMergeMinors:
-    """Memoized Laplace expansion through the ring's own ``*`` and ``+``."""
+    """Memoized Laplace expansion on the entries' tuple monomials, with the
+    product and sum above; a minor is a polynomial of the entries' class."""
 
     MEMO_LIMIT = 8
 
     def __init__(self, rows):
-        self.rows = rows
+        self.rows = [[entry.terms for entry in row] for row in rows]
         self._cache = {}
-        self._zero = [[entry.is_zero() for entry in row] for row in rows]
+        self._zero = [[not terms for terms in row] for row in self.rows]
         self._ring = next((type(row[0]) for row in rows if row), Polynomial)
+        self._mul = bracket_monomial_mul if issubclass(self._ring, BracketPolynomial) else monomial_mul
 
     def minor(self, rows, cols):
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise NonSquare(f"minor on {len(rows)} rows and {len(cols)} columns")
-        return self._minor(rows, cols)
+        return self._ring(self._minor(rows, cols))
 
     def determinant(self):
         n_rows = len(self.rows)
         n_cols = len(self.rows[0]) if self.rows else 0
         if n_rows != n_cols:
             raise NonSquare(f"{n_rows}x{n_cols} matrix has no determinant")
-        return self._minor(tuple(range(n_rows)), tuple(range(n_cols)))
+        return self._ring(self._minor(tuple(range(n_rows)), tuple(range(n_cols))))
+
+    def _product(self, a, b):
+        return tuple_product(a, b, self._mul)
 
     def _minor(self, rows, cols):
         k = len(rows)
         if k == 0:
-            return self._ring.one()
+            return {(): 1}
         ent = self.rows
         if k == 1:
             return ent[rows[0]][cols[0]]
@@ -556,7 +613,7 @@ class TupleMergeMinors:
         if k == 2:
             a, b = ent[rows[0]][cols[0]], ent[rows[0]][cols[1]]
             c, d = ent[rows[1]][cols[0]], ent[rows[1]][cols[1]]
-            result = a * d - b * c
+            result = tuple_sum((1, self._product(a, d)), (-1, self._product(b, c)))
         else:
             result = self._expand(rows, cols)
         if k <= self.MEMO_LIMIT:
@@ -575,26 +632,24 @@ class TupleMergeMinors:
             if count < best_count:
                 best_axis, best_idx, best_count = 1, j, count
         if best_count == 0:
-            return self._ring.zero()
+            return {}
         ent = self.rows
-        total = self._ring.zero()
+        parts = []
         if best_axis == 0:
             r = rows[best_idx]
             sub_rows = rows[:best_idx] + rows[best_idx + 1 :]
             for j, c in enumerate(cols):
-                if zero[r][c]:
-                    continue
-                term = ent[r][c] * self._minor(sub_rows, cols[:j] + cols[j + 1 :])
-                total = total + (term if (best_idx + j) % 2 == 0 else -term)
+                if not zero[r][c]:
+                    term = self._product(ent[r][c], self._minor(sub_rows, cols[:j] + cols[j + 1 :]))
+                    parts.append((-1 if (best_idx + j) % 2 else 1, term))
         else:
             c = cols[best_idx]
             sub_cols = cols[:best_idx] + cols[best_idx + 1 :]
             for i, r in enumerate(rows):
-                if zero[r][c]:
-                    continue
-                term = ent[r][c] * self._minor(rows[:i] + rows[i + 1 :], sub_cols)
-                total = total + (term if (i + best_idx) % 2 == 0 else -term)
-        return total
+                if not zero[r][c]:
+                    term = self._product(ent[r][c], self._minor(rows[:i] + rows[i + 1 :], sub_cols))
+                    parts.append((-1 if (i + best_idx) % 2 else 1, term))
+        return tuple_sum(*parts)
 
 
 def lex_key(m: Monomial):
@@ -604,8 +659,11 @@ def lex_key(m: Monomial):
 
 
 def leading_coefficient(p: Polynomial) -> Scalar:
-    """The coefficient of the first term in ``p``'s own term order; 0 for zero."""
-    return p.sorted_terms()[0][1] if p.terms else 0
+    """The coefficient of the first term in ``p``'s own term order (lex for
+    coordinates); 0 for zero."""
+    if not p:
+        return 0
+    return p.sorted_terms()[0][1] if isinstance(p, BracketPolynomial) else p.terms[min(p.terms, key=lex_key)]
 
 
 def normalized_sign(p: Polynomial) -> tuple[Polynomial, int]:
@@ -615,10 +673,15 @@ def normalized_sign(p: Polynomial) -> tuple[Polynomial, int]:
 
 def render_polynomial(p: Polynomial) -> str:
     """The coordinate text form, terms sorted by ``lex_key``."""
-    if p.is_zero():
+    return render_terms(p.terms)
+
+
+def render_terms(terms: dict) -> str:
+    """The coordinate text form of a dict of tuple monomials, terms sorted by ``lex_key``."""
+    if not terms:
         return "0"
     chunks = []
-    for idx, (mono, coeff) in enumerate(sorted(p.terms.items(), key=lambda kv: lex_key(kv[0]))):
+    for idx, (mono, coeff) in enumerate(sorted(terms.items(), key=lambda kv: lex_key(kv[0]))):
         sign = "-" if coeff < 0 else "+"
         factors = [format_rational(-coeff if coeff < 0 else coeff)]
         for var, exp in mono:

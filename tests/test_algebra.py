@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +14,19 @@ from hypothesis import strategies as st
 
 from oracles import (
     TupleMergeMinors,
+    bracket_monomial_mul,
     gaussian_pivot_product,
-    leading_coefficient,
-    lex_key,
+    monomial_mul,
     perm_parity,
     render_polynomial,
+    render_terms,
     rref_kernel_basis,
     rref_rank,
     rref_solve,
+    tuple_product,
+    tuple_sum,
 )
-from pavingideals.brackets import BracketPolynomial
+from pavingideals.brackets import BracketPolynomial, _bracket_sort_key, _mono_sort_key
 from pavingideals.linalg import (
     NonSquare,
     bareiss_determinant,
@@ -31,7 +35,7 @@ from pavingideals.linalg import (
     matrix_rank,
     solve_particular,
 )
-from pavingideals.poly import ExponentPacking, Polynomial, UnboundVariable
+from pavingideals.poly import Polynomial, Ring, UnboundVariable
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.scalars import NotRational, format_rational, normalize_scalar, parse_rational
 from pavingideals.variables import entry_var, extra_var
@@ -273,11 +277,101 @@ def test_to_text_matches_the_lex_key_renderer():
             seen.update("extra" for v, _ in mono if isinstance(v.column, str))
         assert p.to_text() == render_polynomial(p)
         assert Polynomial.from_text(p.to_text()) == p
-        lead = min(p.terms, key=lex_key) if p.terms else None
-        assert leading_coefficient(p) == p.terms.get(lead, 0)
     assert seen == {
         "constant", "power", "linear", "negative", "positive", "fraction", "integer", "row >= 10", "extra",
     }
+
+
+# -- the packed ring against sorted-tuple dicts -----------------------------
+#
+# Operands are drawn over overlapping and disjoint slices of one atom list,
+# with exponents up to 200, and built in different rings: by the
+# constructor, as a sum of one-term polynomials, as a minor of an engine or
+# (coordinates) read back from text.  Each result is checked against the
+# same operation on plain dicts of sorted tuple monomials.
+
+RING_VARIABLES = [entry_var(r, c) for r in (1, 2, 10) for c in (1, 2)] + [extra_var(1, "q"), extra_var(3, "r2")]
+RING_BRACKETS = [(1, 2, 3), (1, 2, "q"), (1, 3, "q"), (2, 3, "r"), (1, 10, "q"), (2, 10, "r"), (3, 10, "q"), (1, 2, 10)]
+RING_SLICES = [slice(0, 4), slice(2, 6), slice(5, 8), slice(0, 8)]
+RING_COEFFICIENTS = st.sampled_from([-3, -1, 1, 2, Fraction(1, 2), Fraction(-5, 3)])
+
+
+def tuple_monomial(bracket: bool, pairs: list) -> tuple:
+    if bracket:
+        return tuple(sorted((key for key, e in pairs for _ in range(e)), key=_bracket_sort_key))
+    return tuple(sorted(pairs))
+
+
+@st.composite
+def ring_operand(draw, bracket: bool):
+    """(polynomial, its terms as a dict of sorted tuple monomials)."""
+    atoms = (RING_BRACKETS if bracket else RING_VARIABLES)[draw(st.sampled_from(RING_SLICES))]
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.lists(st.sampled_from(atoms), max_size=3, unique=True))
+        pairs = [(atom, draw(st.sampled_from([1, 1, 2, 3, 200]))) for atom in chosen]
+        mono = tuple_monomial(bracket, pairs)
+        terms[mono] = terms.get(mono, 0) + draw(RING_COEFFICIENTS)
+    terms = {mono: c for mono, c in terms.items() if c}
+    cls = BracketPolynomial if bracket else Polynomial
+    how = draw(st.sampled_from(["constructor", "sum", "minor"] + ([] if bracket else ["text"])))
+    if how == "constructor":
+        poly = cls(terms)
+    elif how == "sum":
+        poly = sum((cls({mono: c}) for mono, c in terms.items()), cls.zero())
+    elif how == "minor":
+        poly = MinorEngine([[cls(terms), cls.zero()], [cls.zero(), cls.one()]]).determinant()
+    else:
+        poly = Polynomial.from_text(render_terms(terms))
+    return poly, terms
+
+
+def bracket_text(terms: dict) -> str:
+    """``BracketPolynomial.to_text`` of a dict of bracket monomials."""
+    chunks = []
+    for mono, coeff in sorted(terms.items(), key=lambda term: _mono_sort_key(term[0])):
+        body = format_rational(abs(coeff)) + "".join("<" + " ".join(map(str, key)) + ">" for key in mono)
+        chunks.append((" - " if coeff < 0 else " + ") + body)
+    text = "".join(chunks) or " + 0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def tuple_value(terms: dict, assignment) -> Fraction:
+    return sum(c * Fraction(prod(Fraction(assignment[v]) ** e for v, e in mono)) for mono, c in terms.items())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_ring_operations_match_sorted_tuple_dicts(data):
+    bracket = data.draw(st.booleans(), label="bracket")
+    (a, ta), (b, tb) = data.draw(ring_operand(bracket), label="a"), data.draw(ring_operand(bracket), label="b")
+    cls, mul = (BracketPolynomial, bracket_monomial_mul) if bracket else (Polynomial, monomial_mul)
+    value = data.draw(RING_COEFFICIENTS | st.just(0), label="scale")
+    results = [
+        (a + b, tuple_sum((1, ta), (1, tb))),
+        (a - b, tuple_sum((1, ta), (-1, tb))),
+        (a * b, tuple_product(ta, tb, mul)),
+        (-a, tuple_sum((-1, ta))),
+        (a.scale(value), tuple_sum((value, ta))),
+        (b, tb),
+    ]
+    for got, want in results:
+        assert type(got) is cls
+        assert got.terms == want
+        assert got == cls(want) and hash(got) == hash(cls(want))
+        assert got.support() == {atom for mono in want for atom in (mono if bracket else (v for v, _ in mono))}
+        assert got.to_text() == (bracket_text(want) if bracket else render_terms(want))
+    assert (a == b) == (ta == tb)
+    if bracket:
+        return
+    assignment = {v: Fraction(data.draw(st.integers(-3, 3), label=v.text()), 2) for v in RING_VARIABLES}
+    assert (a * b).evaluate(assignment) == tuple_value(ta, assignment) * tuple_value(tb, assignment)
+    bound = dict(list(assignment.items())[: data.draw(st.integers(0, len(RING_VARIABLES)), label="bound")])
+    partial = {}
+    for mono, c in ta.items():
+        rest = tuple(pair for pair in mono if pair[0] not in bound)
+        partial[rest] = partial.get(rest, 0) + c * tuple_value({tuple(p for p in mono if p[0] in bound): 1}, bound)
+    assert a.evaluate_partial(bound).terms == {mono: c for mono, c in partial.items() if c}
 
 
 # -- scalar linear algebra ------------------------------------------------
@@ -645,13 +739,13 @@ def test_packed_minor_text_matches_the_oracle_renderer(monkeypatch):
     """A minor is written from its packed keys, with no unpacking, as the
     oracle renders the tuple-merge minor, and the line reads back to it."""
     unpacked = []
-    unpack = ExponentPacking.unpack
+    unpack = Ring.unpack
 
     def counted(self, packed):
         unpacked.append(packed)
         return unpack(self, packed)
 
-    monkeypatch.setattr(ExponentPacking, "unpack", counted)
+    monkeypatch.setattr(Ring, "unpack", counted)
     rng = random.Random(2007)
     seen = set()
     for n in (0, 1, 2, 2, 3, 3, 3, 4):

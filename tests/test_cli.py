@@ -1070,6 +1070,33 @@ def test_generate_ignores_graph_data_of_a_borrowed_builtin_name(tmp_path, capsys
     assert '"pass": false' not in out
 
 
+@pytest.mark.parametrize("which", ["lifting", "all"])
+def test_a_budget_that_skips_every_restriction_is_noted(tmp_path, capsys, which):
+    # paving4_9's restrictions of k <= 4 have no minors; its k = 6 one has.
+    out = tmp_path / "p49.txt"
+    code, stdout, err = run_cli(capsys, "generate", "--matroid", "paving4_9", "--which", which, "--out", str(out))
+    assert code == 0 and stdout == ""
+    assert err == (
+        "note: --budget-minor 4 skipped every restriction with minors (smallest k = 6); "
+        "no lifting polynomials written\n"
+    )
+    if which == "lifting":
+        assert out.read_bytes() == b"\n"
+    code, _, err = run_cli(capsys, "generate", "--matroid", "paving4_9", "--which", "lifting", "--budget-minor", "6")
+    assert code == 0 and err == ""
+    # A matroid whose restrictions have no minors at any budget gets no note.
+    assert run_cli(capsys, "generate", "--matroid", "uniform(3,6)", "--which", "lifting") == (0, "\n", "")
+
+
+def test_verify_of_an_empty_file_notes_that_nothing_was_checked(tmp_path, capsys):
+    real, polys = tmp_path / "qs.json", tmp_path / "empty.txt"
+    assert run_cli(capsys, "sample", "--family", "qs", "--seed", "1", "--out", str(real))[0] == 0
+    polys.write_text("")
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    assert (code, out) == (0, "\n")
+    assert err == f"note: {polys} holds no polynomials; nothing was checked\n"
+
+
 @pytest.mark.parametrize("spec", ["grid3x3", "file"])
 def test_generate_all_without_graph_data_skips_the_graph_family(tmp_path, capsys, spec):
     if spec == "file":

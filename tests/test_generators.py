@@ -35,7 +35,7 @@ from displays import (
     equal_up_to_sign,
     equal_up_to_unit,
 )
-from pavingideals import generators
+from pavingideals import cli, generators
 from pavingideals.brackets import BracketPolynomial, evaluator, symbolic_column
 from pavingideals.generators import (
     ExtraVector,
@@ -54,7 +54,7 @@ from pavingideals.generators import (
 )
 from pavingideals.linalg import bareiss_determinant, solve_particular
 from pavingideals.matroids import PavingMatroid, builtin_matroid, builtin_matroid_names
-from pavingideals.poly import ExponentPacking, Polynomial
+from pavingideals.poly import Polynomial, Ring
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.variables import Variable, entry_var, extra_var
 
@@ -455,33 +455,41 @@ def test_qs_family_contains_circuits_and_graph_polys():
 
 @pytest.fixture
 def unpacked(monkeypatch) -> list[list[tuple]]:
-    """The monomials of each ``ExponentPacking.unpack`` call, in call order."""
+    """The monomials of each ``Ring.unpack`` call, the one conversion of
+    packed terms to tuple monomials, in call order."""
     calls = []
-    unpack = ExponentPacking.unpack
+    unpack = Ring.unpack
 
     def counted(self, packed):
         calls.append(unpack(self, packed))
         return calls[-1]
 
-    monkeypatch.setattr(ExponentPacking, "unpack", counted)
+    monkeypatch.setattr(Ring, "unpack", counted)
     return calls
 
 
 def test_the_graph_determinant_is_written_without_unpacking(unpacked):
     line = graph_polynomial(builtin_graph_data("fig2r")).to_text()
-    # Only the entries, brackets of 3 points in rank 3, are unpacked.
+    assert not unpacked
     assert len(Polynomial.from_text(line)) == 3024
-    assert max(map(len, unpacked)) <= 6
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_the_family_unpacks_only_the_members_it_emits(unpacked):
+def test_the_family_unpacks_no_terms(unpacked):
+    # The bracket entries expand, and the circuits, candidates and members
+    # stay, packed in the family's one ring.
     family = finite_generating_family(QS)
     graph = [p for p in family.polynomials if p.label.startswith("graph")]
-    # Entries (degree 2) and circuits (degree 3) aside, every unpack is of a
-    # graph candidate (degree 2k for k >= 3 threaded points).
-    candidates = [monos for monos in unpacked if monos and sum(e for _, e in monos[0]) > QS.rank]
-    assert len(graph) == len(candidates) == 102
+    assert len(graph) == 102
+    assert unpacked == []
+    assert len({p.polynomial._ring for p in graph}) == 1
+
+
+def test_generate_all_canonical_unpacks_no_terms(unpacked, tmp_path):
+    out = tmp_path / "qs-all.txt"
+    assert cli.main(["generate", "--matroid", "qs", "--which", "all", "--q", "canonical", "--out", str(out)]) == 0
+    assert out.read_text().count("# source: lifting") > 0
+    assert unpacked == []
 
 
 # sha256 over "label\ntext\n" of every family member, so that a change in

@@ -338,9 +338,10 @@ def test_lift_back_substitutes_kernel_vectors_only_until_one_lifts(monkeypatch):
 
 
 def test_lifting_one_matroid_builds_its_liftability_matrix_once(monkeypatch):
+    # ``lift`` reads the matrix as its signed rows.
     built = []
-    bracket_matrix = generators.bracket_matrix
-    monkeypatch.setattr(generators, "bracket_matrix", lambda *args: built.append(1) or bracket_matrix(*args))
+    signed_rows = generators.signed_rows
+    monkeypatch.setattr(generators, "signed_rows", lambda *args: built.append(1) or signed_rows(*args))
     matroid = PavingMatroid.validate([[1, 2, 3, 4], [1, 5, 6]], 3, 7)
     center = (2, -1, 5)
     flat = project(sample_realization(matroid, 5), Hyperplane((1, 2, 3)), center)

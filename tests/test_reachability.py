@@ -48,17 +48,17 @@ LIBRARY_ONLY = frozenset({
     "poly.Polynomial.__rsub__",
     "poly.Polynomial.__str__",
     "poly.Polynomial.__sub__",
-    "poly.Polynomial._monomial_product",
-    "poly.Polynomial._sort_keys",
+    "poly.Polynomial._exponents",
+    "poly.Polynomial._power",
     "poly.Polynomial.constant_value",
     "poly.Polynomial.evaluate_partial",
+    "poly.Polynomial.evaluate_partial.value",
     "poly.Polynomial.from_text",
     "poly.Polynomial.is_constant",
     "poly.Polynomial.one",
     "poly.Polynomial.support",
     "poly.UnboundVariable.__init__",
     "poly.UnboundVariable.__str__",
-    "poly.monomial_mul",
     "realizations.in_circuit_variety",
     "samplers.sample_family",
 })

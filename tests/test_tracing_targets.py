@@ -15,7 +15,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # Targets whose functions are gone from the package; the harness still lists
 # them, and they are to be dropped from it together.
-DEAD_TARGETS = {"linalg.rref", "linalg.ScalarMatrix.from_rows"}
+DEAD_TARGETS = {"linalg.rref", "linalg.ScalarMatrix.from_rows", "poly.monomial_mul"}
 
 
 def load_tracing(monkeypatch):

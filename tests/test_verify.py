@@ -380,16 +380,16 @@ def test_a_graph_line_builds_one_monomial_per_distinct_free_part(monkeypatch):
     line = graph_polynomial(builtin_graph_data("fig2r")).to_text()
     points = sample_family("fig2r", 7).assignment()
     built = []
-    monomial = poly_module._monomial
+    pack = poly_module.Ring.pack
 
-    def counted(pairs):
-        built.append(monomial(pairs))
+    def counted(self, pairs):
+        built.append(pack(self, pairs))
         return built[-1]
 
-    monkeypatch.setattr(poly_module, "_monomial", counted)
+    monkeypatch.setattr(poly_module.Ring, "pack", counted)
     read = read_point_residual(line, points)
     # 3,024 terms over at most 3^4 = 81 monomials of x[r,q1]..x[r,q4], each
-    # built once; one monomial per term before.  They cancel on a realization.
+    # packed once.  They cancel on a realization.
     assert len(built) == len(set(built)) <= 81
     assert read.residual.is_zero()
     monkeypatch.undo()
