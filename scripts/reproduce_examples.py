@@ -50,7 +50,7 @@ def main() -> int:
             else f"inconclusive ({matroid.size} < {k + matroid.rank})"
         )
         print(f"   sufficient liftability: {verdict}")
-        print(f"   graph polynomial ({len(poly.terms)} bracket terms): {poly.pretty()}")
+        print(f"   graph polynomial ({len(poly)} bracket terms): {poly.pretty()}")
         print(f"   det route == cycle route up to sign: {agree}")
         if not agree:
             failures += 1

@@ -5,13 +5,15 @@ are the named vectors.  Labels are either integer point ids or strings for
 formal columns (auxiliary vectors, symbolic intersection points).  A bracket
 polynomial is a polynomial whose variables are brackets, so
 ``BracketPolynomial`` is a ``Polynomial`` whose ring's atoms are bracket
-keys: it stores packed terms like any polynomial and shares its one
-product, and only its tuple monomials (sorted tuples of bracket keys, a
-bracket repeated by its power) and its text order are its own.  Working at
-the label level keeps
-meet/join output readable — the printer emits ⟨i j k⟩ notation — while
-``expand`` turns everything into an honest coordinate polynomial and
-``evaluate`` plugs in exact vectors directly.
+keys, sorted by their labels: it stores, multiplies, reads and writes
+packed terms like any polynomial, and only its atom order and the text of
+a bracket factor are its own.  Its terms are written by ``Ring.write`` in
+descending key order, the coordinate writer's lex order: at the first
+bracket where two terms differ, the one with more copies of it comes
+first.  Working at the label level keeps meet/join output readable — the
+printer emits ⟨i j k⟩ notation — while ``expand`` turns everything into an
+honest coordinate polynomial and ``evaluate`` plugs in exact vectors
+directly.
 
 Expansion (``expander``) reads each bracket as a maximal minor of one
 coordinate matrix through ``MinorEngine`` and maps each bracket polynomial
@@ -23,7 +25,8 @@ denominators and takes a bracket as an integer determinant over the product
 of those denominators (``bracket_value``).  ``evaluator``, which serves
 bracket-form lines, memoizes brackets by their columns, so one ``verify``
 run computes each bracket once per distinct vector assignment.  It
-evaluates a polynomial term by term, and its canonical-basis sweep reads
+evaluates a polynomial term by term, each term read off its packed key as
+(bracket, exponent) pairs, and its canonical-basis sweep reads
 all dim^k values off one pass over the terms: a bracket holding one extra
 label is linear in that label's vector, so a term is its coefficient times
 an outer product of one length-dim vector per label.
@@ -39,21 +42,24 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from math import lcm, prod
 from operator import add, mul
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .linalg import bareiss_determinant
-from .poly import Polynomial, _split_terms
+from .poly import Polynomial, Ring, _add_term, _split_terms
 from .polymatrix import MinorEngine
-from .scalars import Scalar, format_rational, normalize_scalar, parse_rational
+from .scalars import Scalar, normalize_scalar, parse_rational, power
 from .variables import Variable, entry_var, extra_var, is_extra_id
 
 Label = Union[int, str]
 
 BracketKey = tuple[Label, ...]
-BracketMonomial = tuple[BracketKey, ...]
+
+# A bracket term: an optional coefficient, then its brackets.
+_TERM_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)?\s*((?:<[^>]*>)*)")
+_BRACKET_RE = re.compile(r"<([^>]*)>")
 
 
 class DimensionMismatch(ValueError):
@@ -94,10 +100,6 @@ def _bracket_sort_key(key: BracketKey):
     return tuple(map(_label_key, key))
 
 
-def _mono_sort_key(mono: BracketMonomial):
-    return tuple(_bracket_sort_key(k) for k in mono)
-
-
 def normalize_labels(labels: Sequence[Label]) -> tuple[int, tuple[Label, ...]]:
     """(sign, sorted labels); sign 0 when a label repeats."""
     if len(set(labels)) != len(labels):
@@ -106,88 +108,72 @@ def normalize_labels(labels: Sequence[Label]) -> tuple[int, tuple[Label, ...]]:
     return sign, tuple(sorted(labels, key=_label_key))
 
 
-class BracketPolynomial(Polynomial):
-    """Polynomial whose variables are formal brackets of column labels.
+def _text_factor(key: BracketKey, exp: int) -> str:
+    return ("<" + " ".join(map(str, key)) + ">") * exp
 
-    Its ring's atoms are bracket keys; as a tuple, a monomial is the sorted
-    tuple of its bracket keys, repeated by multiplicity.  The ring
-    operations are ``Polynomial``'s.
-    """
+
+def _pretty_factor(key: BracketKey, exp: int) -> str:
+    return ("⟨" + " ".join(map(str, key)) + "⟩") * exp
+
+
+class BracketPolynomial(Polynomial):
+    """Polynomial whose variables are formal brackets of column labels: its
+    ring's atoms are bracket keys.  The ring operations are ``Polynomial``'s."""
 
     __slots__ = ()
+
+    _atom_key = staticmethod(_bracket_sort_key)
 
     @staticmethod
     def bracket(labels: Sequence[Label]) -> "BracketPolynomial":
         sign, key = normalize_labels(labels)
         if sign == 0:
-            return BracketPolynomial()
-        return BracketPolynomial({(key,): sign})
-
-    # A monomial's atoms are its brackets, and a repeat is a power.
-    _atom_key = staticmethod(_bracket_sort_key)
-
-    @staticmethod
-    def _exponents(mono: BracketMonomial) -> list[tuple[BracketKey, int]]:
-        return [(key, len(list(run))) for key, run in groupby(mono)]
-
-    @staticmethod
-    def _power(key: BracketKey, exp: int) -> BracketMonomial:
-        return (key,) * exp
-
-    def sorted_terms(self) -> list[tuple[BracketMonomial, Scalar]]:
-        """Terms in order of their sorted bracket sequences, shorter prefixes first."""
-        return sorted(self.terms.items(), key=lambda term: _mono_sort_key(term[0]))
+            return BracketPolynomial.zero()
+        return Ring(BracketPolynomial, (key,), 1).polynomial({1: sign})
 
     # -- output -----------------------------------------------------------
 
-    def _render(self, left: str, right: str, unit_coefficients: bool) -> str:
-        if not self:
-            return "0"
-        chunks = []
-        for idx, (mono, coeff) in enumerate(self.sorted_terms() if len(self) > 1 else self.terms.items()):
-            body = "".join(left + " ".join(str(l) for l in key) + right for key in mono)
-            if unit_coefficients or abs(coeff) != 1 or not mono:
-                body = format_rational(abs(coeff)) + body
-            if idx == 0:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f" {'-' if coeff < 0 else '+'} {body}")
-        return "".join(chunks)
-
     def pretty(self) -> str:
-        return self._render("⟨", "⟩", unit_coefficients=False)
+        """⟨a b c⟩ factors per term, a coefficient of 1 or -1 left out."""
+        return self._ring.write(self._packed, _pretty_factor, units=False)
 
     def __repr__(self):
         return f"BracketPolynomial({self.pretty()})"
 
     def to_text(self) -> str:
         """ASCII file form: coefficient then <a b c> factors per term."""
-        return self._render("<", ">", unit_coefficients=True)
+        return self._ring.write(self._packed, _text_factor)
 
     @staticmethod
     def from_text(text: str) -> "BracketPolynomial":
+        """The polynomial a bracket line writes, its terms packed in one ring
+        over the line's brackets.  Every term has a coefficient or a bracket."""
         text = text.strip()
         if text == "0":
-            return BracketPolynomial()
-        terms: dict[BracketMonomial, Scalar] = {}
+            return BracketPolynomial.zero()
+        read: list[tuple[list[BracketKey], Scalar]] = []
         for sign, body in _split_terms(text):
-            m = re.match(r"^([0-9]+(?:/[0-9]+)?)?\s*((?:<[^>]*>)*)$", body)
-            if not m:
+            m = _TERM_RE.fullmatch(body)
+            if not m or not (m.group(1) or m.group(2)):
                 raise ValueError(f"bad bracket term: {body!r}")
             coeff = sign * (parse_rational(m.group(1)) if m.group(1) else 1)
             keys = []
-            for group in re.findall(r"<([^>]*)>", m.group(2)):
+            for group in _BRACKET_RE.findall(m.group(2)):
                 labels = tuple(parse_label(tok) for tok in group.split())
                 if not labels:
                     raise ValueError(f"empty bracket in term: {body!r}")
-                key_sign, norm = normalize_labels(labels)
-                coeff = coeff * key_sign
-                keys.append(norm)
-            if coeff == 0:
-                continue
-            mono = tuple(sorted(keys, key=_bracket_sort_key))
-            terms[mono] = terms.get(mono, 0) + coeff
-        return BracketPolynomial(terms)
+                key_sign, key = normalize_labels(labels)
+                coeff *= key_sign
+                keys.append(key)
+            if coeff:
+                read.append((keys, coeff))
+        # A term's bracket count bounds each of its exponents.
+        degree = max((len(keys) for keys, _ in read), default=0)
+        ring = Ring(BracketPolynomial, (key for keys, _ in read for key in keys), degree)
+        terms: dict[int, Scalar] = {}
+        for keys, coeff in read:
+            _add_term(terms, ring.pack((key, 1) for key in keys), coeff)
+        return ring.polynomial(terms)
 
     def labels(self) -> set[Label]:
         return {label for key in self.support() for label in key}
@@ -240,7 +226,7 @@ def expander(
         for key in keys:
             cache[key] = engine.minor(rows, tuple(at[label] for label in key))
 
-    def power(key: BracketKey, exp: int) -> Polynomial:
+    def key_power(key: BracketKey, exp: int) -> Polynomial:
         return reduce(mul, [cache[key]] * exp)
 
     def product_of(factors: list[Polynomial]) -> Polynomial:
@@ -248,7 +234,7 @@ def expander(
 
     def expand_one(poly: BracketPolynomial) -> Polynomial:
         total = Polynomial.zero()
-        for coeff, factors in poly._ring.fold(poly._packed, power, product_of):
+        for coeff, factors in poly._ring.fold(poly._packed, key_power, product_of):
             total = total + (product_of(factors).scale(coeff) if factors else Polynomial.constant(coeff))
         return total
 
@@ -288,6 +274,12 @@ def bracket_value(key: BracketKey, bound: Mapping[Label, tuple[tuple[int, ...], 
     return got if scale == 1 else normalize_scalar(Fraction(got, scale))
 
 
+def _term_pairs(poly: BracketPolynomial) -> Iterator[tuple[Scalar, list[tuple[BracketKey, int]]]]:
+    """Per term: its coefficient and its (bracket, exponent) pairs in atom order."""
+    for coeff, runs in poly._ring.fold(poly._packed, lambda key, exp: (key, exp), tuple):
+        yield coeff, [pair for run in runs for pair in run]
+
+
 def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]:
     """``value(poly, extra=None)``: exact value with each label bound to its
     vector in ``extra``, else in ``points``.  ``value.sweep(poly, names, dim)``:
@@ -318,12 +310,12 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
             got = memo[cols] = bracket_value(key, bound)
         return got
 
-    def term(mono: BracketMonomial, coeff: Scalar, bound: Mapping[Label, tuple]) -> Scalar:
-        return coeff * prod([memo_value(key, bound) for key in mono])
+    def term(pairs: list[tuple[BracketKey, int]], coeff: Scalar, bound: Mapping[Label, tuple]) -> Scalar:
+        return coeff * prod([power(memo_value(key, bound), exp) for key, exp in pairs])
 
     def value(poly: BracketPolynomial, extra: Mapping[Label, Sequence[Scalar]] | None = None) -> Scalar:
         bound = {**columns, **{label: extra_column(vec) for label, vec in extra.items()}} if extra else columns
-        return sum([term(mono, coeff, bound) for mono, coeff in poly.terms.items()])
+        return sum([term(pairs, coeff, bound) for coeff, pairs in _term_pairs(poly)])
 
     def sweep(poly: BracketPolynomial, names: Sequence[str], dim: int) -> list[Scalar]:
         """The value at each assignment of e_1..e_dim to ``names``, in
@@ -338,19 +330,19 @@ def evaluator(points: Mapping[Label, Sequence[Scalar]]) -> Callable[..., Scalar]
         basis = [extra_column([int(i == j) for i in range(dim)]) for j in range(dim)]
         swept, ones = set(names), [1] * dim
         total = [0] * dim ** len(names)
-        for mono, coeff in poly.terms.items():
-            labels = [[label for label in key if label in swept] for key in mono]
+        for coeff, pairs in _term_pairs(poly):
+            labels = [[label for label in key if label in swept] for key, _ in pairs]
             if any(len(each) > 1 for each in labels):
                 for i, cols in enumerate(product(basis, repeat=len(names))):
-                    total[i] += term(mono, coeff, {**columns, **dict(zip(names, cols))})
+                    total[i] += term(pairs, coeff, {**columns, **dict(zip(names, cols))})
                 continue
             factors: dict[str, list[Scalar]] = {}
-            for key, each in zip(mono, labels):
+            for (key, exp), each in zip(pairs, labels):
                 if not each:
-                    coeff *= memo_value(key, columns)
+                    coeff *= power(memo_value(key, columns), exp)
                     continue
                 (name,) = each
-                got = [memo_value(key, {**columns, name: col}) for col in basis]
+                got = [power(memo_value(key, {**columns, name: col}), exp) for col in basis]
                 factors[name] = list(map(mul, factors[name], got)) if name in factors else got
             if coeff == 0:
                 continue

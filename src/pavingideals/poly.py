@@ -13,15 +13,14 @@ Pearce, CASC 2007).  ``_add_product`` is the one polynomial product;
 whose product could pass their ring's bound, are first repacked into one
 joined ring; equality and hashing do not depend on the ring.
 
-Tuple monomials appear only at the edges: the ``Polynomial(terms)``
-constructor packs them, and the read-only ``terms`` view unpacks them.  A
-coordinate monomial there is a tuple of (Variable, exponent) pairs sorted
-by the variable order, with no zero exponents; the empty tuple is the
-constant monomial.
+Polynomials are built only through a ring (``Ring.polynomial`` of packed
+terms, ``Ring.variable``), as constants (``zero``, ``one``, ``constant``),
+by arithmetic, or by reading text.
 
 The text form used in generated files is one polynomial per line, terms
 sorted lexicographically (earlier variables and higher powers first) and
-joined with `` + `` / `` - ``, written straight from the packed keys::
+joined with `` + `` / `` - ``, written straight from the packed keys by
+``Ring.write``, the one writer, which a bracket polynomial also uses::
 
     2 * x[1,3]^2 * x[2,q1] - 1/3 * x[1,4]
 
@@ -41,16 +40,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import chain
 from math import prod
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .scalars import Scalar, format_rational, normalize_scalar, parse_integer, parse_rational, power
 from .variables import Variable, parse_variable
-
-Monomial = Tuple[Tuple[Variable, int], ...]
 
 Packed = dict[int, Scalar]
 
@@ -84,8 +81,8 @@ def _add_term(terms: Packed, key: int, coeff: Scalar) -> None:
         terms.pop(key, None)
 
 
-# Unpacking, writing and folding read the atoms' fields in runs of at most
-# this many atoms, one table lookup per run; the runs split the atoms evenly.
+# Writing and folding read the atoms' fields in runs of at most this many
+# atoms, one table lookup per run; the runs split the atoms evenly.
 MAX_RUN_ATOMS = 10
 
 
@@ -129,6 +126,7 @@ class Ring:
         self.width = width = max(bound, 1).bit_length()
         self.bound = (1 << width) - 1
         self.shift = dict(zip(self.atoms, range(width * (len(self.atoms) - 1), -1, -width)))
+        self._writers: dict[Callable, list[tuple[_RunTable, int, int]]] = {}
 
     def pack(self, pairs: Iterable[tuple[object, int]]) -> int:
         """The int of the monomial with these (atom, exponent) pairs; the
@@ -189,30 +187,34 @@ class Ring:
                 runs = self._run_tables(power, join)
             yield coeff, [table[value] for table, low, mask in runs if (value := key >> low & mask)] if key else []
 
-    @cached_property
-    def _runs(self) -> list[tuple[_RunTable, int, int]]:
-        return self._run_tables(cache(self.poly_class._power), lambda powers: tuple(chain.from_iterable(powers)))
-
-    @cached_property
-    def _text_runs(self) -> list[tuple[_RunTable, int, int]]:
-        factor = cache(lambda var, e: f" * {var.text()}^{e}" if e > 1 else f" * {var.text()}")
-        return self._run_tables(factor, "".join)
-
-    def unpack(self, packed: Iterable[int]) -> list[tuple]:
-        """The class's tuple monomials: each the powers of its atoms, joined in atom order."""
-        runs = [[table[value >> low & mask] for value in packed] for table, low, mask in self._runs]
-        return reduce(lambda monos, run: list(map(tuple.__add__, monos, run)), runs)
-
-    def write(self, packed: Mapping[int, Scalar]) -> str:
-        """The coordinate text form of packed terms: in descending key order,
-        which is lex order, each written from its runs' texts."""
+    def write(self, packed: Mapping[int, Scalar], factor: Callable[[object, int], str], units: bool = True) -> str:
+        """The text form of packed terms: in descending key order, which is
+        lex order, each its coefficient and then ``factor(atom, exponent)``
+        of each atom it holds.  With ``units`` false a coefficient of 1 or
+        -1 is written as its sign alone, except on the constant term.  Each
+        factor function gets one set of run tables per ring."""
         if not packed:
             return "0"
+        runs = self._writers.get(factor)
+        if runs is None:
+            runs = self._writers[factor] = self._run_tables(cache(factor), "".join)
         keys = sorted(packed, reverse=True)
-        head = {c: (" - " if c < 0 else " + ") + format_rational(abs(c)) for c in set(packed.values())}
-        runs = [[table[key >> low & mask] for key in keys] for table, low, mask in self._text_runs]
-        text = "".join(chain.from_iterable(zip([head[packed[key]] for key in keys], *runs)))
+        head = {c: _head(c, units) for c in set(packed.values())}
+        heads = [head[packed[key]] for key in keys]
+        if not keys[-1]:
+            heads[-1] = _head(packed[0], True)
+        texts = [[table[key >> low & mask] for key in keys] for table, low, mask in runs]
+        text = "".join(chain.from_iterable(zip(heads, *texts)))
         return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _head(coeff: Scalar, units: bool) -> str:
+    """A term's sign and coefficient as written before its factors."""
+    return (" - " if coeff < 0 else " + ") + (format_rational(abs(coeff)) if units or abs(coeff) != 1 else "")
+
+
+def _coordinate_factor(var: Variable, exp: int) -> str:
+    return f" * {var.text()}^{exp}" if exp > 1 else f" * {var.text()}"
 
 
 @cache
@@ -239,16 +241,10 @@ class Polynomial:
 
     __slots__ = ("_ring", "_packed")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        split = [(list(self._exponents(mono)), coeff) for mono, coeff in (terms or {}).items() if coeff != 0]
-        # A term's degree bounds each of its exponents, repeated atoms too.
-        degree = max((sum(e for _, e in pairs) for pairs, _ in split), default=0)
-        self._ring = ring = Ring(type(self), (atom for pairs, _ in split for atom, _ in pairs), degree)
-        self._packed: Packed = {}
-        for pairs, coeff in split:
-            _add_term(self._packed, ring.pack(pairs), coeff)
-
     # -- constructors -------------------------------------------------
+
+    def __init__(self, *_):
+        raise TypeError(f"a {type(self).__name__} is built by a ring, a constant, arithmetic or from_text")
 
     @classmethod
     def _wrap(cls, ring: Ring, packed: Packed) -> "Polynomial":
@@ -275,12 +271,6 @@ class Polynomial:
         return Ring(Polynomial, (var,), 1).variable(var)
 
     # -- queries -------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, Scalar]:
-        """The terms by tuple monomial, unpacked on every call: a read-only
-        view for the edges."""
-        return dict(zip(self._ring.unpack(self._packed), self._packed.values()))
 
     def is_zero(self) -> bool:
         return not self._packed
@@ -319,27 +309,14 @@ class Polynomial:
         # Equal polynomials hold the same atoms and coefficients, in any ring.
         return hash((frozenset(self._ring.held(self._packed)), sum(map(hash, self._packed.values()))))
 
-    # -- monomials as (atom, exponent) pairs -----------------------------
-    #
-    # A coordinate monomial already is its (variable, exponent) pairs in
-    # variable order.  A subclass with other monomials says how one splits
-    # into pairs, how its atoms sort, and which monomial a power of one atom
-    # is; a monomial is its atoms' powers joined in atom order.
-
+    # The atom order of the class's rings; None sorts coordinate variables
+    # by their own order.
     _atom_key = None
-
-    @staticmethod
-    def _exponents(mono: Monomial) -> Iterable[tuple[Variable, int]]:
-        return mono
-
-    @staticmethod
-    def _power(atom: Variable, exp: int) -> Monomial:
-        return ((atom, exp),)
 
     # -- ring operations ------------------------------------------------
     #
     # Every result has the class of its operands, so a subclass with its own
-    # atoms only supplies their order and monomials.
+    # atoms only supplies their order.
 
     def _coerce(self, value):
         if type(value) is type(self):
@@ -443,7 +420,7 @@ class Polynomial:
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        return self._ring.write(self._packed)
+        return self._ring.write(self._packed, _coordinate_factor)
 
     @staticmethod
     def from_text(text: str, table: "FactorTable | None" = None) -> "Polynomial":

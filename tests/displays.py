@@ -11,8 +11,10 @@ the transcription against sign slips.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
+from oracles import tuple_terms
 from pavingideals.brackets import BracketPolynomial
 from pavingideals.matroids import grid_point
 from pavingideals.poly import Polynomial
@@ -129,34 +131,17 @@ def equal_up_to_sign(a, b) -> bool:
 
 
 def equal_up_to_unit(a: Polynomial, b: Polynomial):
-    """Return the nonzero rational u with a == u*b, or None."""
+    """Return the nonzero rational u with a == u*b, or None; coordinate or
+    bracket polynomials."""
     if a.is_zero() and b.is_zero():
         return 1
     if a.is_zero() or b.is_zero():
         return None
-    # Polynomials equal up to a unit share their least monomial.
-    (mono_a, coeff_a), (mono_b, coeff_b) = min(a.terms.items()), min(b.terms.items())
-    if mono_a != mono_b:
+    # Polynomials equal up to a unit share their monomials.
+    terms_a, terms_b = tuple_terms(a), tuple_terms(b)
+    mono = next(iter(terms_a))
+    if mono not in terms_b:
         return None
-    from fractions import Fraction
-
-    unit = Fraction(coeff_a) / Fraction(coeff_b)
+    unit = Fraction(terms_a[mono]) / Fraction(terms_b[mono])
     return unit if (a - b.scale(unit)).is_zero() else None
 
-
-def bracket_equal_up_to_unit(a: BracketPolynomial, b: BracketPolynomial):
-    from pavingideals.brackets import _mono_sort_key
-
-    if a.is_zero() and b.is_zero():
-        return 1
-    if a.is_zero() or b.is_zero():
-        return None
-    key = min(a.terms, key=_mono_sort_key)
-    if key not in b.terms:
-        key = min(b.terms, key=_mono_sort_key)
-        if key not in a.terms:
-            return None
-    from fractions import Fraction
-
-    unit = Fraction(a.terms[key]) / Fraction(b.terms[key])
-    return unit if (a - b.scale(unit)).is_zero() else None

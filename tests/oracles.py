@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Mapping, Sequence
 
 from pavingideals.brackets import (
@@ -29,7 +29,7 @@ from pavingideals.generators import (
 from pavingideals.lifting import Hyperplane
 from pavingideals.linalg import NonSquare, matrix_rank, solve_particular
 from pavingideals.matroids import PavingMatroid
-from pavingideals.poly import Monomial, Polynomial
+from pavingideals.poly import Polynomial, Ring
 from pavingideals.polyfiles import parse_polynomials, render_polynomials
 from pavingideals.samplers import sample_realization
 from pavingideals.scalars import Scalar, format_rational, normalize_scalar
@@ -352,7 +352,7 @@ def rnc_polynomial_brackets(curve_degree: int, hexagon: Sequence[int]) -> Bracke
 def rename_labels(poly: BracketPolynomial, mapping) -> BracketPolynomial:
     """The bracket polynomial with each label l replaced by mapping.get(l, l)."""
     total = BracketPolynomial.zero()
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in tuple_terms(poly).items():
         term = BracketPolynomial.constant(coeff)
         for key in mono:
             term = term * BracketPolynomial.bracket([mapping.get(l, l) for l in key])
@@ -518,7 +518,38 @@ def rank_in_realization_space(vectors, matroid) -> bool:
 # The tuple-merge minor expansion and the lex-key renderer that
 # ``MinorEngine`` (packed exponents) and ``Polynomial.to_text`` (packed sort
 # keys) replaced; kept as references for them.  The expansion runs on tuple
-# monomials with its own product and sum, apart from the packed ring.
+# monomials with its own product and sum, apart from the packed ring.  A
+# tuple monomial is a coordinate monomial's (Variable, exponent) pairs in
+# variable order, or a bracket monomial's bracket keys in bracket order, a
+# key repeated by its exponent; the empty tuple is the constant monomial.
+# ``tuple_terms`` decodes a polynomial's packed keys into them from its
+# ring's fields, and ``from_tuples`` packs them into a new ring.
+
+Monomial = tuple
+
+
+def tuple_terms(poly: Polynomial) -> dict:
+    """The terms of ``poly`` by tuple monomial, each packed key split into
+    its ring's fields (``shift``, of ``bound`` bits each)."""
+    ring, bracket = poly._ring, isinstance(poly, BracketPolynomial)
+    terms = {}
+    for key, coeff in poly._packed.items():
+        pairs = [(atom, e) for atom, shift in ring.shift.items() if (e := key >> shift & ring.bound)]
+        terms[tuple(atom for atom, e in pairs for _ in range(e)) if bracket else tuple(pairs)] = coeff
+    return terms
+
+
+def from_tuples(cls: type[Polynomial], terms: dict) -> Polynomial:
+    """The polynomial of class ``cls`` with these tuple-monomial terms,
+    packed in a new ring over their atoms."""
+    pairs = {mono: [(key, 1) for key in mono] if cls is BracketPolynomial else list(mono) for mono in terms}
+    degree = max((sum(e for _, e in each) for each in pairs.values()), default=0)
+    ring = Ring(cls, (atom for each in pairs.values() for atom, _ in each), degree)
+    packed: dict = {}
+    for mono, coeff in terms.items():
+        key = ring.pack(pairs[mono])
+        packed[key] = packed.get(key, 0) + coeff
+    return ring.polynomial({key: normalize_scalar(c) for key, c in packed.items() if c})
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -578,7 +609,7 @@ class TupleMergeMinors:
     MEMO_LIMIT = 8
 
     def __init__(self, rows):
-        self.rows = [[entry.terms for entry in row] for row in rows]
+        self.rows = [[tuple_terms(entry) for entry in row] for row in rows]
         self._cache = {}
         self._zero = [[not terms for terms in row] for row in self.rows]
         self._ring = next((type(row[0]) for row in rows if row), Polynomial)
@@ -588,14 +619,14 @@ class TupleMergeMinors:
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise NonSquare(f"minor on {len(rows)} rows and {len(cols)} columns")
-        return self._ring(self._minor(rows, cols))
+        return from_tuples(self._ring, self._minor(rows, cols))
 
     def determinant(self):
         n_rows = len(self.rows)
         n_cols = len(self.rows[0]) if self.rows else 0
         if n_rows != n_cols:
             raise NonSquare(f"{n_rows}x{n_cols} matrix has no determinant")
-        return self._ring(self._minor(tuple(range(n_rows)), tuple(range(n_cols))))
+        return from_tuples(self._ring, self._minor(tuple(range(n_rows)), tuple(range(n_cols))))
 
     def _product(self, a, b):
         return tuple_product(a, b, self._mul)
@@ -658,12 +689,18 @@ def lex_key(m: Monomial):
     return tuple((0, v, -e) for v, e in m) + ((1,),)
 
 
+def bracket_lex_key(m: Monomial):
+    """``lex_key`` of a bracket monomial: an earlier bracket (or more copies
+    of it) sorts first, brackets ordered by their labels."""
+    return tuple((0, _bracket_sort_key(key), -len(list(run))) for key, run in groupby(m)) + ((1,),)
+
+
 def leading_coefficient(p: Polynomial) -> Scalar:
-    """The coefficient of the first term in ``p``'s own term order (lex for
-    coordinates); 0 for zero."""
-    if not p:
+    """The coefficient of the first term in lex order; 0 for zero."""
+    terms = tuple_terms(p)
+    if not terms:
         return 0
-    return p.sorted_terms()[0][1] if isinstance(p, BracketPolynomial) else p.terms[min(p.terms, key=lex_key)]
+    return terms[min(terms, key=bracket_lex_key if isinstance(p, BracketPolynomial) else lex_key)]
 
 
 def normalized_sign(p: Polynomial) -> tuple[Polynomial, int]:
@@ -673,7 +710,7 @@ def normalized_sign(p: Polynomial) -> tuple[Polynomial, int]:
 
 def render_polynomial(p: Polynomial) -> str:
     """The coordinate text form, terms sorted by ``lex_key``."""
-    return render_terms(p.terms)
+    return render_terms(tuple_terms(p))
 
 
 def render_terms(terms: dict) -> str:

@@ -24,7 +24,6 @@ import pytest
 
 from displays import (
     ALL_DISPLAYS,
-    bracket_equal_up_to_unit,
     equal_up_to_sign,
     equal_up_to_unit,
 )
@@ -148,7 +147,7 @@ def test_criterion_2_dual_graph_polynomial_construction():
         data = builtin_graph_data(name)
         det_route = graph_polynomial_brackets(data)
         cycle_route = graph_polynomial_via_cycles_brackets(data)
-        assert bracket_equal_up_to_unit(det_route, cycle_route) is not None, name
+        assert equal_up_to_unit(det_route, cycle_route) is not None, name
     for name in ("qs", "fig2r"):
         data = builtin_graph_data(name)
         unit = equal_up_to_unit(graph_polynomial(data), graph_polynomial_via_cycles(data))
@@ -162,7 +161,7 @@ def test_criterion_2_dual_graph_polynomial_construction():
         produced += 1
         det_route = graph_polynomial_brackets(data)
         cycle_route = graph_polynomial_via_cycles_brackets(data)
-        unit = bracket_equal_up_to_unit(det_route, cycle_route)
+        unit = equal_up_to_unit(det_route, cycle_route)
         assert unit is not None and unit != 0
     report(2, "determinant and cycle routes agree up to a unit on 5 named + 50 random instances")
 

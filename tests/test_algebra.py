@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     TupleMergeMinors,
+    bracket_lex_key,
     bracket_monomial_mul,
+    from_tuples,
     gaussian_pivot_product,
     monomial_mul,
     perm_parity,
@@ -25,8 +27,9 @@ from oracles import (
     rref_solve,
     tuple_product,
     tuple_sum,
+    tuple_terms,
 )
-from pavingideals.brackets import BracketPolynomial, _bracket_sort_key, _mono_sort_key
+from pavingideals.brackets import BracketPolynomial, _bracket_sort_key, evaluator
 from pavingideals.linalg import (
     NonSquare,
     bareiss_determinant,
@@ -35,7 +38,7 @@ from pavingideals.linalg import (
     matrix_rank,
     solve_particular,
 )
-from pavingideals.poly import Polynomial, Ring, UnboundVariable
+from pavingideals.poly import Polynomial, UnboundVariable
 from pavingideals.polymatrix import MinorEngine
 from pavingideals.scalars import NotRational, format_rational, normalize_scalar, parse_rational
 from pavingideals.variables import entry_var, extra_var
@@ -145,7 +148,7 @@ def test_cancellation_gives_empty_association():
     for _ in range(30):
         p = random_poly(rng)
         assert (p - p).is_zero()
-        assert len((p - p).terms) == 0
+        assert len(p - p) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,8 +271,8 @@ def test_to_text_matches_the_lex_key_renderer():
             variables = sorted(rng.sample(TEXT_VARIABLES, rng.randint(0, 4)))
             mono = tuple((v, rng.choice([1, 1, 2, 3, 11])) for v in variables)
             terms[mono] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 7]))
-        p = Polynomial(terms)
-        for mono, coeff in p.terms.items():
+        p = from_tuples(Polynomial, terms)
+        for mono, coeff in tuple_terms(p).items():
             seen.add("constant" if not mono else "power" if any(e > 1 for _, e in mono) else "linear")
             seen.add("negative" if coeff < 0 else "positive")
             seen.add("fraction" if isinstance(coeff, Fraction) else "integer")
@@ -285,15 +288,18 @@ def test_to_text_matches_the_lex_key_renderer():
 # -- the packed ring against sorted-tuple dicts -----------------------------
 #
 # Operands are drawn over overlapping and disjoint slices of one atom list,
-# with exponents up to 200, and built in different rings: by the
-# constructor, as a sum of one-term polynomials, as a minor of an engine or
-# (coordinates) read back from text.  Each result is checked against the
-# same operation on plain dicts of sorted tuple monomials.
+# with exponents up to 200, and built in different rings: packed from tuple
+# monomials, as a sum of one-term polynomials, as a minor of an engine or
+# read back from text.  Each result is checked against the same operation on
+# plain dicts of sorted tuple monomials, decoded by ``tuple_terms``.
 
 RING_VARIABLES = [entry_var(r, c) for r in (1, 2, 10) for c in (1, 2)] + [extra_var(1, "q"), extra_var(3, "r2")]
-RING_BRACKETS = [(1, 2, 3), (1, 2, "q"), (1, 3, "q"), (2, 3, "r"), (1, 10, "q"), (2, 10, "r"), (3, 10, "q"), (1, 2, 10)]
-RING_SLICES = [slice(0, 4), slice(2, 6), slice(5, 8), slice(0, 8)]
+RING_BRACKETS = [
+    (1, 2, 3), (1, 2, "q"), (1, 3, "q"), (2, 3, "r"), (1, 10, "q"), (2, 10, "r"), (3, 10, "q"), (1, 2, 10), (1, "q", "r"),
+]
+RING_SLICES = [slice(0, 4), slice(2, 6), slice(5, 9), slice(0, 9)]
 RING_COEFFICIENTS = st.sampled_from([-3, -1, 1, 2, Fraction(1, 2), Fraction(-5, 3)])
+RING_LABELS = [1, 2, 3, 10, "q", "r"]
 
 
 def tuple_monomial(bracket: bool, pairs: list) -> tuple:
@@ -314,23 +320,30 @@ def ring_operand(draw, bracket: bool):
         terms[mono] = terms.get(mono, 0) + draw(RING_COEFFICIENTS)
     terms = {mono: c for mono, c in terms.items() if c}
     cls = BracketPolynomial if bracket else Polynomial
-    how = draw(st.sampled_from(["constructor", "sum", "minor"] + ([] if bracket else ["text"])))
-    if how == "constructor":
-        poly = cls(terms)
+    how = draw(st.sampled_from(["packed", "sum", "minor", "text"]))
+    if how == "packed":
+        poly = from_tuples(cls, terms)
     elif how == "sum":
-        poly = sum((cls({mono: c}) for mono, c in terms.items()), cls.zero())
+        poly = sum((from_tuples(cls, {mono: c}) for mono, c in terms.items()), cls.zero())
     elif how == "minor":
-        poly = MinorEngine([[cls(terms), cls.zero()], [cls.zero(), cls.one()]]).determinant()
+        poly = MinorEngine([[from_tuples(cls, terms), cls.zero()], [cls.zero(), cls.one()]]).determinant()
+    elif bracket:
+        poly = BracketPolynomial.from_text(bracket_text(terms))
     else:
         poly = Polynomial.from_text(render_terms(terms))
     return poly, terms
 
 
-def bracket_text(terms: dict) -> str:
-    """``BracketPolynomial.to_text`` of a dict of bracket monomials."""
+def bracket_text(terms: dict, pretty: bool = False) -> str:
+    """``BracketPolynomial.to_text`` (or ``pretty``) of a dict of bracket
+    monomials: terms in lex order, an earlier bracket or more copies of it
+    first."""
+    left, right = "⟨⟩" if pretty else "<>"
     chunks = []
-    for mono, coeff in sorted(terms.items(), key=lambda term: _mono_sort_key(term[0])):
-        body = format_rational(abs(coeff)) + "".join("<" + " ".join(map(str, key)) + ">" for key in mono)
+    for mono, coeff in sorted(terms.items(), key=lambda term: bracket_lex_key(term[0])):
+        body = "".join(left + " ".join(map(str, key)) + right for key in mono)
+        if not pretty or abs(coeff) != 1 or not mono:
+            body = format_rational(abs(coeff)) + body
         chunks.append((" - " if coeff < 0 else " + ") + body)
     text = "".join(chunks) or " + 0"
     return text[3:] if text[1] == "+" else "-" + text[3:]
@@ -338,6 +351,14 @@ def bracket_text(terms: dict) -> str:
 
 def tuple_value(terms: dict, assignment) -> Fraction:
     return sum(c * Fraction(prod(Fraction(assignment[v]) ** e for v, e in mono)) for mono, c in terms.items())
+
+
+def det3(a, b, c) -> int:
+    return a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0]) + a[2] * (b[0] * c[1] - b[1] * c[0])
+
+
+def bracket_tuple_value(terms: dict, vectors) -> Fraction:
+    return sum(c * prod(det3(*(vectors[label] for label in key)) for key in mono) for mono, c in terms.items())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -357,12 +378,22 @@ def test_ring_operations_match_sorted_tuple_dicts(data):
     ]
     for got, want in results:
         assert type(got) is cls
-        assert got.terms == want
-        assert got == cls(want) and hash(got) == hash(cls(want))
+        assert tuple_terms(got) == want
+        assert got == from_tuples(cls, want) and hash(got) == hash(from_tuples(cls, want))
         assert got.support() == {atom for mono in want for atom in (mono if bracket else (v for v, _ in mono))}
         assert got.to_text() == (bracket_text(want) if bracket else render_terms(want))
     assert (a == b) == (ta == tb)
     if bracket:
+        vectors = {label: tuple(data.draw(st.integers(-3, 3), label=f"<{label}>") for _ in range(3)) for label in RING_LABELS}
+        points = {label: vec for label, vec in vectors.items() if isinstance(label, int)}
+        basis = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+        sweep = evaluator(points).sweep
+        for got, want in results:
+            assert got.pretty() == bracket_text(want, pretty=True)
+            assert BracketPolynomial.from_text(got.pretty().replace("⟨", "<").replace("⟩", ">")) == got
+            assert got.evaluate(vectors) == bracket_tuple_value(want, vectors)
+            swept = [bracket_tuple_value(want, {**points, "q": q, "r": r}) for q, r in product(basis, repeat=2)]
+            assert sweep(got, ("q", "r"), 3) == swept
         return
     assignment = {v: Fraction(data.draw(st.integers(-3, 3), label=v.text()), 2) for v in RING_VARIABLES}
     assert (a * b).evaluate(assignment) == tuple_value(ta, assignment) * tuple_value(tb, assignment)
@@ -371,7 +402,7 @@ def test_ring_operations_match_sorted_tuple_dicts(data):
     for mono, c in ta.items():
         rest = tuple(pair for pair in mono if pair[0] not in bound)
         partial[rest] = partial.get(rest, 0) + c * tuple_value({tuple(p for p in mono if p[0] in bound): 1}, bound)
-    assert a.evaluate_partial(bound).terms == {mono: c for mono, c in partial.items() if c}
+    assert tuple_terms(a.evaluate_partial(bound)) == {mono: c for mono, c in partial.items() if c}
 
 
 # -- scalar linear algebra ------------------------------------------------
@@ -678,7 +709,7 @@ def random_coordinate_entry(rng: random.Random) -> Polynomial:
     for _ in range(rng.randint(0, 3)):
         term = Polynomial.constant(random_coefficient(rng))
         for v in rng.sample(MINOR_VARIABLES, rng.randint(0, 2)):
-            term = term * Polynomial({((v, rng.choice([1, 1, 2, 200])),): 1})
+            term = term * from_tuples(Polynomial, {((v, rng.choice([1, 1, 2, 200])),): 1})
         p = p + term
     return p
 
@@ -702,7 +733,7 @@ def test_minor_engine_matches_the_tuple_merge_oracle():
         for n_rows, n_cols in shapes * 3:
             rows = [[entry(rng) for _ in range(n_cols)] for _ in range(n_rows)]
             if entry is random_coordinate_entry:
-                top = max([top] + [e for row in rows for p in row for m in p.terms for _, e in m])
+                top = max([top] + [e for row in rows for p in row for m in tuple_terms(p) for _, e in m])
             engine, oracle = MinorEngine(rows), TupleMergeMinors(rows)
             for k in range(min(n_rows, n_cols) + 1):
                 for row_idx in combinations(range(n_rows), k):
@@ -718,7 +749,7 @@ def test_minor_engine_matches_the_tuple_merge_oracle():
                 engine.minor([0], [])
     assert top == 200
     # x^400 - y*z: 400 needs 9 bits.
-    a, b = Polynomial({((entry_var(1, 1), 200),): 1}), x(1, 2)
+    a, b = from_tuples(Polynomial, {((entry_var(1, 1), 200),): 1}), x(1, 2)
     rows = [[a, b], [b, a]]
     assert MinorEngine(rows).determinant() == TupleMergeMinors(rows).determinant() == a * a - b * b
 
@@ -732,20 +763,12 @@ def random_text_entry(rng: random.Random) -> Polynomial:
     for _ in range(rng.randint(0, 3)):
         variables = sorted(rng.sample(TEXT_MINOR_VARIABLES, rng.randint(0, 2)))
         terms[tuple((v, rng.randint(1, 3)) for v in variables)] = random_coefficient(rng)
-    return Polynomial(terms)
+    return from_tuples(Polynomial, terms)
 
 
-def test_packed_minor_text_matches_the_oracle_renderer(monkeypatch):
-    """A minor is written from its packed keys, with no unpacking, as the
-    oracle renders the tuple-merge minor, and the line reads back to it."""
-    unpacked = []
-    unpack = Ring.unpack
-
-    def counted(self, packed):
-        unpacked.append(packed)
-        return unpack(self, packed)
-
-    monkeypatch.setattr(Ring, "unpack", counted)
+def test_packed_minor_text_matches_the_oracle_renderer():
+    """A minor is written from its packed keys as the oracle renders the
+    tuple-merge minor, and the line reads back to it."""
     rng = random.Random(2007)
     seen = set()
     for n in (0, 1, 2, 2, 3, 3, 3, 4):
@@ -757,13 +780,11 @@ def test_packed_minor_text_matches_the_oracle_renderer(monkeypatch):
             for row_idx in combinations(range(n), k):
                 for col_idx in combinations(range(n), k):
                     got, want = engine.minor(row_idx, col_idx), oracle.minor(row_idx, col_idx)
-                    unpacked.clear()
                     line = got.to_text()
-                    assert not unpacked
                     assert line == render_polynomial(want), (rows, row_idx, col_idx)
                     assert Polynomial.from_text(line) == want == got
                     seen.add("empty" if k == 0 else "zero" if want.is_zero() else "nonzero")
-                    for mono, coeff in want.terms.items():
+                    for mono, coeff in tuple_terms(want).items():
                         seen.add("negative" if coeff < 0 else "positive")
                         seen.add("fraction" if isinstance(coeff, Fraction) else "integer")
                         seen.update("extra" if isinstance(v.column, str) else "entry" for v, _ in mono)

@@ -824,6 +824,18 @@ def test_verify_rejects_bracket_labels_that_are_not_points_or_identifiers(tmp_pa
     ))
 
 
+@pytest.mark.parametrize("line", ["-", "<1 2 3> +  - <1 2 3>"])
+def test_verify_rejects_an_empty_bracket_term(tmp_path, capsys, line):
+    # Every term has a coefficient or a bracket; the two spaces of the second
+    # line leave an empty term between its signs.
+    real = sample_qs(tmp_path, capsys)
+    polys = tmp_path / "polys.txt"
+    polys.write_text(f"# form: bracket\n{line}\n")
+    code, out, err = run_cli(capsys, "verify", "--polys", str(polys), "--realization", str(real))
+    _assert_parse_error(code, out, err)
+    assert err.count("\n") == 1 and "bad bracket term: ''" in err, err
+
+
 def verify_q_files(tmp_path, capsys) -> dict[str, tuple[Path, Path]]:
     """An expanded qs lifting minor and the bracket-form pascal graph polynomial."""
     qs_polys = tmp_path / "qs_lifting.txt"

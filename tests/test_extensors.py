@@ -204,4 +204,17 @@ def test_bracket_support_is_the_set_of_brackets():
     assert (product * BracketPolynomial.bracket((3, 2, 1))).support() == {(1, 2, 3), (1, 2, 4)}
     assert BracketPolynomial.bracket((2, 1)).support() == {(1, 2)}
     assert (BracketPolynomial.bracket((1, "q")) + 1).support() == {(1, "q")}
-    assert BracketPolynomial().support() == set()
+    assert BracketPolynomial.zero().support() == set()
+
+
+def test_bracket_terms_are_written_in_lex_order():
+    # At the first bracket where two terms differ, the one with more copies
+    # of it comes first, so a term comes before the terms it divides.
+    line = "1 + 2<1 2 3> + 1<1 2 3><1 2 4>"
+    poly = BracketPolynomial.from_text(line)
+    assert poly.to_text() == "1<1 2 3><1 2 4> + 2<1 2 3> + 1"
+    assert poly.pretty() == "⟨1 2 3⟩⟨1 2 4⟩ + 2⟨1 2 3⟩ + 1"
+    assert BracketPolynomial.from_text("-<1 2 4> - <1 2 3>").pretty() == "-⟨1 2 3⟩ - ⟨1 2 4⟩"
+    squares = BracketPolynomial.from_text("<1 2 4><1 2 4> - 3<1 2 3><1 2 4> + <1 2 3><1 2 3>")
+    assert squares.to_text() == "1<1 2 3><1 2 3> - 3<1 2 3><1 2 4> + 1<1 2 4><1 2 4>"
+    assert BracketPolynomial.from_text(poly.to_text()) == poly
